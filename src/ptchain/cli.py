@@ -53,12 +53,13 @@ from .fits import (
 )
 from .lattice import Boundary, ChainSpec, InterfaceSpec, build_real_space, classify_pt
 from .spectral import (
+    TOL_ZERO,
     biorthogonal_diagonalize,
     density_profile,
     select_half_filling,
 )
 from .edge import interface_continuum, interface_density, interface_lattice_solve
-from .topology import characterize, symmetry_closure
+from .topology import TOL_SYM, TOL_ZAK, characterize, symmetry_closure
 
 TASKS = (
     "spectrum",
@@ -305,12 +306,19 @@ def _resolve_trim(task: dict):
     return UntilRMSE(float(trim.get("threshold", 1e-4)))
 
 
-def _resolve_tolerances(config: dict) -> ToleranceSet:
+def _resolve_tolerances(config: dict) -> tuple[ToleranceSet, float, float, float]:
+    """Spectrum classification tolerances, then tol_zero, tol_sym, tol_zak."""
     tol = config.get("tolerances", {})
-    return ToleranceSet(
+    classification = ToleranceSet(
         tol_real=float(tol.get("tol_real", DEFAULT_TOLERANCES.tol_real)),
         tol_edge=float(tol.get("tol_edge", DEFAULT_TOLERANCES.tol_edge)),
         tol_pair=float(tol.get("tol_pair", DEFAULT_TOLERANCES.tol_pair)),
+    )
+    return (
+        classification,
+        float(tol.get("tol_zero", TOL_ZERO)),
+        float(tol.get("tol_sym", TOL_SYM)),
+        float(tol.get("tol_zak", TOL_ZAK)),
     )
 
 
@@ -378,8 +386,8 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _entropy_rows(spec, ells, prescription, tolerances):
-    prof = entropy_profile(spec, ells, prescription, tolerances)
+def _entropy_rows(spec, ells, prescription, tolerances, tol_zero):
+    prof = entropy_profile(spec, ells, prescription, tolerances, tol_zero)
     rows = [
         [int(ell), float(val.real), float(val.imag), int(ne), int(nq), int(nr)]
         for ell, val, ne, nq, nr in zip(
@@ -397,7 +405,7 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
     model = config["model"]
     task = config["task"]
     name = task["name"]
-    tolerances = _resolve_tolerances(config)
+    tolerances, tol_zero, tol_sym, tol_zak = _resolve_tolerances(config)
     seed = int(config.get("seed", 0))
     jobs = int(jobs or config.get("jobs", 1))
     out = out_dir or config["output"]["dir"]
@@ -429,14 +437,14 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
         spec = _build_chain(model)
         prescription = _PRESCRIPTIONS[task.get("prescription", "branch_cut")]
         ells = _resolve_ells(task, spec.cells)
-        _, rows = _entropy_rows(spec, ells, prescription, tolerances)
+        _, rows = _entropy_rows(spec, ells, prescription, tolerances, tol_zero)
         save_csv("entropy", _ENTROPY_HEADER, rows)
         summary |= {"prescription": prescription.value, "n_points": len(rows)}
     elif name == "cc-fit":
         spec = _build_chain(model)
         prescription = _PRESCRIPTIONS[task.get("prescription", "branch_cut")]
         ells = _resolve_ells(task, spec.cells // 2)
-        prof, rows = _entropy_rows(spec, ells, prescription, tolerances)
+        prof, rows = _entropy_rows(spec, ells, prescription, tolerances, tol_zero)
         save_csv("entropy", _ENTROPY_HEADER, rows)
         trim = _resolve_trim(task)
         re_s = prof.values.real
@@ -447,18 +455,20 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
         summary |= {"prescription": prescription.value, "fit": _fit_summary(fit)}
     elif name == "casimir":
         spec = _build_chain(model)
-        sizes, energies = casimir_energy_table(spec, task["sizes"])
+        sizes, energies = casimir_energy_table(
+            spec, task["sizes"], tol_zero=tol_zero
+        )
         save_csv("casimir", ["L", "re_E0"],
                  [[int(L), float(e)] for L, e in zip(sizes, energies)])
         fit = casimir_fit(sizes, energies, spec.boundary.value, task.get("delta_L"))
         summary |= {"fit": _fit_summary(fit)}
     elif name == "winding":
         spec = _build_chain(model)
-        result = characterize(spec, int(task.get("n_k", 4096)))
+        result = characterize(spec, int(task.get("n_k", 4096)), tol_zak)
         summary |= {"winding": result.winding, "pt_class": result.pt_class.value}
     elif name == "zak":
         spec = _build_chain(model)
-        result = characterize(spec, int(task.get("n_k", 4096)))
+        result = characterize(spec, int(task.get("n_k", 4096)), tol_zak)
         summary |= {
             "winding": result.winding,
             "re_Q": result.zak.real,
@@ -486,7 +496,7 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
         else:
             spec = _build_chain(model)
             system = biorthogonal_diagonalize(build_real_space(spec))
-            occ = select_half_filling(system)
+            occ = select_half_filling(system, tol_zero)
             profile = density_profile(system, occ)
         rows = [
             [i + 1, a.real, a.imag, b.real, b.imag, c.real, c.imag]
@@ -511,6 +521,8 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
             ells,
             prescription,
             jobs=jobs,
+            tolerances=tolerances,
+            tol_zero=tol_zero,
         )
         rows = [
             [int(e), float(mr), float(sr), float(mi), float(si)]
@@ -536,8 +548,9 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
             corr = correlation_k_space(spec, ell)
         else:
             system = biorthogonal_diagonalize(build_real_space(spec))
-            corr = correlation_matrix(system, select_half_filling(system), ell)
-        report = symmetry_closure(corr.matrix)
+            occ = select_half_filling(system, tol_zero)
+            corr = correlation_matrix(system, occ, ell)
+        report = symmetry_closure(corr.matrix, tol_sym)
         summary |= {
             "ell": ell,
             "provenance": corr.provenance.value,
@@ -577,8 +590,9 @@ def _write_manifest(out: str, config: dict, status: dict, outputs: list[str],
             os.path.join(out, "run_manifest.json"),
             json.dumps(manifest, indent=2) + "\n",
         )
-    except OSError:
-        pass
+    except OSError as exc:
+        # the run's own exit code stands; the missing manifest is reported
+        print(f"i/o error: run manifest not written: {exc}", file=sys.stderr)
 
 
 def _run_config(config: dict, out_dir: str | None, jobs: int | None) -> int:

@@ -39,7 +39,10 @@ this multivalued; this module implements four ways of resolving it:
     eigenvalue either sits at Re nu = 1/2 exactly (self-paired, half an
     edge-pair contribution) or has the partner 1 - nu* elsewhere in the
     spectrum (a quarter of the completed quartet each), so no numerical
-    partner matching is needed and eigensolver noise cannot unpair modes.
+    partner matching is needed. The subsystem eigensolve runs on a real
+    matrix (see :func:`entropy_profile`), where that closure is exact: a
+    self-paired mode is a real eigenvalue and sits at Re nu = 1/2 to the
+    last bit, so the default ``tol_edge`` serves disordered chains too.
 
 Classification of the spectrum into real modes, real pairs {nu, 1-nu},
 edge pairs 1/2 +- i I, quartets, and residual particle-hole pairs
@@ -64,8 +67,10 @@ from .errors import (
 )
 from .lattice import Boundary, ChainSpec, vk
 from .spectral import (
+    TOL_BIORTH,
     BiorthogonalSystem,
     OccupationSet,
+    _sublattice_gauge,
     biorthogonal_diagonalize,
     build_real_space,
     occupied_correlation,
@@ -96,8 +101,13 @@ class ModeLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class ToleranceSet:
-    """Classification tolerances; defaults sit one order above the
-    eigensolver noise observed on ~2000-site correlation matrices."""
+    """Classification tolerances.
+
+    ``tol_real`` and ``tol_pair`` sit one order above the eigensolver noise
+    observed on ~2000-site correlation matrices. Self-paired modes come out
+    of the real-gauge eigensolve at Re nu = 1/2 exactly, so ``tol_edge``
+    needs no widening for disordered chains.
+    """
 
     tol_real: float = 1e-8   # |Im nu| below this counts as real
     tol_edge: float = 1e-6   # |Re nu - 1/2| below this is edge-like
@@ -221,9 +231,10 @@ def _band_projectors(spec: ChainSpec) -> np.ndarray:
 
 
 def _toeplitz_correlation(g: np.ndarray, ell: int, L: int) -> np.ndarray:
+    """2 ell x 2 ell block from per-separation 2x2 blocks, in g's dtype."""
     n = np.arange(ell)
     idx = (n[:, None] - n[None, :]) % L
-    C = np.empty((2 * ell, 2 * ell), dtype=complex)
+    C = np.empty((2 * ell, 2 * ell), dtype=g.dtype)
     for a in range(2):
         for b in range(2):
             C[a::2, b::2] = g[idx, a, b]
@@ -587,6 +598,28 @@ class EntropyProfile:
         return np.array([s.value for s in self.entropies])
 
 
+def _gauge_real(M: np.ndarray) -> np.ndarray:
+    """Real part of a gauge-transformed correlation matrix.
+
+    The imaginary part vanishes up to rounding for every state of the
+    family; a residue above TOL_BIORTH (relative to max |M|, at least 1)
+    means the biorthogonal basis it was built from is unreliable. The floor
+    matters where M vanishes up to rounding: C = 1/2 when every mode is half
+    filled, as in the fully PT-broken phase.
+    """
+    if not np.iscomplexobj(M):
+        return M
+    residue = float(np.max(np.abs(M.imag)))
+    scale = max(float(np.max(np.abs(M))), 1.0)
+    if residue > TOL_BIORTH * scale:
+        raise DefectiveMatrix(
+            "correlation matrix is not real in the sublattice gauge "
+            f"(relative residue {residue / scale:.1e}); the chain sits too "
+            "close to an exceptional point, increase the detuning"
+        )
+    return M.real
+
+
 def entropy_profile(
     spec: ChainSpec,
     ells,
@@ -599,22 +632,34 @@ def entropy_profile(
     Clean periodic chains go through the momentum-space correlation blocks
     (built once and sliced per size); open or disordered chains are
     diagonalized densely once.
+
+    Either way the subsystem eigensolve is real: the blocks are those of
+    M = -2i S^-1 (C - 1/2) S in the sublattice gauge, and
+    nu = 1/2 + (i/2) eig(M). A real eigenvalue of M is a self-paired mode
+    at Re nu = 1/2 exactly; the others come in conjugate pairs, which are
+    exact particle-hole partners nu, 1 - nu^*.
     """
     ells = np.asarray(sorted(set(int(e) for e in ells)))
     if np.any(ells < 1) or np.any(ells > spec.cells):
         raise ValueError("subsystem sizes out of range")
     if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
-        g = np.fft.ifft(_band_projectors(spec), axis=0)
+        # gauge each momentum block before the transform, so the Toeplitz
+        # blocks are built directly in float64
+        m = _sublattice_gauge(_band_projectors(spec) - 0.5 * np.eye(2))
+        g = 2.0 * _gauge_real(np.fft.ifft(m, axis=0))
         blocks = (_toeplitz_correlation(g, int(e), spec.cells) for e in ells)
     else:
         sys = biorthogonal_diagonalize(build_real_space(spec))
         occ = select_half_filling(sys, tol_zero)
         C = occupied_correlation(sys, occ)
-        blocks = (C[: 2 * int(e), : 2 * int(e)] for e in ells)
+        C[np.diag_indices_from(C)] -= 0.5
+        M = 2.0 * _gauge_real(_sublattice_gauge(C))
+        blocks = (M[: 2 * int(e), : 2 * int(e)] for e in ells)
     results = []
     counts = np.zeros((3, len(ells)), dtype=int)
     for col, block in enumerate(blocks):
-        spect = classify_spectrum(np.linalg.eigvals(block), tolerances)
+        nus = 0.5 + 0.5j * np.linalg.eigvals(block)
+        spect = classify_spectrum(nus, tolerances)
         results.append(entropy(spect, prescription))
         counts[:, col] = (spect.n_edge_pairs, spect.n_quartets, spect.n_residual)
     return EntropyProfile(

@@ -24,16 +24,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import InsufficientPoints, NoConvergence
-from .entanglement import Prescription, ToleranceSet, entropy_profile
+from .errors import InsufficientPoints, NoConvergence, PTChainError
+from .entanglement import (
+    DEFAULT_TOLERANCES,
+    Prescription,
+    ToleranceSet,
+    entropy_profile,
+)
 from .lattice import ChainSpec, DisorderProfile
 from .rng import disorder_offsets
-from .spectral import ground_state_energy
-
-#: Classification tolerances for disordered chains. Disorder at criticality
-#: pushes the eigensolver noise on the edge modes' Re nu (structurally
-#: exactly 1/2) up to ~1e-5, so the edge window opens to 1e-4 there.
-DISORDER_TOLERANCES = ToleranceSet(tol_edge=1e-4)
+from .spectral import TOL_ZERO, ground_state_energy
 
 
 @dataclass(frozen=True)
@@ -292,13 +292,13 @@ def casimir_fit(
 
 
 def casimir_energy_table(
-    spec: ChainSpec, sizes, imag_tol: float = 1e-9
+    spec: ChainSpec, sizes, imag_tol: float = 1e-9, tol_zero: float = TOL_ZERO
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re E0 over system sizes, asserting Im E0 vanishes at half filling."""
     sizes = np.asarray(sorted(int(s) for s in sizes))
     energies = []
     for L in sizes:
-        e0 = ground_state_energy(replace(spec, cells=int(L)))
+        e0 = ground_state_energy(replace(spec, cells=int(L)), tol_zero)
         if abs(e0.imag) > imag_tol * max(1.0, abs(e0.real)):
             raise NoConvergence(
                 f"Im E0 = {e0.imag:.2e} at L={L}; half filling did not cancel "
@@ -309,14 +309,21 @@ def casimir_energy_table(
 
 
 def _one_realization(args) -> tuple[int, np.ndarray]:
-    (template, bound, base_seed, r, ells, prescription, tolerances) = args
+    (template, bound, base_seed, r, ells, prescription, tolerances, tol_zero) = args
     seed = base_seed + r
     offsets = disorder_offsets(seed, bound, template.cells)
     spec = replace(template, disorder=DisorderProfile(offsets))
+    context = f"realization {r} (seed {seed})"
     try:
-        prof = entropy_profile(spec, ells, prescription, tolerances)
+        prof = entropy_profile(spec, ells, prescription, tolerances, tol_zero)
+    except PTChainError as exc:
+        # the package's own types take one message
+        raise type(exc)(f"{context}: {exc}") from exc
     except Exception as exc:
-        raise type(exc)(f"realization {r} (seed {seed}): {exc}") from exc
+        # a foreign type keeps its constructor arguments, which a worker
+        # process pickles back to the parent; the context rides as a note
+        exc.add_note(context)
+        raise
     return r, prof.values
 
 
@@ -328,7 +335,8 @@ def disorder_ensemble(
     ells,
     prescription: Prescription = Prescription.REGULARIZED,
     jobs: int = 1,
-    tolerances: ToleranceSet = DISORDER_TOLERANCES,
+    tolerances: ToleranceSet = DEFAULT_TOLERANCES,
+    tol_zero: float = TOL_ZERO,
 ) -> EnsembleStats:
     """Seeded disorder ensemble of entropy profiles.
 
@@ -344,7 +352,8 @@ def disorder_ensemble(
         )
     ells = np.asarray(sorted(set(int(e) for e in ells)))
     tasks = [
-        (template, delta_bound, base_seed, r, ells, prescription, tolerances)
+        (template, delta_bound, base_seed, r, ells, prescription, tolerances,
+         tol_zero)
         for r in range(n_realizations)
     ]
     values = np.empty((n_realizations, len(ells)), dtype=complex)

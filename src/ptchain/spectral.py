@@ -13,6 +13,14 @@ function is
 
 the convention pinned down by the exact Fock-space oracle in the test
 suite.
+
+Every chain of the family is bipartite with real hoppings and a purely
+imaginary sublattice potential, so in the sublattice gauge
+S = diag(1, i, 1, i, ...) the matrix -i S^-1 H S is real. Dense
+eigensolves run there, in real arithmetic (LAPACK dgeev rather than
+zgeev), and map back with E = i lambda and eigenvectors S v. The pairing
+E <-> -E^* is then the exact conjugate pairing of a real spectrum, and
+modes on the imaginary axis come out at Re E = 0 exactly.
 """
 
 from __future__ import annotations
@@ -83,11 +91,26 @@ class DensityProfile:
         return self.site[1::2]
 
 
+def _sublattice_gauge(X: np.ndarray) -> np.ndarray:
+    """-i S^-1 X S with S = diag(1, i, 1, i, ...), on the last two axes.
+
+    The similarity only multiplies entries by +-1 and +-i, so it is exact in
+    floating point. The result is float64 when it is exactly real, which it
+    is for every Hamiltonian of the family, and complex otherwise.
+    """
+    g = np.ones(X.shape[-1], dtype=complex)
+    g[1::2] = 1j
+    Y = -1j * (g.conj()[:, None] * X * g)
+    return Y if np.any(Y.imag) else Y.real
+
+
 def biorthogonal_diagonalize(
     H: np.ndarray, tol_biorth: float = TOL_BIORTH
 ) -> BiorthogonalSystem:
     """Diagonalize a dense complex matrix into a biorthonormal system.
 
+    The eigensolve runs on -i S^-1 H S in the sublattice gauge, real for
+    every chain of the family; S is unitary, so overlaps are unchanged.
     Eigenvalues are ordered deterministically by (Re, Im, input index).
     Nearly degenerate eigenvalues are re-biorthogonalized block-wise via the
     overlap matrix; a singular overlap means coalescing eigenvectors and
@@ -97,11 +120,16 @@ def biorthogonal_diagonalize(
     H = np.asarray(H, dtype=complex)
     if not np.all(np.isfinite(H)):
         raise ValueError("Hamiltonian has non-finite entries")
-    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    lam, vl, vr = scipy.linalg.eig(_sublattice_gauge(H), left=True, right=True)
+    w = 1j * lam
     order = np.lexsort((np.arange(len(w)), w.imag, w.real))
     E = w[order]
-    R = vr[:, order]
-    L = vl[:, order]
+    # back from the gauge: R = S vr, L = S vl. The vectors are float64 when
+    # every lambda is real (every E on the imaginary axis), hence the cast.
+    R = vr[:, order].astype(complex)
+    L = vl[:, order].astype(complex)
+    R[1::2] *= 1j
+    L[1::2] *= 1j
 
     scale = max(np.max(np.abs(E)), 1.0)
     tol_cluster = _CLUSTER_REL * scale
@@ -192,13 +220,14 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     Clean periodic chains take the momentum-space path: the filled lower
     band contributes -sqrt(|v_k|^2 - u_eff^2) per k_n = 2 pi n / L, and any
     PT-broken momentum contributes zero because its +-i|E| pair is occupied
-    half/half. Everything else is dense diagonalization (eigenvalues only).
+    half/half. Everything else is dense diagonalization (eigenvalues only,
+    in the real sublattice gauge).
     """
     if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
         k = 2.0 * np.pi * np.arange(spec.cells) / spec.cells
         e = np.sqrt((np.abs(vk(spec, k)) ** 2 - spec.u_eff**2).astype(complex))
         return complex(-np.sum(e.real))
-    E = np.linalg.eigvals(build_real_space(spec))
+    E = 1j * np.linalg.eigvals(_sublattice_gauge(build_real_space(spec)))
     s = half_filling_weights(E, tol_zero)
     return complex(np.sum(s * E))
 

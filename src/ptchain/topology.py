@@ -185,10 +185,12 @@ def zak_phase(spec: ChainSpec, n_k: int = 4096, tol_zak: float = TOL_ZAK) -> com
     return _zak_symmetric(spec, n_k, tol_zak)
 
 
-def characterize(spec: ChainSpec, n_k: int = 4096) -> TopologyResult:
+def characterize(
+    spec: ChainSpec, n_k: int = 4096, tol_zak: float = TOL_ZAK
+) -> TopologyResult:
     """Winding, Zak phase, and their quantization deviation in one record."""
     omega = winding_number(spec, n_k)
-    q = zak_phase(spec, n_k)
+    q = zak_phase(spec, n_k, tol_zak)
     return TopologyResult(
         winding=omega,
         zak=q,

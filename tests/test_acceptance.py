@@ -15,7 +15,8 @@ from ptchain.errors import (
     GaplessWinding,
     ResidualNeedsRegularized,
 )
-from ptchain.fits import DISORDER_TOLERANCES, FixedCount, UntilRMSE, UntilSSE
+from ptchain.entanglement import DEFAULT_TOLERANCES
+from ptchain.fits import FixedCount, UntilRMSE, UntilSSE
 
 from fock_oracle import (
     biorthogonal_ground_pair,
@@ -287,7 +288,7 @@ class TestCriterion9Disorder:
         stats = pc.disorder_ensemble(
             template, 0.999, 100, 20260101, ells,
             prescription=pc.Prescription.REGULARIZED,
-            tolerances=DISORDER_TOLERANCES,
+            tolerances=DEFAULT_TOLERANCES,
         )
         im_dev = float(np.max(np.abs(stats.im_values + np.pi)))
         check("9 disorder Im S = -pi every realization", im_dev <= 1e-6,

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import ptchain.cli as cli
 from ptchain.cli import config_hash, main, validate_config
 from ptchain.cookbook import figure_cookbook, figure_names, scale_config
+from ptchain.entanglement import ToleranceSet
 from ptchain.errors import ConfigError, UnknownFigure
 
 
@@ -59,6 +61,91 @@ class TestValidation:
             validate_config(cfg)
 
 
+def spy(monkeypatch, name):
+    """Record the arguments of every call to ptchain.cli.<name>, then call it."""
+    calls = []
+    real = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+class TestToleranceOverrides:
+    """Each key of the tolerances block reaches the call that uses it."""
+
+    def test_classification_tolerances_reach_disorder_ensemble(self, tmp_path,
+                                                               monkeypatch):
+        calls = spy(monkeypatch, "disorder_ensemble")
+        cfg = base_config(tmp_path, name="disorder", ells=[4],
+                          n_realizations=2, delta_bound=0.9)
+        cfg["model"].update(cells=16, detuning=1e-10)
+        cfg["tolerances"] = {"tol_edge": 1e-5, "tol_real": 1e-9, "tol_pair": 1e-7}
+        assert run_config(tmp_path, cfg) == 0
+        [(_, kwargs)] = calls
+        assert kwargs["tolerances"] == ToleranceSet(
+            tol_real=1e-9, tol_edge=1e-5, tol_pair=1e-7
+        )
+
+    def test_tol_zero_reaches_disorder_ensemble(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "disorder_ensemble")
+        cfg = base_config(tmp_path, name="disorder", ells=[4],
+                          n_realizations=2, delta_bound=0.9)
+        cfg["model"].update(cells=16, detuning=1e-10)
+        cfg["tolerances"] = {"tol_zero": 1e-7}
+        assert run_config(tmp_path, cfg) == 0
+        [(_, kwargs)] = calls
+        assert kwargs["tol_zero"] == 1e-7
+
+    def test_tol_zero_reaches_casimir_energy_table(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "casimir_energy_table")
+        cfg = base_config(tmp_path, name="casimir", sizes=[8, 12, 16, 20, 24, 28])
+        cfg["model"]["boundary"] = "obc"
+        cfg["tolerances"] = {"tol_zero": 1e-7}
+        assert run_config(tmp_path, cfg) == 0
+        [(_, kwargs)] = calls
+        assert kwargs["tol_zero"] == 1e-7
+
+    def test_tol_zero_reaches_entropy_profile(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "entropy_profile")
+        cfg = base_config(tmp_path, name="entropy-scan", ells=[2, 4],
+                          prescription="regularized")
+        cfg["model"]["boundary"] = "obc"
+        cfg["tolerances"] = {"tol_zero": 1e-7}
+        assert run_config(tmp_path, cfg) == 0
+        [(args, _)] = calls
+        assert args[4] == 1e-7
+
+    def test_tol_zero_reaches_half_filling(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "select_half_filling")
+        cfg = base_config(tmp_path, name="density")
+        cfg["model"].update(cells=12, boundary="obc")
+        cfg["tolerances"] = {"tol_zero": 1e-7}
+        assert run_config(tmp_path, cfg) == 0
+        [(args, _)] = calls
+        assert args[1] == 1e-7
+
+    def test_tol_sym_reaches_symmetry_closure(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "symmetry_closure")
+        cfg = base_config(tmp_path, name="symmetry-check", ell=4)
+        cfg["tolerances"] = {"tol_sym": 1e-3}
+        assert run_config(tmp_path, cfg) == 0
+        [(args, _)] = calls
+        assert args[1] == 1e-3
+
+    def test_tol_zak_reaches_characterize(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "characterize")
+        cfg = base_config(tmp_path, name="zak", n_k=512)
+        cfg["model"]["u"] = 0.5
+        cfg["tolerances"] = {"tol_zak": 1e-4}
+        assert run_config(tmp_path, cfg) == 0
+        [(args, _)] = calls
+        assert args[2] == 1e-4
+
+
 class TestRun:
     def test_entropy_scan_outputs(self, tmp_path):
         cfg = base_config(
@@ -81,6 +168,17 @@ class TestRun:
         assert run_config(tmp_path, cfg) == 0
         header = (tmp_path / "spectrum_spectrum.csv").read_text().splitlines()[0]
         assert header == "index,re_E,im_E"
+
+    @pytest.mark.parametrize("boundary", ["obc", "pbc"])
+    def test_spectrum_of_fully_broken_chain(self, tmp_path, boundary):
+        cfg = base_config(tmp_path, name="spectrum")
+        cfg["model"].update(cells=12, u=4.0, boundary=boundary, detuning=0.0)
+        assert run_config(tmp_path, cfg) == 0
+        summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+        assert summary["pt_class"] == "broken"
+        rows = (tmp_path / "spectrum_spectrum.csv").read_text().splitlines()[1:]
+        assert len(rows) == 24
+        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
     def test_numerical_failure_exit_3(self, tmp_path):
         # exactly critical, zero detuning: defective at k = 0
@@ -128,6 +226,22 @@ class TestRun:
         assert run_config(tmp_path, cfg) == 0
         summary = json.loads((tmp_path / "interface_summary.json").read_text())
         assert abs(summary["lattice_E"]["im"] - 0.33851345) < 1e-6
+
+    def test_manifest_write_failure_is_reported(self, tmp_path, monkeypatch,
+                                                capsys):
+        real_write = cli._atomic_write
+
+        def write(path, text):
+            if path.endswith("run_manifest.json"):
+                raise PermissionError("read-only directory")
+            real_write(path, text)
+
+        monkeypatch.setattr(cli, "_atomic_write", write)
+        cfg = base_config(tmp_path, name="winding", n_k=512)
+        cfg["model"]["u"] = 0.5
+        assert run_config(tmp_path, cfg) == 0
+        assert "run manifest not written: read-only directory" in capsys.readouterr().err
+        assert not (tmp_path / "run_manifest.json").exists()
 
     def test_manifest_hash_tracks_content(self, tmp_path):
         cfg = base_config(tmp_path, name="winding", n_k=512)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ptchain as pc
-from ptchain.errors import InsufficientPoints
+from ptchain.errors import InsufficientPoints, NoConvergence
 from ptchain.fits import FixedCount, UntilRMSE, UntilSSE
 from ptchain.rng import SplitMix64, disorder_offsets
 
@@ -153,6 +153,19 @@ class TestCasimirFit:
         assert len(sizes) == 3
         assert energies.dtype == np.float64
 
+    def test_energy_table_passes_tol_zero(self, monkeypatch):
+        seen = []
+
+        def recording_energy(spec, tol_zero):
+            seen.append(tol_zero)
+            return real(spec, tol_zero)
+
+        real = pc.fits.ground_state_energy
+        monkeypatch.setattr(pc.fits, "ground_state_energy", recording_energy)
+        spec = pc.ChainSpec(v=1, w=2, u=1, cells=8, boundary=pc.Boundary.OBC)
+        pc.casimir_energy_table(spec, [8, 12], tol_zero=1e-7)
+        assert seen == [1e-7, 1e-7]
+
 
 class TestSplitMix64:
     def test_reference_stream(self):
@@ -201,3 +214,45 @@ class TestDisorderEnsemble:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             pc.disorder_ensemble(self.template(), 1.5, 2, 0, [4])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_foreign_failure_keeps_its_arguments(self, monkeypatch, jobs):
+        # worker processes pickle the exception back as type(exc)(*exc.args),
+        # so the arguments must stay those of the constructor
+        def failing_profile(*args, **kwargs):
+            raise TwoArgError(7, "no convergence")
+
+        monkeypatch.setattr(pc.fits, "entropy_profile", failing_profile)
+        with pytest.raises(TwoArgError) as info:
+            pc.disorder_ensemble(self.template(), 0.9, 2, 40, [4], jobs=jobs)
+        assert info.value.args == (7, "no convergence")
+        assert info.value.__notes__ == ["realization 0 (seed 40)"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_package_failure_names_realization(self, monkeypatch, jobs):
+        def failing_profile(*args, **kwargs):
+            raise NoConvergence("no convergence")
+
+        monkeypatch.setattr(pc.fits, "entropy_profile", failing_profile)
+        with pytest.raises(NoConvergence,
+                           match=r"^realization 0 \(seed 40\): no convergence$"):
+            pc.disorder_ensemble(self.template(), 0.9, 2, 40, [4], jobs=jobs)
+
+    def test_tol_zero_reaches_entropy_profile(self, monkeypatch):
+        seen = []
+
+        def recording_profile(*args, **kwargs):
+            seen.append(args[4])
+            return real(*args, **kwargs)
+
+        real = pc.fits.entropy_profile
+        monkeypatch.setattr(pc.fits, "entropy_profile", recording_profile)
+        pc.disorder_ensemble(self.template(), 0.9, 2, 40, [4], tol_zero=1e-7)
+        assert seen == [1e-7, 1e-7]
+
+
+class TwoArgError(Exception):
+    """A foreign exception type whose constructor takes two arguments."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)

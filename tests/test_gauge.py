@@ -1,0 +1,219 @@
+"""Cross-path properties of the real sublattice gauge.
+
+Every dense eigensolve runs on real matrices in the gauge
+S = diag(1, i, 1, i, ...). Over the chain family (alpha, v, w, u, L,
+boundary, detuning, disorder) these properties check that the real route
+agrees with the complex one, that the dense and momentum-space correlation
+routes agree, that both agree with the Fock-space oracle on small chains,
+that the imaginary entropy stays quantized, and that the degenerate +-iu
+edge blocks of alpha >= 2 open chains are re-biorthogonalized jointly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import ptchain as pc
+from ptchain.entanglement import _gauge_real
+from ptchain.errors import DefectiveMatrix
+from ptchain.spectral import (
+    _CLUSTER_REL,
+    TOL_BIORTH,
+    _cluster_blocks,
+    _sublattice_gauge,
+)
+
+from fock_oracle import (
+    biorthogonal_ground_pair,
+    correlation_from_states,
+    entropy_from_rho,
+    reduced_density_matrix,
+)
+
+BC = pc.Prescription.BRANCH_CUT
+REG = pc.Prescription.REGULARIZED
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def chains(draw, max_cells=40, clean_pbc=False, min_detuning=1e-10, min_u=0.1):
+    """Chains of the family in all three PT classes.
+
+    Critical chains sit on u = |v - w| with an explicit detuning. PT-symmetric
+    chains lie inside the gap, by default with u >= 0.1 |v - w| so that open
+    chains have no real zero modes. PT-broken chains take
+    |v - w| < u < v + w (partly broken) or u > v + w (every mode on the
+    imaginary axis). Disorder is drawn only on the validated channel, the
+    critical line with v < w.
+    """
+    alpha = draw(st.sampled_from([1, 2, 3]))
+    v = draw(st.floats(0.2, 3.0))
+    w = draw(st.floats(0.2, 3.0))
+    gap = abs(v - w)
+    assume(gap >= 0.2)
+    critical = draw(st.booleans())
+    detuning = 0.0
+    if critical:
+        u = gap
+        detuning = draw(st.sampled_from([d for d in (1e-10, 1e-6, 1e-3)
+                                         if d >= min_detuning]))
+    else:
+        phase = draw(st.sampled_from(["symmetric", "broken", "fully broken"]))
+        if phase == "symmetric":
+            u = draw(st.floats(min_u, 0.9)) * gap
+        elif phase == "broken":
+            u = gap + draw(st.floats(0.1, 0.9)) * (v + w - gap)
+        else:
+            u = (v + w) * draw(st.floats(1.1, 2.0))
+    cells = draw(st.integers(alpha + 1, max_cells))
+    if clean_pbc:
+        return pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=cells,
+                            detuning=detuning)
+    boundary = draw(st.sampled_from([pc.Boundary.PBC, pc.Boundary.OBC]))
+    disorder = None
+    if critical and v < w and draw(st.booleans()):
+        offsets = draw(st.lists(st.floats(-0.9, 0.9), min_size=cells,
+                                max_size=cells))
+        disorder = pc.DisorderProfile(np.asarray(offsets) * min(v, u))
+    return pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=cells,
+                        boundary=boundary, detuning=detuning, disorder=disorder)
+
+
+def dense_correlation(spec):
+    system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
+    return pc.occupied_correlation(system, pc.select_half_filling(system))
+
+
+def gauge_block(C):
+    """M = -2i S^-1 (C - 1/2) S, real, so that nu = 1/2 + (i/2) eig(M)."""
+    return 2.0 * _gauge_real(_sublattice_gauge(C - 0.5 * np.eye(len(C))))
+
+
+def match_distance(a, b):
+    """Largest distance from an element of a to its nearest element of b."""
+    return float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
+
+
+@PROPERTY
+@given(chains())
+def test_gauge_eigenvalues_match_complex_solve(spec):
+    C = dense_correlation(spec)
+    M = gauge_block(C)
+    assert M.dtype == np.float64
+    scale = float(np.max(np.abs(C)))
+    for ell in sorted({1, spec.cells // 2, spec.cells} - {0}):
+        n = 2 * ell
+        real_route = 0.5 + 0.5j * np.linalg.eigvals(M[:n, :n])
+        complex_route = np.linalg.eigvals(C[:n, :n])
+        assert match_distance(real_route, complex_route) <= 1e-8 * scale
+        assert match_distance(complex_route, real_route) <= 1e-8 * scale
+
+
+def test_gauge_residue_beyond_tolerance_is_defective():
+    M = np.array([[1.0, 2.0 + 1e-12j], [-2.0, -1.0]])
+    assert _gauge_real(M).dtype == np.float64
+    M[0, 1] += 1e-6j
+    with pytest.raises(DefectiveMatrix, match="increase the detuning"):
+        _gauge_real(M)
+
+
+def test_vanishing_gauge_block_is_not_defective():
+    # C = 1/2 up to rounding: the residue is measured against 1, not max |M|
+    M = np.array([[1e-17 + 1e-17j, 0.0], [0.0, -1e-17j]])
+    assert _gauge_real(M).dtype == np.float64
+
+
+@pytest.mark.parametrize("boundary", [pc.Boundary.OBC, pc.Boundary.PBC])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_fully_broken_chain_half_fills_every_mode(alpha, boundary):
+    # u > v + w: every mode is half filled, so C = 1/2 and each of the
+    # 2 ell subsystem modes carries ln 2, on the dense and k-space routes
+    spec = pc.ChainSpec(alpha=alpha, v=1, w=2, u=4, cells=12, boundary=boundary)
+    for prescription in (BC, REG):
+        prof = pc.entropy_profile(spec, [1, 4, 6], prescription)
+        np.testing.assert_allclose(prof.values, 2 * prof.ells * np.log(2),
+                                   rtol=0, atol=1e-9)
+
+
+@PROPERTY
+@given(chains(clean_pbc=True, min_detuning=1e-3))
+def test_dense_correlation_matches_k_space(spec):
+    C = dense_correlation(spec)
+    fast = pc.correlation_k_space(spec, spec.cells).matrix
+    assert np.max(np.abs(fast - C)) <= 1e-8 * float(np.max(np.abs(C)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chains(max_cells=4, min_detuning=1e-3, min_u=0.0))
+def test_fock_oracle_matches_gauge_route(spec):
+    # the oracle builds the many-body state by filling Re E < 0 modes, so it
+    # needs a spectrum without modes on the imaginary axis
+    h = pc.build_real_space(spec)
+    energies = np.linalg.eigvals(h)
+    assume(np.min(np.abs(energies.real)) > 1e-3)
+    n = spec.n_sites
+    gr, gl = biorthogonal_ground_pair(h)
+    oracle = correlation_from_states(gr, gl, n)
+    C = dense_correlation(spec)
+    scale = max(float(np.max(np.abs(C))), 1.0)
+    assert np.max(np.abs(C - oracle)) < 1e-10 * scale
+    M = gauge_block(C)
+    ells = range(1, spec.cells + 1)
+    prof = pc.entropy_profile(spec, ells, pc.Prescription.PRINCIPAL)
+    for ell, value in zip(prof.ells, prof.values):
+        k = 2 * ell
+        nu = np.linalg.eigvals(oracle[:k, :k])
+        assert match_distance(0.5 + 0.5j * np.linalg.eigvals(M[:k, :k]), nu) < 1e-8 * scale
+        if np.all(np.abs(nu.imag) < 1e-9) and np.all(np.abs(nu.real - 0.5) < 0.5):
+            # a spectrum inside (0, 1) leaves no branch choice in either entropy
+            s_oracle = entropy_from_rho(reduced_density_matrix(gr, gl, n, k))
+            assert abs(value - s_oracle) < 1e-10 * scale
+
+
+@PROPERTY
+@given(chains())
+def test_imaginary_entropy_counts_edge_pairs(spec):
+    ells = sorted({1, spec.cells // 3, spec.cells // 2} - {0})
+    reg = pc.entropy_profile(spec, ells, REG)
+    if spec.is_translation_invariant and spec.boundary is pc.Boundary.PBC:
+        bc = pc.entropy_profile(spec, ells, BC)
+        np.testing.assert_allclose(bc.values.imag, -np.pi * bc.n_edge_pairs,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(reg.values.imag, bc.values.imag,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(reg.n_edge_pairs, bc.n_edge_pairs)
+    else:
+        # only the particle-hole pairing survives: each self-paired mode at
+        # Re nu = 1/2 carries -i pi/2, and nothing else is imaginary
+        halves = reg.values.imag / (-np.pi / 2.0)
+        np.testing.assert_allclose(halves, np.round(halves), rtol=0, atol=1e-9)
+        assert np.all(np.round(halves) >= 2 * reg.n_edge_pairs)
+
+
+@PROPERTY
+@given(
+    alpha=st.sampled_from([2, 3]),
+    v=st.floats(0.2, 1.5),
+    ratio=st.floats(2.0, 4.0),
+    cells=st.integers(20, 40),
+    detuning=st.sampled_from([0.0, 1e-10, 1e-6]),
+)
+def test_degenerate_edge_blocks_rebiorthogonalized(alpha, v, ratio, cells, detuning):
+    w = ratio * v
+    spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=w - v, cells=cells,
+                        boundary=pc.Boundary.OBC, detuning=detuning)
+    system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
+    assert system.biorth_residual < TOL_BIORTH
+    E = system.energies
+    scale = max(float(np.max(np.abs(E))), 1.0)
+    edge_blocks = [
+        (lo, hi) for lo, hi in _cluster_blocks(E, _CLUSTER_REL * scale)
+        if abs(abs(E[lo].imag) - spec.u_eff) < 1e-6 and E[lo].real == 0.0
+    ]
+    # alpha edge modes at each of +-i u_eff, split by less than the cluster
+    # width at these sizes: one joint block per sign
+    assert sorted(hi - lo for lo, hi in edge_blocks) == [alpha, alpha]
+    for lo, hi in edge_blocks:
+        gram = system.left_vectors[:, lo:hi].conj().T @ system.right_vectors[:, lo:hi]
+        assert np.max(np.abs(gram - np.eye(hi - lo))) < TOL_BIORTH

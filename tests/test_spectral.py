@@ -45,6 +45,23 @@ class TestBiorthogonalDiagonalize:
         edge = np.abs(out.energies.real) < 1e-8
         assert np.count_nonzero(edge) == 4
 
+    @pytest.mark.parametrize("boundary", [pc.Boundary.OBC, pc.Boundary.PBC])
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_fully_broken_chain(self, alpha, boundary):
+        # u > v + w: every E is purely imaginary, so every eigenvalue of the
+        # real gauge matrix is real and LAPACK returns real eigenvectors
+        spec = pc.ChainSpec(alpha=alpha, v=1, w=2, u=4, cells=10,
+                            boundary=boundary)
+        h = pc.build_real_space(spec)
+        out = pc.biorthogonal_diagonalize(h)
+        assert out.biorth_residual < 1e-9
+        assert np.all(out.energies.real == 0.0)
+        assert_allclose(np.sort(np.abs(out.energies.imag)),
+                        np.sort(np.abs(np.linalg.eigvals(h))), atol=1e-10)
+        R, L = out.right_vectors, out.left_vectors
+        assert_allclose(h @ R, R * out.energies, atol=1e-10)
+        assert_allclose(h.conj().T @ L, L * out.energies.conj(), atol=1e-10)
+
     def test_ph_pairing_residual_with_disorder(self):
         rng = np.random.default_rng(3)
         spec = pc.ChainSpec(
