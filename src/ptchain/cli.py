@@ -13,6 +13,11 @@ significant digits), a JSON summary, and a run manifest recording the
 config hash, package version, wall time, per-task status and output list.
 The manifest is written on failure as well.
 
+The tasks are one table, ``TASKS`` (section "Task table"): each entry
+states the model kinds the task accepts, its optional and required task
+keys, and its runner. ``validate_config`` and ``execute`` both read it;
+the model kinds and their keys are the table ``_MODELS``.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (module
 error name recorded in the manifest), 4 I/O error.
 """
@@ -27,6 +32,7 @@ import os
 import sys
 import tempfile
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,22 +65,39 @@ from .spectral import (
     select_half_filling,
 )
 from .edge import interface_continuum, interface_density, interface_lattice_solve
-from .topology import TOL_SYM, TOL_ZAK, characterize, symmetry_closure
-
-TASKS = (
-    "spectrum",
-    "entropy-scan",
-    "cc-fit",
-    "casimir",
-    "winding",
-    "zak",
-    "interface",
-    "disorder",
-    "density",
-    "symmetry-check",
-)
+from .topology import TOL_SYM, TOL_ZAK, characterize, symmetry_closure, winding_number
 
 _PRESCRIPTIONS = {p.value: p for p in Prescription}
+
+#: model kind -> (spec class, required keys, optional keys); each key maps
+#: to the type its value is converted to.
+_MODELS = {
+    "chain": (
+        ChainSpec,
+        {"v": float, "w": float, "u": float, "cells": int, "boundary": Boundary},
+        {"alpha": int, "detuning": float},
+    ),
+    "interface": (
+        InterfaceSpec,
+        {"v1": float, "v2": float, "w": float, "u": float,
+         "cells_left": int, "cells_right": int},
+        {},
+    ),
+}
+
+_TOLERANCE_KEYS = {"tol_real", "tol_edge", "tol_pair", "tol_zero", "tol_sym", "tol_zak"}
+_POSITIVE_INT = {"kind": int, "positive": True}
+
+#: numeric keys -> _check_num options, the same in whichever block they occur.
+_NUMBERS = {
+    **dict.fromkeys(("alpha", "cells", "cells_left", "cells_right", "n_k",
+                     "n_realizations", "ell", "num", "lo", "hi", "jobs"),
+                    _POSITIVE_INT),
+    **dict.fromkeys(("v", "w", "v1", "v2"), {}),
+    **dict.fromkeys(("u", "detuning"), {"nonneg": True}),
+    **dict.fromkeys(("seed", "n"), {"kind": int, "nonneg": True}),
+    **dict.fromkeys(("delta_bound", "threshold", *_TOLERANCE_KEYS), {"positive": True}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +129,18 @@ def _check_num(block: dict, key: str, where: str, kind=float, positive=False,
         raise ConfigError(f"{where}.{key} must be >= 0, got {val!r}")
 
 
+def _check_nums(block: dict, where: str):
+    for key in block:
+        if key in _NUMBERS:
+            _check_num(block, key, where, **_NUMBERS[key])
+
+
+def _object(block: dict, key: str, where: str) -> dict:
+    if not isinstance(block[key], dict):
+        raise ConfigError(f"{where}.{key} must be an object")
+    return block[key]
+
+
 def validate_config(config) -> dict:
     """Strict structural validation; returns the config unchanged."""
     if not isinstance(config, dict):
@@ -116,75 +151,37 @@ def validate_config(config) -> dict:
         {"model", "task", "output"},
         "config",
     )
-    model = config["model"]
-    if not isinstance(model, dict):
-        raise ConfigError("config.model must be an object")
-    kind = model.get("kind")
-    if kind == "chain":
-        _require_keys(
-            model,
-            {"kind", "alpha", "v", "w", "u", "cells", "boundary", "detuning",
-             "disorder_bound"},
-            {"kind", "v", "w", "u", "cells", "boundary"},
-            "model",
-        )
-        _check_num(model, "alpha", "model", int, positive=True)
-        _check_num(model, "v", "model")
-        _check_num(model, "w", "model")
-        _check_num(model, "u", "model", nonneg=True)
-        _check_num(model, "cells", "model", int, positive=True)
-        _check_num(model, "detuning", "model", nonneg=True)
-        if model["boundary"] not in ("pbc", "obc"):
-            raise ConfigError("model.boundary must be 'pbc' or 'obc'")
-    elif kind == "interface":
-        _require_keys(
-            model,
-            {"kind", "v1", "v2", "w", "u", "cells_left", "cells_right"},
-            {"kind", "v1", "v2", "w", "u", "cells_left", "cells_right"},
-            "model",
-        )
-        for key in ("v1", "v2", "w"):
-            _check_num(model, key, "model")
-        _check_num(model, "u", "model", nonneg=True)
-        _check_num(model, "cells_left", "model", int, positive=True)
-        _check_num(model, "cells_right", "model", int, positive=True)
-    else:
-        raise ConfigError("model.kind must be 'chain' or 'interface'")
+    _check_nums(config, "config")
 
-    task = config["task"]
-    if not isinstance(task, dict):
-        raise ConfigError("config.task must be an object")
+    model = _object(config, "model", "config")
+    kind = model.get("kind")
+    if kind not in tuple(_MODELS):
+        raise ConfigError("model.kind must be 'chain' or 'interface'")
+    _, required, optional = _MODELS[kind]
+    _require_keys(model, {"kind", *required, *optional}, {"kind", *required}, "model")
+    _check_nums(model, "model")
+    if model.get("boundary", "pbc") not in ("pbc", "obc"):
+        raise ConfigError("model.boundary must be 'pbc' or 'obc'")
+
+    task = _object(config, "task", "config")
     name = task.get("name")
-    if name not in TASKS:
-        raise ConfigError(f"task.name must be one of {TASKS}, got {name!r}")
-    allowed = {"name"}
-    required: set[str] = set()
-    if name in ("entropy-scan", "cc-fit", "disorder"):
-        allowed |= {"ells", "ell_grid", "prescription"}
-        if not ("ells" in task or "ell_grid" in task):
-            raise ConfigError(f"task {name} needs 'ells' or 'ell_grid'")
-    if name == "cc-fit":
-        allowed |= {"trim"}
-    if name == "casimir":
-        allowed |= {"sizes", "delta_L"}
-        required |= {"sizes"}
-    if name in ("winding", "zak"):
-        allowed |= {"n_k"}
-    if name == "disorder":
-        allowed |= {"n_realizations", "delta_bound"}
-        required |= {"n_realizations", "delta_bound"}
-    if name == "symmetry-check":
-        allowed |= {"ell"}
-        required |= {"ell"}
-    _require_keys(task, allowed, required | {"name"}, "task")
+    if name not in tuple(TASKS):
+        raise ConfigError(f"task.name must be one of {tuple(TASKS)}, got {name!r}")
+    entry = TASKS[name]
+    if kind not in entry.kinds:
+        raise ConfigError(
+            f"task {name} needs a model of kind {' or '.join(entry.kinds)}, got {kind!r}"
+        )
+    _require_keys(task, {"name", *entry.optional, *entry.required},
+                  {"name", *entry.required}, "task")
+    _check_nums(task, "task")
+    if "ells" in entry.optional and not {"ells", "ell_grid"} & set(task):
+        raise ConfigError(f"task {name} needs 'ells' or 'ell_grid'")
     if "ell_grid" in task:
-        grid = task["ell_grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("task.ell_grid must be an object")
+        grid = _object(task, "ell_grid", "task")
         _require_keys(grid, {"num", "lo", "hi", "spacing"}, {"num", "lo", "hi"},
                       "task.ell_grid")
-        for key in ("num", "lo", "hi"):
-            _check_num(grid, key, "task.ell_grid", int, positive=True)
+        _check_nums(grid, "task.ell_grid")
         if grid.get("spacing", "log") not in ("log", "linear"):
             raise ConfigError("task.ell_grid.spacing must be 'log' or 'linear'")
     if "ells" in task:
@@ -194,10 +191,12 @@ def validate_config(config) -> dict:
             if isinstance(e, bool) or not isinstance(e, int) or e < 1:
                 raise ConfigError(f"task.ells entries must be positive integers, got {e!r}")
     if "sizes" in task:
+        if not isinstance(task["sizes"], list):
+            raise ConfigError("task.sizes must be a list of integers >= 4")
         for s in task["sizes"]:
             if isinstance(s, bool) or not isinstance(s, int) or s < 4:
                 raise ConfigError(f"task.sizes entries must be integers >= 4, got {s!r}")
-    if "prescription" in task and task["prescription"] not in _PRESCRIPTIONS:
+    if "prescription" in task and task["prescription"] not in tuple(_PRESCRIPTIONS):
         raise ConfigError(
             f"task.prescription must be one of {sorted(_PRESCRIPTIONS)}"
         )
@@ -210,37 +209,29 @@ def validate_config(config) -> dict:
                 "task.trim must be {'policy': 'fixed'|'until_sse'|'until_rmse', ...}"
             )
         _require_keys(trim, {"policy", "n", "threshold"}, {"policy"}, "task.trim")
+        _check_nums(trim, "task.trim")
     if "delta_L" in task and task["delta_L"] is not None:
         _check_num(task, "delta_L", "task", int)
-    if "n_k" in task:
-        _check_num(task, "n_k", "task", int, positive=True)
-    if "n_realizations" in task:
-        _check_num(task, "n_realizations", "task", int, positive=True)
-    if "delta_bound" in task:
-        _check_num(task, "delta_bound", "task", positive=True)
-    if "ell" in task:
-        _check_num(task, "ell", "task", int, positive=True)
-
-    output = config["output"]
-    if not isinstance(output, dict):
-        raise ConfigError("config.output must be an object")
-    _require_keys(output, {"dir", "prefix"}, {"dir"}, "output")
-    if "seed" in config:
-        _check_num(config, "seed", "config", int, nonneg=True)
-    if "jobs" in config:
-        _check_num(config, "jobs", "config", int, positive=True)
-    if "tolerances" in config:
-        tol = config["tolerances"]
-        if not isinstance(tol, dict):
-            raise ConfigError("config.tolerances must be an object")
-        _require_keys(
-            tol,
-            {"tol_real", "tol_edge", "tol_pair", "tol_zero", "tol_sym", "tol_zak"},
-            set(),
-            "tolerances",
+    if task.get("n_k", 8) < 8:
+        raise ConfigError(f"task.n_k must be >= 8, got {task['n_k']!r}")
+    if task.get("ell", 0) > model.get("cells", 0):
+        raise ConfigError(f"task.ell must be <= model.cells = {model['cells']}, "
+                          f"got {task['ell']!r}")
+    if "delta_bound" in task and not task["delta_bound"] < min(model["v"], model["u"]):
+        raise ConfigError(
+            f"task.delta_bound must lie in (0, min(v, u)) = "
+            f"(0, {min(model['v'], model['u'])}), got {task['delta_bound']!r}"
         )
-        for key in tol:
-            _check_num(tol, key, "tolerances", positive=True)
+
+    output = _object(config, "output", "config")
+    _require_keys(output, {"dir", "prefix"}, {"dir"}, "output")
+    for key, val in output.items():
+        if not isinstance(val, str):
+            raise ConfigError(f"output.{key} must be a string, got {val!r}")
+    if "tolerances" in config:
+        tol = _object(config, "tolerances", "config")
+        _require_keys(tol, _TOLERANCE_KEYS, set(), "tolerances")
+        _check_nums(tol, "tolerances")
     return config
 
 
@@ -249,33 +240,15 @@ def validate_config(config) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _build_chain(model: dict) -> ChainSpec:
+def _build_model(model: dict) -> ChainSpec | InterfaceSpec:
+    kind = model["kind"]
+    spec_class, required, optional = _MODELS[kind]
+    types = required | optional
     try:
-        return ChainSpec(
-            alpha=int(model.get("alpha", 1)),
-            v=float(model["v"]),
-            w=float(model["w"]),
-            u=float(model["u"]),
-            cells=int(model["cells"]),
-            boundary=Boundary(model["boundary"]),
-            detuning=model.get("detuning"),
-        )
+        return spec_class(**{key: types[key](val) for key, val in model.items()
+                             if key != "kind"})
     except (ValueError, PTChainError) as exc:
-        raise ConfigError(f"invalid chain model: {exc}") from exc
-
-
-def _build_interface_spec(model: dict) -> InterfaceSpec:
-    try:
-        return InterfaceSpec(
-            v1=float(model["v1"]),
-            v2=float(model["v2"]),
-            w=float(model["w"]),
-            u=float(model["u"]),
-            cells_left=int(model["cells_left"]),
-            cells_right=int(model["cells_right"]),
-        )
-    except (ValueError, PTChainError) as exc:
-        raise ConfigError(f"invalid interface model: {exc}") from exc
+        raise ConfigError(f"invalid {kind} model: {exc}") from exc
 
 
 def _resolve_ells(task: dict, cells: int) -> list[int]:
@@ -295,10 +268,10 @@ def _resolve_ells(task: dict, cells: int) -> list[int]:
     return ells
 
 
-def _resolve_trim(task: dict):
+def _resolve_trim(task: dict, default):
     trim = task.get("trim")
     if trim is None:
-        return None
+        return default
     if trim["policy"] == "fixed":
         return FixedCount(int(trim.get("n", 0)))
     if trim["policy"] == "until_sse":
@@ -306,19 +279,30 @@ def _resolve_trim(task: dict):
     return UntilRMSE(float(trim.get("threshold", 1e-4)))
 
 
-def _resolve_tolerances(config: dict) -> tuple[ToleranceSet, float, float, float]:
-    """Spectrum classification tolerances, then tol_zero, tol_sym, tol_zak."""
+class _Run(NamedTuple):
+    """Run-wide settings a runner may read."""
+
+    tolerances: ToleranceSet
+    tol_zero: float
+    tol_sym: float
+    tol_zak: float
+    seed: int
+    jobs: int
+
+
+def _resolve_run(config: dict, jobs: int | None) -> _Run:
     tol = config.get("tolerances", {})
-    classification = ToleranceSet(
-        tol_real=float(tol.get("tol_real", DEFAULT_TOLERANCES.tol_real)),
-        tol_edge=float(tol.get("tol_edge", DEFAULT_TOLERANCES.tol_edge)),
-        tol_pair=float(tol.get("tol_pair", DEFAULT_TOLERANCES.tol_pair)),
-    )
-    return (
-        classification,
-        float(tol.get("tol_zero", TOL_ZERO)),
-        float(tol.get("tol_sym", TOL_SYM)),
-        float(tol.get("tol_zak", TOL_ZAK)),
+    return _Run(
+        tolerances=ToleranceSet(
+            tol_real=float(tol.get("tol_real", DEFAULT_TOLERANCES.tol_real)),
+            tol_edge=float(tol.get("tol_edge", DEFAULT_TOLERANCES.tol_edge)),
+            tol_pair=float(tol.get("tol_pair", DEFAULT_TOLERANCES.tol_pair)),
+        ),
+        tol_zero=float(tol.get("tol_zero", TOL_ZERO)),
+        tol_sym=float(tol.get("tol_sym", TOL_SYM)),
+        tol_zak=float(tol.get("tol_zak", TOL_ZAK)),
+        seed=int(config.get("seed", 0)),
+        jobs=int(jobs or config.get("jobs", 1)),
     )
 
 
@@ -364,207 +348,200 @@ def _jsonable(obj):
     return obj
 
 
-def _fit_summary(fit) -> dict:
-    return {
-        "coefficients": fit.coefficients,
-        "stderr": fit.stderr,
-        "sse": fit.sse,
-        "rmse": fit.rmse,
-        "trim_count": fit.trim_count,
-        "n_points": fit.n_points,
-        "model": fit.model,
-    }
-
-
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# Task execution
+# Task table
+#
+# A runner maps (spec, task block, _Run) to (csv, summary fields), where csv
+# is (stem, header, rows) or None. Runners reach the library through this
+# module's globals, so patching ptchain.cli.<function> reaches them.
 # ---------------------------------------------------------------------------
 
 
-def _entropy_rows(spec, ells, prescription, tolerances, tol_zero):
-    prof = entropy_profile(spec, ells, prescription, tolerances, tol_zero)
+def _run_spectrum(spec, task, run):
+    system = biorthogonal_diagonalize(build_real_space(spec))
+    rows = [[i, float(e.real), float(e.imag)] for i, e in enumerate(system.energies)]
+    return ("spectrum", ["index", "re_E", "im_E"], rows), {
+        "n_modes": system.n,
+        "biorth_residual": system.biorth_residual,
+        "pt_class": classify_pt(spec).value if spec.is_translation_invariant else None,
+    }
+
+
+def _run_entropy_scan(spec, task, run, max_ell=None):
+    prescription = _PRESCRIPTIONS[task.get("prescription", "branch_cut")]
+    ells = _resolve_ells(task, spec.cells if max_ell is None else max_ell)
+    prof = entropy_profile(spec, ells, prescription, run.tolerances, run.tol_zero)
     rows = [
         [int(ell), float(val.real), float(val.imag), int(ne), int(nq), int(nr)]
         for ell, val, ne, nq, nr in zip(
             prof.ells, prof.values, prof.n_edge_pairs, prof.n_quartets, prof.n_residual
         )
     ]
-    return prof, rows
+    header = ["ell", "re_S", "im_S", "n_edge_pairs", "n_quartets", "n_residual"]
+    return ("entropy", header, rows), {
+        "prescription": prescription.value, "n_points": len(rows),
+    }
 
 
-_ENTROPY_HEADER = ["ell", "re_S", "im_S", "n_edge_pairs", "n_quartets", "n_residual"]
+def _run_cc_fit(spec, task, run):
+    csv, fields = _run_entropy_scan(spec, task, run, spec.cells // 2)
+    ells, re_s = [row[0] for row in csv[2]], [row[1] for row in csv[2]]
+    if spec.boundary is Boundary.PBC:
+        fit = cc_fit_pbc(ells, re_s, spec.cells, _resolve_trim(task, UntilSSE()))
+    else:
+        fit = cc_fit_obc(ells, re_s, spec.cells, _resolve_trim(task, UntilRMSE()))
+    return csv, {"prescription": fields["prescription"], "fit": fit}
+
+
+def _run_casimir(spec, task, run):
+    sizes, energies = casimir_energy_table(spec, task["sizes"], tol_zero=run.tol_zero)
+    fit = casimir_fit(sizes, energies, spec.boundary.value, task.get("delta_L"))
+    rows = [[int(L), float(e)] for L, e in zip(sizes, energies)]
+    return ("casimir", ["L", "re_E0"], rows), {"fit": fit}
+
+
+def _run_winding(spec, task, run):
+    return None, {
+        "winding": winding_number(spec, int(task.get("n_k", 4096))),
+        "pt_class": classify_pt(spec).value,
+    }
+
+
+def _run_zak(spec, task, run):
+    result = characterize(spec, int(task.get("n_k", 4096)), run.tol_zak)
+    return None, {
+        "winding": result.winding,
+        "re_Q": result.zak.real,
+        "im_Q": result.zak.imag,
+        "re_zak_deviation": result.re_zak_deviation,
+        "pt_class": result.pt_class.value,
+    }
+
+
+def _run_interface(spec, task, run):
+    state = interface_lattice_solve(spec)
+    continuum = interface_continuum(spec.w - spec.v1, spec.u)
+    return None, {
+        "lattice_E": state.E,
+        "beta_l": state.beta_l,
+        "beta_r": state.beta_r,
+        "matching_residual": state.residual,
+        "continuum_E": continuum.E,
+        "continuum_a": continuum.a,
+    }
+
+
+def _run_density(spec, task, run):
+    if isinstance(spec, InterfaceSpec):
+        profile, state = interface_density(spec)
+        fields = {"mode_E": state.E}
+    else:
+        system = biorthogonal_diagonalize(build_real_space(spec))
+        profile = density_profile(system, select_half_filling(system, run.tol_zero))
+        fields = {}
+    rows = [
+        [i + 1, a.real, a.imag, b.real, b.imag, c.real, c.imag]
+        for i, (a, b, c) in enumerate(zip(profile.site_a, profile.site_b, profile.cell))
+    ]
+    header = ["cell", "re_n_A", "im_n_A", "re_n_B", "im_n_B", "re_n_cell", "im_n_cell"]
+    return ("density", header, rows), fields
+
+
+def _run_disorder(spec, task, run):
+    prescription = _PRESCRIPTIONS[task.get("prescription", "regularized")]
+    stats = disorder_ensemble(
+        spec,
+        float(task["delta_bound"]),
+        int(task["n_realizations"]),
+        run.seed,
+        _resolve_ells(task, spec.cells),
+        prescription,
+        jobs=run.jobs,
+        tolerances=run.tolerances,
+        tol_zero=run.tol_zero,
+    )
+    rows = [
+        [int(e), float(mr), float(sr), float(mi), float(si)]
+        for e, mr, sr, mi, si in zip(
+            stats.ells, stats.mean_re, stats.sem_re, stats.mean_im, stats.sem_im
+        )
+    ]
+    header = ["ell", "mean_re_S", "sem_re_S", "mean_im_S", "sem_im_S"]
+    return ("disorder", header, rows), {
+        "n_realizations": stats.n_realizations,
+        "base_seed": stats.base_seed,
+        "im_min": float(stats.im_values.min()),
+        "im_max": float(stats.im_values.max()),
+    }
+
+
+def _run_symmetry_check(spec, task, run):
+    ell = int(task["ell"])
+    if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
+        corr = correlation_k_space(spec, ell)
+    else:
+        system = biorthogonal_diagonalize(build_real_space(spec))
+        corr = correlation_matrix(system, select_half_filling(system, run.tol_zero), ell)
+    report = symmetry_closure(corr.matrix, run.tol_sym)
+    return None, {
+        "ell": ell,
+        "provenance": corr.provenance.value,
+        "t_plus_residual": report.t_plus_residual,
+        "ph_residual": report.ph_residual,
+        "t_plus_ok": report.t_plus_ok,
+        "ph_ok": report.ph_ok,
+    }
+
+
+class _Task(NamedTuple):
+    """Model kinds a task accepts, its task keys besides ``name``, its runner."""
+
+    kinds: tuple[str, ...]
+    optional: set[str]
+    required: set[str]
+    run: Callable[[ChainSpec | InterfaceSpec, dict, _Run], tuple[tuple | None, dict]]
+
+
+_CHAIN = ("chain",)
+_ENTROPY_KEYS = {"ells", "ell_grid", "prescription"}
+
+TASKS: dict[str, _Task] = {
+    "spectrum": _Task(_CHAIN, set(), set(), _run_spectrum),
+    "entropy-scan": _Task(_CHAIN, _ENTROPY_KEYS, set(), _run_entropy_scan),
+    "cc-fit": _Task(_CHAIN, _ENTROPY_KEYS | {"trim"}, set(), _run_cc_fit),
+    "casimir": _Task(_CHAIN, {"delta_L"}, {"sizes"}, _run_casimir),
+    "winding": _Task(_CHAIN, {"n_k"}, set(), _run_winding),
+    "zak": _Task(_CHAIN, {"n_k"}, set(), _run_zak),
+    "interface": _Task(("interface",), set(), set(), _run_interface),
+    "disorder": _Task(_CHAIN, _ENTROPY_KEYS, {"n_realizations", "delta_bound"},
+                      _run_disorder),
+    "density": _Task(("chain", "interface"), set(), set(), _run_density),
+    "symmetry-check": _Task(_CHAIN, set(), {"ell"}, _run_symmetry_check),
+}
 
 
 def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -> dict:
     """Run one validated config; returns the JSON summary dict."""
-    model = config["model"]
-    task = config["task"]
-    name = task["name"]
-    tolerances, tol_zero, tol_sym, tol_zak = _resolve_tolerances(config)
-    seed = int(config.get("seed", 0))
-    jobs = int(jobs or config.get("jobs", 1))
+    name = config["task"]["name"]
+    run = _resolve_run(config, jobs)
     out = out_dir or config["output"]["dir"]
-    prefix = config["output"].get("prefix", name.replace("-", "_"))
+    base = os.path.join(out, config["output"].get("prefix", name.replace("-", "_")))
     os.makedirs(out, exist_ok=True)
-    path = lambda stem, ext: os.path.join(out, f"{prefix}_{stem}.{ext}")
+    csv, fields = TASKS[name].run(_build_model(config["model"]), config["task"], run)
 
     outputs: list[str] = []
-    summary: dict = {"task": name}
-
-    def save_csv(stem, header, rows):
-        p = path(stem, "csv")
-        _write_csv(p, header, rows)
-        outputs.append(p)
-
-    if name == "spectrum":
-        spec = _build_chain(model)
-        system = biorthogonal_diagonalize(build_real_space(spec))
-        rows = [
-            [i, float(e.real), float(e.imag)] for i, e in enumerate(system.energies)
-        ]
-        save_csv("spectrum", ["index", "re_E", "im_E"], rows)
-        summary |= {
-            "n_modes": system.n,
-            "biorth_residual": system.biorth_residual,
-            "pt_class": classify_pt(spec).value if spec.is_translation_invariant else None,
-        }
-    elif name == "entropy-scan":
-        spec = _build_chain(model)
-        prescription = _PRESCRIPTIONS[task.get("prescription", "branch_cut")]
-        ells = _resolve_ells(task, spec.cells)
-        _, rows = _entropy_rows(spec, ells, prescription, tolerances, tol_zero)
-        save_csv("entropy", _ENTROPY_HEADER, rows)
-        summary |= {"prescription": prescription.value, "n_points": len(rows)}
-    elif name == "cc-fit":
-        spec = _build_chain(model)
-        prescription = _PRESCRIPTIONS[task.get("prescription", "branch_cut")]
-        ells = _resolve_ells(task, spec.cells // 2)
-        prof, rows = _entropy_rows(spec, ells, prescription, tolerances, tol_zero)
-        save_csv("entropy", _ENTROPY_HEADER, rows)
-        trim = _resolve_trim(task)
-        re_s = prof.values.real
-        if spec.boundary is Boundary.PBC:
-            fit = cc_fit_pbc(prof.ells, re_s, spec.cells, trim or UntilSSE())
-        else:
-            fit = cc_fit_obc(prof.ells, re_s, spec.cells, trim or UntilRMSE())
-        summary |= {"prescription": prescription.value, "fit": _fit_summary(fit)}
-    elif name == "casimir":
-        spec = _build_chain(model)
-        sizes, energies = casimir_energy_table(
-            spec, task["sizes"], tol_zero=tol_zero
-        )
-        save_csv("casimir", ["L", "re_E0"],
-                 [[int(L), float(e)] for L, e in zip(sizes, energies)])
-        fit = casimir_fit(sizes, energies, spec.boundary.value, task.get("delta_L"))
-        summary |= {"fit": _fit_summary(fit)}
-    elif name == "winding":
-        spec = _build_chain(model)
-        result = characterize(spec, int(task.get("n_k", 4096)), tol_zak)
-        summary |= {"winding": result.winding, "pt_class": result.pt_class.value}
-    elif name == "zak":
-        spec = _build_chain(model)
-        result = characterize(spec, int(task.get("n_k", 4096)), tol_zak)
-        summary |= {
-            "winding": result.winding,
-            "re_Q": result.zak.real,
-            "im_Q": result.zak.imag,
-            "re_zak_deviation": result.re_zak_deviation,
-            "pt_class": result.pt_class.value,
-        }
-    elif name == "interface":
-        spec = _build_interface_spec(model)
-        state = interface_lattice_solve(spec)
-        continuum = interface_continuum(spec.w - spec.v1, spec.u)
-        summary |= {
-            "lattice_E": state.E,
-            "beta_l": state.beta_l,
-            "beta_r": state.beta_r,
-            "matching_residual": state.residual,
-            "continuum_E": continuum.E,
-            "continuum_a": continuum.a,
-        }
-    elif name == "density":
-        if model.get("kind") == "interface":
-            spec = _build_interface_spec(model)
-            profile, state = interface_density(spec)
-            summary |= {"mode_E": state.E}
-        else:
-            spec = _build_chain(model)
-            system = biorthogonal_diagonalize(build_real_space(spec))
-            occ = select_half_filling(system, tol_zero)
-            profile = density_profile(system, occ)
-        rows = [
-            [i + 1, a.real, a.imag, b.real, b.imag, c.real, c.imag]
-            for i, (a, b, c) in enumerate(
-                zip(profile.site_a, profile.site_b, profile.cell)
-            )
-        ]
-        save_csv(
-            "density",
-            ["cell", "re_n_A", "im_n_A", "re_n_B", "im_n_B", "re_n_cell", "im_n_cell"],
-            rows,
-        )
-    elif name == "disorder":
-        spec = _build_chain(model)
-        prescription = _PRESCRIPTIONS[task.get("prescription", "regularized")]
-        ells = _resolve_ells(task, spec.cells)
-        stats = disorder_ensemble(
-            spec,
-            float(task["delta_bound"]),
-            int(task["n_realizations"]),
-            seed,
-            ells,
-            prescription,
-            jobs=jobs,
-            tolerances=tolerances,
-            tol_zero=tol_zero,
-        )
-        rows = [
-            [int(e), float(mr), float(sr), float(mi), float(si)]
-            for e, mr, sr, mi, si in zip(
-                stats.ells, stats.mean_re, stats.sem_re, stats.mean_im, stats.sem_im
-            )
-        ]
-        save_csv(
-            "disorder",
-            ["ell", "mean_re_S", "sem_re_S", "mean_im_S", "sem_im_S"],
-            rows,
-        )
-        summary |= {
-            "n_realizations": stats.n_realizations,
-            "base_seed": stats.base_seed,
-            "im_min": float(stats.im_values.min()),
-            "im_max": float(stats.im_values.max()),
-        }
-    elif name == "symmetry-check":
-        spec = _build_chain(model)
-        ell = int(task["ell"])
-        if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
-            corr = correlation_k_space(spec, ell)
-        else:
-            system = biorthogonal_diagonalize(build_real_space(spec))
-            occ = select_half_filling(system, tol_zero)
-            corr = correlation_matrix(system, occ, ell)
-        report = symmetry_closure(corr.matrix, tol_sym)
-        summary |= {
-            "ell": ell,
-            "provenance": corr.provenance.value,
-            "t_plus_residual": report.t_plus_residual,
-            "ph_residual": report.ph_residual,
-            "t_plus_ok": report.t_plus_ok,
-            "ph_ok": report.ph_ok,
-        }
-    else:  # pragma: no cover - guarded by validate_config
-        raise ConfigError(f"unhandled task {name}")
-
-    summary_path = path("summary", "json")
-    _atomic_write(summary_path, json.dumps(_jsonable(summary), indent=2) + "\n")
-    outputs.append(summary_path)
+    if csv is not None:
+        stem, header, rows = csv
+        _write_csv(f"{base}_{stem}.csv", header, rows)
+        outputs.append(f"{base}_{stem}.csv")
+    summary = _jsonable({"task": name, **fields})
+    _atomic_write(f"{base}_summary.json", json.dumps(summary, indent=2) + "\n")
+    outputs.append(f"{base}_summary.json")
     summary["outputs"] = outputs
     return summary
 

@@ -534,20 +534,15 @@ def entropy(
 def _regularized_mode(nu: complex, tol: ToleranceSet) -> complex:
     """Per-mode share of BRANCH_CUT(spectrum + conjugates)/2.
 
-    Real modes are restored verbatim (magnitude logs outside [0, 1], where
-    the two +-i pi branches of the doubled pair cancel). A self-paired
+    A real mode and its conjugate form a real pair, so the mode owns half
+    of the real-pair formula (magnitude logs outside [0, 1], where the two
+    +-i pi branches of the doubled pair cancel). A self-paired
     complex mode (Re nu = 1/2 under the particle-hole closure) owns half of
     the edge-pair formula; any other complex mode owns a quarter of the
     quartet completed by its structural partner 1 - nu*.
     """
     if abs(nu.imag) < tol.tol_real:
-        x = nu.real
-        val = 0.0
-        if x != 0.0 and abs(x) > 1e-300:
-            val -= x * np.log(abs(x))
-        if x != 1.0 and abs(1.0 - x) > 1e-300:
-            val -= (1.0 - x) * np.log(abs(1.0 - x))
-        return complex(val, 0.0)
+        return _real_pair_branch(nu.real) / 2.0
     if abs(nu.real - 0.5) < tol.tol_edge:
         return _edge_pair_branch(abs(nu.imag)) / 2.0
     rep = nu if nu.imag > 0 else np.conj(nu)

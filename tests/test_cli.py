@@ -61,6 +61,49 @@ class TestValidation:
             validate_config(cfg)
 
 
+def interface_model(cfg):
+    cfg["model"] = {"kind": "interface", "v1": 1.5, "v2": 0.5, "w": 1.0,
+                    "u": 0.5, "cells_left": 10, "cells_right": 10}
+
+
+_CC_FIT = {"name": "cc-fit", "ells": [2, 4, 6, 8, 10, 12]}
+
+#: id -> (task block, edit of the base config); every one must exit 2.
+MALFORMED = {
+    "interface-model-chain-task": ({"name": "spectrum"}, interface_model),
+    "chain-model-interface-task": ({"name": "interface"}, None),
+    "sizes-not-a-list": ({"name": "casimir", "sizes": 64}, None),
+    "trim-n-string": ({**_CC_FIT, "trim": {"policy": "fixed", "n": "2"}}, None),
+    "trim-n-negative": ({**_CC_FIT, "trim": {"policy": "fixed", "n": -1}}, None),
+    "trim-threshold-string": (
+        {**_CC_FIT, "trim": {"policy": "until_sse", "threshold": "small"}}, None),
+    "trim-threshold-negative": (
+        {**_CC_FIT, "trim": {"policy": "until_sse", "threshold": -1e-4}}, None),
+    "output-dir-not-a-string": ({"name": "spectrum"},
+                                lambda cfg: cfg["output"].update(dir=3)),
+    "output-prefix-not-a-string": ({"name": "spectrum"},
+                                   lambda cfg: cfg["output"].update(prefix=7)),
+    "ell-beyond-cells": ({"name": "symmetry-check", "ell": 65}, None),
+    "delta-bound-at-min-v-u": (
+        {"name": "disorder", "ells": [4], "n_realizations": 2, "delta_bound": 1.0},
+        None),
+    "n-k-below-8": ({"name": "winding", "n_k": 4}, None),
+    "dead-disorder-bound-key": (
+        {"name": "spectrum"},
+        lambda cfg: cfg["model"].update(cells=8, disorder_bound=0.5)),
+}
+
+
+@pytest.mark.parametrize("task, edit", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_config_exits_2(tmp_path, task, edit):
+    cfg = base_config(tmp_path, **task)
+    if edit is not None:
+        edit(cfg)
+    assert run_config(tmp_path, cfg) == 2
+    assert not list(tmp_path.rglob("*.csv"))
+    assert main(["validate", str(tmp_path / "cfg.json")]) == 2
+
+
 def spy(monkeypatch, name):
     """Record the arguments of every call to ptchain.cli.<name>, then call it."""
     calls = []
@@ -226,6 +269,15 @@ class TestRun:
         assert run_config(tmp_path, cfg) == 0
         summary = json.loads((tmp_path / "interface_summary.json").read_text())
         assert abs(summary["lattice_E"]["im"] - 0.33851345) < 1e-6
+
+    def test_winding_at_critical_point(self, tmp_path):
+        # v = 1, w = 2, u = 1 is critical: the Zak quadrature does not
+        # converge there, but the winding of v_k is well defined
+        cfg = base_config(tmp_path, name="winding", n_k=512)
+        assert run_config(tmp_path, cfg) == 0
+        summary = json.loads((tmp_path / "winding_summary.json").read_text())
+        assert summary["winding"] == 1
+        assert summary["pt_class"] == "critical"
 
     def test_manifest_write_failure_is_reported(self, tmp_path, monkeypatch,
                                                 capsys):
