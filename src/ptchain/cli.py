@@ -41,9 +41,10 @@ from .cookbook import figure_cookbook, figure_names, scale_config
 from .entanglement import (
     DEFAULT_TOLERANCES,
     Prescription,
+    Provenance,
     ToleranceSet,
-    correlation_k_space,
-    correlation_matrix,
+    _subsystem_correlation,
+    _ungauge,
     entropy_profile,
 )
 from .errors import ConfigError, PTChainError
@@ -85,7 +86,13 @@ _MODELS = {
     ),
 }
 
-_TOLERANCE_KEYS = {"tol_real", "tol_edge", "tol_pair", "tol_zero", "tol_sym", "tol_zak"}
+_CLASSIFICATION_KEYS = {"tol_real", "tol_edge", "tol_pair"}
+_TOLERANCE_KEYS = {*_CLASSIFICATION_KEYS, "tol_zero", "tol_sym", "tol_zak"}
+
+#: trim policy -> its keys besides ``policy``; boundary -> the policies its
+#: fit takes (cc_fit_pbc trims by SSE, cc_fit_obc by RMSE).
+_TRIM_KEYS = {"fixed": {"n"}, "until_sse": {"threshold"}, "until_rmse": {"threshold"}}
+_TRIM_POLICIES = {"pbc": ("fixed", "until_sse"), "obc": ("fixed", "until_rmse")}
 _POSITIVE_INT = {"kind": int, "positive": True}
 
 #: numeric keys -> _check_num options, the same in whichever block they occur.
@@ -202,13 +209,14 @@ def validate_config(config) -> dict:
         )
     if "trim" in task:
         trim = task["trim"]
-        if not isinstance(trim, dict) or trim.get("policy") not in (
-            "fixed", "until_sse", "until_rmse",
-        ):
+        policies = _TRIM_POLICIES[model["boundary"]]
+        if not isinstance(trim, dict) or trim.get("policy") not in policies:
             raise ConfigError(
-                "task.trim must be {'policy': 'fixed'|'until_sse'|'until_rmse', ...}"
+                f"task.trim on a {model['boundary']} chain must be "
+                f"{{'policy': {'|'.join(map(repr, policies))}, ...}}"
             )
-        _require_keys(trim, {"policy", "n", "threshold"}, {"policy"}, "task.trim")
+        _require_keys(trim, {"policy", *_TRIM_KEYS[trim["policy"]]}, {"policy"},
+                      "task.trim")
         _check_nums(trim, "task.trim")
     if "delta_L" in task and task["delta_L"] is not None:
         _check_num(task, "delta_L", "task", int)
@@ -230,7 +238,10 @@ def validate_config(config) -> dict:
             raise ConfigError(f"output.{key} must be a string, got {val!r}")
     if "tolerances" in config:
         tol = _object(config, "tolerances", "config")
-        _require_keys(tol, _TOLERANCE_KEYS, set(), "tolerances")
+        ignored = (set(tol) & _TOLERANCE_KEYS) - entry.tolerances
+        if ignored:
+            raise ConfigError(f"task {name} reads no tolerances {sorted(ignored)}")
+        _require_keys(tol, entry.tolerances, set(), "tolerances")
         _check_nums(tol, "tolerances")
     return config
 
@@ -482,15 +493,13 @@ def _run_disorder(spec, task, run):
 
 def _run_symmetry_check(spec, task, run):
     ell = int(task["ell"])
-    if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
-        corr = correlation_k_space(spec, ell)
-    else:
-        system = biorthogonal_diagonalize(build_real_space(spec))
-        corr = correlation_matrix(system, select_half_filling(system, run.tol_zero), ell)
-    report = symmetry_closure(corr.matrix, run.tol_sym)
+    M, route = _subsystem_correlation(spec, ell, run.tol_zero)
+    report = symmetry_closure(_ungauge(M), run.tol_sym)
+    # the singular-mode and dense routes both work in real space
+    provenance = Provenance.K_SPACE if route == "k_space" else Provenance.REAL_SPACE
     return None, {
         "ell": ell,
-        "provenance": corr.provenance.value,
+        "provenance": provenance.value,
         "t_plus_residual": report.t_plus_residual,
         "ph_residual": report.ph_residual,
         "t_plus_ok": report.t_plus_ok,
@@ -499,29 +508,36 @@ def _run_symmetry_check(spec, task, run):
 
 
 class _Task(NamedTuple):
-    """Model kinds a task accepts, its task keys besides ``name``, its runner."""
+    """Model kinds a task accepts, its task keys besides ``name``, the
+    tolerance keys its runner reads, its runner."""
 
     kinds: tuple[str, ...]
     optional: set[str]
     required: set[str]
+    tolerances: set[str]
     run: Callable[[ChainSpec | InterfaceSpec, dict, _Run], tuple[tuple | None, dict]]
 
 
 _CHAIN = ("chain",)
 _ENTROPY_KEYS = {"ells", "ell_grid", "prescription"}
+_ENTROPY_TOLERANCES = _CLASSIFICATION_KEYS | {"tol_zero"}
 
 TASKS: dict[str, _Task] = {
-    "spectrum": _Task(_CHAIN, set(), set(), _run_spectrum),
-    "entropy-scan": _Task(_CHAIN, _ENTROPY_KEYS, set(), _run_entropy_scan),
-    "cc-fit": _Task(_CHAIN, _ENTROPY_KEYS | {"trim"}, set(), _run_cc_fit),
-    "casimir": _Task(_CHAIN, {"delta_L"}, {"sizes"}, _run_casimir),
-    "winding": _Task(_CHAIN, {"n_k"}, set(), _run_winding),
-    "zak": _Task(_CHAIN, {"n_k"}, set(), _run_zak),
-    "interface": _Task(("interface",), set(), set(), _run_interface),
+    "spectrum": _Task(_CHAIN, set(), set(), set(), _run_spectrum),
+    "entropy-scan": _Task(_CHAIN, _ENTROPY_KEYS, set(), _ENTROPY_TOLERANCES,
+                          _run_entropy_scan),
+    "cc-fit": _Task(_CHAIN, _ENTROPY_KEYS | {"trim"}, set(), _ENTROPY_TOLERANCES,
+                    _run_cc_fit),
+    "casimir": _Task(_CHAIN, {"delta_L"}, {"sizes"}, {"tol_zero"}, _run_casimir),
+    "winding": _Task(_CHAIN, {"n_k"}, set(), set(), _run_winding),
+    "zak": _Task(_CHAIN, {"n_k"}, set(), {"tol_zak"}, _run_zak),
+    "interface": _Task(("interface",), set(), set(), set(), _run_interface),
     "disorder": _Task(_CHAIN, _ENTROPY_KEYS, {"n_realizations", "delta_bound"},
-                      _run_disorder),
-    "density": _Task(("chain", "interface"), set(), set(), _run_density),
-    "symmetry-check": _Task(_CHAIN, set(), {"ell"}, _run_symmetry_check),
+                      _ENTROPY_TOLERANCES, _run_disorder),
+    "density": _Task(("chain", "interface"), set(), set(), {"tol_zero"},
+                     _run_density),
+    "symmetry-check": _Task(_CHAIN, set(), {"ell"}, {"tol_zero", "tol_sym"},
+                            _run_symmetry_check),
 }
 
 
@@ -662,3 +678,7 @@ def _load_config(path: str) -> dict:
 
 def console_main() -> None:  # pragma: no cover - thin wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -65,14 +65,17 @@ from .errors import (
     ResidualNeedsRegularized,
     UnpairedMode,
 )
-from .lattice import Boundary, ChainSpec, vk
+from .lattice import Boundary, ChainSpec, _hopping_block, vk
 from .spectral import (
     TOL_BIORTH,
+    TOL_ZERO,
     BiorthogonalSystem,
     OccupationSet,
+    _singular_mode_energies,
     _sublattice_gauge,
     biorthogonal_diagonalize,
     build_real_space,
+    half_filling_weights,
     occupied_correlation,
     select_half_filling,
 )
@@ -252,10 +255,83 @@ def correlation_k_space(spec: ChainSpec, ell: int) -> CorrelationMatrix:
         raise ValueError("correlation_k_space requires periodic boundaries")
     if not 1 <= ell <= spec.cells:
         raise ValueError(f"subsystem of {ell} cells out of range 1..{spec.cells}")
-    g = np.fft.ifft(_band_projectors(spec), axis=0)
-    return CorrelationMatrix(
-        _toeplitz_correlation(g, ell, spec.cells), ell, Provenance.K_SPACE
-    )
+    M, _ = _subsystem_correlation(spec, ell)
+    return CorrelationMatrix(_ungauge(M), ell, Provenance.K_SPACE)
+
+
+def _ungauge(M: np.ndarray) -> np.ndarray:
+    """C = 1/2 + (i/2) S M S^-1, the inverse of M = -2i S^-1 (C - 1/2) S."""
+    g = np.ones(len(M), dtype=complex)
+    g[1::2] = 1j
+    C = 0.5j * (g[:, None] * M * g.conj())
+    C[np.diag_indices_from(C)] += 0.5
+    return C
+
+
+def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.ndarray:
+    """Leading 2 cells x 2 cells block of M on a clean open chain.
+
+    Each singular triple (s, a, b) of the hopping block V carries the 2 x 2
+    problem [[i u, s], [s, -i u]] on (a, 0), (0, b), whose
+    :func:`_band_projectors` block (v_k -> s) is real in the gauge: with the
+    lower mode filled, M = [[-u/e, -s/e], [s/e, u/e]], e = sqrt(s^2 - u^2);
+    a pair on the imaginary axis (s < u) is half filled and gives 0.
+    """
+    u = spec.u_eff
+    a, sv, bt = np.linalg.svd(_hopping_block(spec))
+    if u > 0 and np.any(sv == u):
+        raise DefectiveMatrix(
+            "a singular value of the hopping block equals u_eff (an "
+            "exceptional point); increase the detuning"
+        )
+    E = _singular_mode_energies(sv, u)
+    weights = half_filling_weights(E, tol_zero)
+    n = len(sv)
+    filled = weights[:n] != weights[n:]  # the lower mode alone, e real
+    inv_e = np.zeros(n)
+    inv_e[filled] = 1.0 / E[n:][filled].real
+    a, b = a[:cells], bt[:, :cells].T  # rows of the leading cells
+    M = np.empty((2 * cells, 2 * cells))
+    M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
+    M[1::2, 0::2] = (b * (sv * inv_e)) @ a.T
+    M[0::2, 1::2] = -M[1::2, 0::2].T
+    M[1::2, 1::2] = (b * (u * inv_e)) @ b.T
+    return M
+
+
+def _subsystem_correlation(
+    spec: ChainSpec, cells: int, tol_zero: float = TOL_ZERO
+) -> tuple[np.ndarray, str]:
+    """Leading 2 cells x 2 cells block of M = -2i S^-1 (C - 1/2) S, and the
+    route that formed it.
+
+    M is real for every state of the family, nu = 1/2 + (i/2) eig(M). Only
+    the leading rows of C are formed, never the 2L x 2L product. Routes:
+
+    ``"k_space"``
+        clean periodic chains: inverse FFT of the gauged per-momentum band
+        projectors, as Toeplitz blocks;
+    ``"singular_mode"``
+        clean open chains: per singular triple of the hopping block
+        (:func:`_singular_mode_block`);
+    ``"dense"``
+        disordered chains: biorthogonal diagonalization of the 2L x 2L
+        Hamiltonian, in the real sublattice gauge.
+    """
+    if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
+        # gauge each momentum block before the transform, so the Toeplitz
+        # blocks are built directly in float64
+        m = _sublattice_gauge(_band_projectors(spec) - 0.5 * np.eye(2))
+        g = 2.0 * _gauge_real(np.fft.ifft(m, axis=0))
+        return _toeplitz_correlation(g, cells, spec.cells), "k_space"
+    if spec.is_translation_invariant:
+        return _singular_mode_block(spec, cells, tol_zero), "singular_mode"
+    sys = biorthogonal_diagonalize(build_real_space(spec))
+    occ = select_half_filling(sys, tol_zero)
+    n = 2 * cells
+    C = (sys.left_vectors[:n].conj() * occ.weights) @ sys.right_vectors[:n].T
+    C[np.diag_indices(n)] -= 0.5
+    return 2.0 * _gauge_real(_sublattice_gauge(C)), "dense"
 
 
 # ---------------------------------------------------------------------------
@@ -620,15 +696,16 @@ def entropy_profile(
     ells,
     prescription: Prescription = Prescription.BRANCH_CUT,
     tolerances: ToleranceSet = DEFAULT_TOLERANCES,
-    tol_zero: float = 1e-8,
+    tol_zero: float = TOL_ZERO,
 ) -> EntropyProfile:
     """Entropy for a list of leading-block sizes on one chain.
 
-    Clean periodic chains go through the momentum-space correlation blocks
-    (built once and sliced per size); open or disordered chains are
-    diagonalized densely once.
+    The correlation block is formed once, at the largest size, by
+    :func:`_subsystem_correlation` (k-space for clean periodic chains,
+    singular modes for clean open chains, dense for disordered chains) and
+    sliced per size.
 
-    Either way the subsystem eigensolve is real: the blocks are those of
+    The subsystem eigensolve is real: the blocks are those of
     M = -2i S^-1 (C - 1/2) S in the sublattice gauge, and
     nu = 1/2 + (i/2) eig(M). A real eigenvalue of M is a self-paired mode
     at Re nu = 1/2 exactly; the others come in conjugate pairs, which are
@@ -637,19 +714,8 @@ def entropy_profile(
     ells = np.asarray(sorted(set(int(e) for e in ells)))
     if np.any(ells < 1) or np.any(ells > spec.cells):
         raise ValueError("subsystem sizes out of range")
-    if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
-        # gauge each momentum block before the transform, so the Toeplitz
-        # blocks are built directly in float64
-        m = _sublattice_gauge(_band_projectors(spec) - 0.5 * np.eye(2))
-        g = 2.0 * _gauge_real(np.fft.ifft(m, axis=0))
-        blocks = (_toeplitz_correlation(g, int(e), spec.cells) for e in ells)
-    else:
-        sys = biorthogonal_diagonalize(build_real_space(spec))
-        occ = select_half_filling(sys, tol_zero)
-        C = occupied_correlation(sys, occ)
-        C[np.diag_indices_from(C)] -= 0.5
-        M = 2.0 * _gauge_real(_sublattice_gauge(C))
-        blocks = (M[: 2 * int(e), : 2 * int(e)] for e in ells)
+    M, _ = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
+    blocks = (M[: 2 * int(e), : 2 * int(e)] for e in ells)
     results = []
     counts = np.zeros((3, len(ells)), dtype=int)
     for col, block in enumerate(blocks):

@@ -252,6 +252,22 @@ def _cell_couplings(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     return (spec.v + d, spec.u - d - spec.detuning)
 
 
+def _hopping_block(spec: ChainSpec) -> np.ndarray:
+    """Real L x L block V of the A -> B hoppings, V[i, j] = H[A(i), B(j)].
+
+    With the sites ordered by sublattice, H = [[i u, V], [V^T, -i u]].
+    """
+    L = spec.cells
+    v_x, _ = _cell_couplings(spec)
+    i = np.arange(L)
+    V = np.zeros((L, L))
+    for off, amp in ((spec.alpha - 1, v_x), (spec.alpha, np.full(L, -spec.w))):
+        j = i + off
+        keep = slice(None) if spec.boundary is Boundary.PBC else j < L
+        np.add.at(V, (i[keep], j[keep] % L), amp[keep])
+    return V
+
+
 def build_real_space(spec: ChainSpec) -> np.ndarray:
     """Dense 2L x 2L Hamiltonian in the fixed site convention."""
     if spec.cells < spec.alpha + 1:
@@ -259,20 +275,13 @@ def build_real_space(spec: ChainSpec) -> np.ndarray:
             f"cells={spec.cells} cannot host hopping range alpha={spec.alpha}"
         )
     L = spec.cells
-    v_x, u_x = _cell_couplings(spec)
+    _, u_x = _cell_couplings(spec)
+    V = _hopping_block(spec)
     H = np.zeros((2 * L, 2 * L), dtype=complex)
     H[0::2, 0::2][np.diag_indices(L)] = 1j * u_x
     H[1::2, 1::2][np.diag_indices(L)] = -1j * u_x
-    pbc = spec.boundary is Boundary.PBC
-    for i in range(L):
-        for off, amp in ((spec.alpha - 1, v_x[i]), (spec.alpha, -spec.w)):
-            j = i + off
-            if j >= L:
-                if not pbc:
-                    continue
-                j -= L
-            H[2 * i, 2 * j + 1] += amp
-            H[2 * j + 1, 2 * i] += amp
+    H[0::2, 1::2] = V
+    H[1::2, 0::2] = V.T
     return H
 
 

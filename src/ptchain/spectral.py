@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AmbiguousFilling, DefectiveMatrix
-from .lattice import Boundary, ChainSpec, build_real_space, vk
+from .lattice import Boundary, ChainSpec, _hopping_block, build_real_space, vk
 
 #: Post-normalization bound on max |<L_m|R_n> - delta_mn|.
 TOL_BIORTH = 1e-9
@@ -214,20 +214,39 @@ def occupied_correlation(sys: BiorthogonalSystem, occ: OccupationSet) -> np.ndar
     return (sys.left_vectors.conj() * occ.weights[None, :]) @ sys.right_vectors.T
 
 
+def _singular_mode_energies(s: np.ndarray, u: float) -> np.ndarray:
+    """E = -+sqrt((s - u)(s + u)) per singular value s: all lower modes, then
+    all upper ones.
+
+    With u uniform, H^2 = diag(V V^T - u^2, V^T V - u^2), so every singular
+    triple (s, a, b) of the hopping block V spans the 2 x 2 block
+    [[i u, s], [s, -i u]] of H on (a, 0), (0, b). Below s = u the pair sits
+    on the imaginary axis, with Re E = 0 exactly.
+    """
+    e = np.sqrt(((s - u) * (s + u)).astype(complex))
+    return np.concatenate([-e, e])
+
+
 def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     """Half-filled ground-state energy sum_n s_n E_n.
 
     Clean periodic chains take the momentum-space path: the filled lower
     band contributes -sqrt(|v_k|^2 - u_eff^2) per k_n = 2 pi n / L, and any
     PT-broken momentum contributes zero because its +-i|E| pair is occupied
-    half/half. Everything else is dense diagonalization (eigenvalues only,
-    in the real sublattice gauge).
+    half/half. Clean open chains take the spectrum from the singular values
+    of the L x L hopping block (:func:`_singular_mode_energies`). Disordered
+    chains are diagonalized densely (eigenvalues only, in the real
+    sublattice gauge).
     """
     if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
         k = 2.0 * np.pi * np.arange(spec.cells) / spec.cells
         e = np.sqrt((np.abs(vk(spec, k)) ** 2 - spec.u_eff**2).astype(complex))
         return complex(-np.sum(e.real))
-    E = 1j * np.linalg.eigvals(_sublattice_gauge(build_real_space(spec)))
+    if spec.is_translation_invariant:
+        sv = np.linalg.svd(_hopping_block(spec), compute_uv=False)
+        E = _singular_mode_energies(sv, spec.u_eff)
+    else:
+        E = 1j * np.linalg.eigvals(_sublattice_gauge(build_real_space(spec)))
     s = half_filling_weights(E, tol_zero)
     return complex(np.sum(s * E))
 

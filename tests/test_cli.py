@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +59,10 @@ class TestValidation:
     def test_tolerance_override_block(self, tmp_path):
         cfg = base_config(tmp_path, name="winding", n_k=512)
         cfg["tolerances"] = {"tol_edge": 1e-5}
+        with pytest.raises(ConfigError, match="reads no tolerances"):
+            validate_config(cfg)  # winding reads no tolerance
+        cfg = base_config(tmp_path, name="entropy-scan", ells=[2, 4])
+        cfg["tolerances"] = {"tol_edge": 1e-5}
         assert validate_config(cfg) is cfg
         cfg["tolerances"]["nope"] = 1.0
         with pytest.raises(ConfigError):
@@ -91,6 +99,27 @@ MALFORMED = {
     "dead-disorder-bound-key": (
         {"name": "spectrum"},
         lambda cfg: cfg["model"].update(cells=8, disorder_bound=0.5)),
+    # a trim policy the boundary's fit cannot use, or a key the policy ignores
+    "trim-until-rmse-on-pbc": (
+        {**_CC_FIT, "trim": {"policy": "until_rmse", "threshold": 1e-4}}, None),
+    "trim-until-sse-on-obc": (
+        {**_CC_FIT, "trim": {"policy": "until_sse", "threshold": 1e-4}},
+        lambda cfg: cfg["model"].update(boundary="obc")),
+    "trim-n-with-until-sse": (
+        {**_CC_FIT, "trim": {"policy": "until_sse", "n": 2}}, None),
+    "trim-n-with-until-rmse": (
+        {**_CC_FIT, "trim": {"policy": "until_rmse", "n": 2}},
+        lambda cfg: cfg["model"].update(boundary="obc")),
+    "trim-threshold-with-fixed": (
+        {**_CC_FIT, "trim": {"policy": "fixed", "threshold": 1e-4}}, None),
+    # a tolerance the task's runner never reads
+    "tol-zak-with-winding": ({"name": "winding", "n_k": 512},
+                             lambda cfg: cfg.update(tolerances={"tol_zak": 1e-4})),
+    "tol-edge-with-spectrum": ({"name": "spectrum"},
+                               lambda cfg: cfg.update(tolerances={"tol_edge": 1e-5})),
+    "tol-sym-with-entropy-scan": (
+        {"name": "entropy-scan", "ells": [2]},
+        lambda cfg: cfg.update(tolerances={"tol_sym": 1e-3})),
 }
 
 
@@ -102,6 +131,23 @@ def test_malformed_config_exits_2(tmp_path, task, edit):
     assert run_config(tmp_path, cfg) == 2
     assert not list(tmp_path.rglob("*.csv"))
     assert main(["validate", str(tmp_path / "cfg.json")]) == 2
+
+
+@pytest.mark.parametrize("module", ["ptchain", "ptchain.cli"])
+def test_python_m_validate(tmp_path, module):
+    # a checkout runs without installing: only src/ on the import path
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(base_config(tmp_path, name="winding", n_k=512)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(base_config(tmp_path, name="frobnicate")))
+    for path, code in ((good, 0), (bad, 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "validate", str(path)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
 
 
 def spy(monkeypatch, name):
@@ -222,6 +268,17 @@ class TestRun:
         rows = (tmp_path / "spectrum_spectrum.csv").read_text().splitlines()[1:]
         assert len(rows) == 24
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("boundary, provenance",
+                             [("pbc", "k_space"), ("obc", "real_space")])
+    def test_symmetry_check_provenance(self, tmp_path, boundary, provenance):
+        cfg = base_config(tmp_path, name="symmetry-check", ell=8)
+        cfg["model"]["boundary"] = boundary
+        assert run_config(tmp_path, cfg) == 0
+        summary = json.loads((tmp_path / "symmetry_check_summary.json").read_text())
+        assert summary["provenance"] == provenance
+        assert summary["ph_ok"]
+        assert summary["t_plus_ok"] is (boundary == "pbc")
 
     def test_numerical_failure_exit_3(self, tmp_path):
         # exactly critical, zero detuning: defective at k = 0

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import ptchain as pc
 from ptchain.errors import InsufficientPoints, NoConvergence
-from ptchain.fits import FixedCount, UntilRMSE, UntilSSE
+from ptchain.fits import FixedCount, UntilRMSE, UntilSSE, _fit_obc_at, _shift_grid_sse
 from ptchain.rng import SplitMix64, disorder_offsets
 
 
@@ -119,6 +119,27 @@ class TestCCFitOBC:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
             pc.cc_fit_obc([3, 4, 5, 6], [1, 2, 3, 4], 50, FixedCount(0))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-5, 1e-2])
+    @pytest.mark.parametrize("dl", [-2.1, 0.5, 3.0])
+    def test_shift_grid_matches_per_shift_fits(self, dl, noise):
+        # the one-pass grid against the per-shift least squares it replaced;
+        # shifts below -ells.min() / 2 are infeasible on both
+        L = 120
+        ells = np.arange(5, 61, dtype=float)
+        rng = np.random.default_rng(7)
+        y = self.model(ells, L, -0.34, 0.2, dl) + noise * rng.standard_normal(len(ells))
+        grid = np.linspace(-10.0, L / 4.0, 512)
+        fast = _shift_grid_sse(ells, y, float(L), grid)
+        loop = np.array([_fit_obc_at(ells, y, float(L), d)[1] for d in grid])
+        np.testing.assert_array_equal(np.isinf(fast), np.isinf(loop))
+        assert np.isinf(fast[0]) and np.isfinite(fast[-1])
+        # rounding of the centred sums: a few ulps of sum (y - mean)^2
+        scale = np.sum((y - y.mean()) ** 2)
+        finite = np.isfinite(loop)
+        assert_allclose(fast[finite], loop[finite], rtol=1e-10,
+                        atol=1e3 * np.finfo(float).eps * scale)
+        assert np.argmin(fast) == np.argmin(loop)
 
 
 class TestCasimirFit:

@@ -7,6 +7,11 @@ agrees with the complex one, that the dense and momentum-space correlation
 routes agree, that both agree with the Fock-space oracle on small chains,
 that the imaginary entropy stays quantized, and that the degenerate +-iu
 edge blocks of alpha >= 2 open chains are re-biorthogonalized jointly.
+
+Clean open chains take the singular-mode route (the singular values of the
+L x L hopping block) for the ground-state energy and the subsystem
+correlation block; it must agree with the dense route in value and in the
+error it raises.
 """
 
 import numpy as np
@@ -15,8 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptchain as pc
-from ptchain.entanglement import _gauge_real
-from ptchain.errors import DefectiveMatrix
+import ptchain.entanglement as entanglement
+import ptchain.spectral as spectral
+from ptchain.entanglement import _gauge_real, _subsystem_correlation
+from ptchain.errors import AmbiguousFilling, DefectiveMatrix
 from ptchain.spectral import (
     _CLUSTER_REL,
     TOL_BIORTH,
@@ -37,7 +44,7 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
-def chains(draw, max_cells=40, clean_pbc=False, min_detuning=1e-10, min_u=0.1):
+def chains(draw, max_cells=40, clean=None, min_detuning=1e-10, min_u=0.1):
     """Chains of the family in all three PT classes.
 
     Critical chains sit on u = |v - w| with an explicit detuning. PT-symmetric
@@ -45,7 +52,8 @@ def chains(draw, max_cells=40, clean_pbc=False, min_detuning=1e-10, min_u=0.1):
     chains have no real zero modes. PT-broken chains take
     |v - w| < u < v + w (partly broken) or u > v + w (every mode on the
     imaginary axis). Disorder is drawn only on the validated channel, the
-    critical line with v < w.
+    critical line with v < w. ``clean`` fixes the boundary and draws no
+    disorder.
     """
     alpha = draw(st.sampled_from([1, 2, 3]))
     v = draw(st.floats(0.2, 3.0))
@@ -67,9 +75,9 @@ def chains(draw, max_cells=40, clean_pbc=False, min_detuning=1e-10, min_u=0.1):
         else:
             u = (v + w) * draw(st.floats(1.1, 2.0))
     cells = draw(st.integers(alpha + 1, max_cells))
-    if clean_pbc:
+    if clean is not None:
         return pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=cells,
-                            detuning=detuning)
+                            boundary=clean, detuning=detuning)
     boundary = draw(st.sampled_from([pc.Boundary.PBC, pc.Boundary.OBC]))
     disorder = None
     if critical and v < w and draw(st.booleans()):
@@ -137,7 +145,7 @@ def test_fully_broken_chain_half_fills_every_mode(alpha, boundary):
 
 
 @PROPERTY
-@given(chains(clean_pbc=True, min_detuning=1e-3))
+@given(chains(clean=pc.Boundary.PBC, min_detuning=1e-3))
 def test_dense_correlation_matches_k_space(spec):
     C = dense_correlation(spec)
     fast = pc.correlation_k_space(spec, spec.cells).matrix
@@ -217,3 +225,180 @@ def test_degenerate_edge_blocks_rebiorthogonalized(alpha, v, ratio, cells, detun
     for lo, hi in edge_blocks:
         gram = system.left_vectors[:, lo:hi].conj().T @ system.right_vectors[:, lo:hi]
         assert np.max(np.abs(gram - np.eye(hi - lo))) < TOL_BIORTH
+
+
+# ---------------------------------------------------------------------------
+# Singular-mode route for clean open chains
+# ---------------------------------------------------------------------------
+
+PRESCRIPTIONS = list(pc.Prescription)
+
+
+def dense_energy(spec, tol_zero=pc.spectral.TOL_ZERO):
+    """E0 from the eigenvalues of the 2L x 2L Hamiltonian in the real gauge."""
+    E = 1j * np.linalg.eigvals(_sublattice_gauge(pc.build_real_space(spec)))
+    return complex(np.sum(pc.half_filling_weights(E, tol_zero) * E))
+
+
+def dense_entropy(spec, ell, prescription):
+    M = gauge_block(dense_correlation(spec))[: 2 * ell, : 2 * ell]
+    nus = 0.5 + 0.5j * np.linalg.eigvals(M)
+    return pc.entropy(pc.classify_spectrum(nus), prescription).value
+
+
+def outcome(f, *args):
+    """f(*args), or the class of the package error it raises."""
+    try:
+        return f(*args)
+    except pc.errors.PTChainError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(chains(clean=pc.Boundary.OBC))
+def test_singular_energy_matches_dense(spec):
+    fast, dense = pc.ground_state_energy(spec), dense_energy(spec)
+    assert abs(fast - dense) <= 1e-10 * max(abs(dense), 1.0)
+
+
+@PROPERTY
+@given(chains(clean=pc.Boundary.OBC))
+def test_singular_block_matches_dense(spec):
+    C = dense_correlation(spec)
+    M, route = _subsystem_correlation(spec, spec.cells)
+    assert route == "singular_mode"
+    assert M.dtype == np.float64
+    scale = float(np.max(np.abs(C)))
+    assert np.max(np.abs(M - gauge_block(C))) <= 1e-10 * scale
+    for ell in sorted({1, spec.cells // 2} - {0}):
+        lead, _ = _subsystem_correlation(spec, ell)
+        np.testing.assert_allclose(lead, M[: 2 * ell, : 2 * ell], rtol=0,
+                                   atol=1e-13 * scale)
+
+
+@PROPERTY
+@given(chains(clean=pc.Boundary.OBC))
+def test_singular_entropies_match_dense(spec):
+    ells = sorted({1, spec.cells // 3, spec.cells // 2} - {0})
+    for prescription in PRESCRIPTIONS:
+        fast = outcome(pc.entropy_profile, spec, ells, prescription)
+        for col, ell in enumerate(ells):
+            dense = outcome(dense_entropy, spec, ell, prescription)
+            if isinstance(fast, type):
+                assert dense is fast
+            else:
+                assert abs(fast.values[col] - dense) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize(
+    "v, w, u",
+    [
+        (1.0, 0.0, 1.0),   # dimers: every singular value equals u
+        (0.0, 1.3, 1.3),   # every singular value but the zero mode equals u
+        (1.0, 3.0, 0.0),   # Hermitian and topological: real zero modes
+        (3.0, 1.0, 0.0),   # Hermitian
+        (1.0, 1.2, 0.0),   # Hermitian, zero modes split by the short chain
+    ],
+)
+def test_singular_energy_raises_like_dense(alpha, v, w, u):
+    spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=24,
+                        boundary=pc.Boundary.OBC, detuning=0.0)
+    fast, dense = outcome(pc.ground_state_energy, spec), outcome(dense_energy, spec)
+    if isinstance(dense, type):
+        assert fast is dense
+    else:
+        assert abs(fast - dense) <= 1e-10 * max(abs(dense), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("v, w, u", [(1.0, 0.0, 1.0), (0.7, 0.0, 0.7)])
+def test_exceptional_point_is_defective(alpha, v, w, u):
+    # w = 0 with u = v puts every bulk singular value exactly on u_eff. The
+    # singular-mode route refuses the block as the k-space route does. The
+    # dense route raises DefectiveMatrix or, where LAPACK splits the Jordan
+    # blocks into distinct E ~ 0, AmbiguousFilling; it never returns.
+    spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=8,
+                        boundary=pc.Boundary.OBC, detuning=0.0)
+    with pytest.raises(DefectiveMatrix, match="increase the detuning"):
+        _subsystem_correlation(spec, 4)
+    with pytest.raises((DefectiveMatrix, AmbiguousFilling)):
+        dense_correlation(spec)
+
+
+def hermitian_cases():
+    for alpha in (1, 2, 3):
+        for v, w in ((1.0, 3.0), (3.0, 1.0), (1.0, 1.2)):
+            for cells in (12, 24, 40):
+                marks = ()
+                if (alpha, v, w, cells) == (1, 1.0, 3.0, 40):
+                    marks = pytest.mark.xfail(
+                        strict=True, raises=AssertionError,
+                        reason="the dense solve raises DefectiveMatrix on the "
+                        "+-2e-19 zero-mode pair of this Hermitian chain")
+                yield pytest.param(alpha, v, w, cells, marks=marks)
+
+
+@pytest.mark.parametrize("alpha, v, w, cells", hermitian_cases())
+def test_hermitian_chain_block_matches_dense(alpha, v, w, cells):
+    # u = 0: zero modes closer to E = 0 than tol_zero (exact for alpha >= 2)
+    # make half filling ambiguous on both routes; otherwise the blocks agree
+    spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=0.0, cells=cells,
+                        boundary=pc.Boundary.OBC, detuning=0.0)
+    fast = outcome(_subsystem_correlation, spec, cells)
+    dense = outcome(dense_correlation, spec)
+    if isinstance(fast, type) or isinstance(dense, type):
+        assert fast is dense
+    else:
+        C = dense
+        assert np.max(np.abs(fast[0] - gauge_block(C))) <= 1e-10 * np.max(np.abs(C))
+
+
+def record_calls(monkeypatch, module, name):
+    """Arguments of every call to module.<name>, which still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_tol_zero_reaches_singular_route(monkeypatch):
+    spec = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=24, boundary=pc.Boundary.OBC)
+    for module, call in (
+        (entanglement, lambda: pc.entropy_profile(spec, [4], REG, tol_zero=1e-7)),
+        (spectral, lambda: pc.ground_state_energy(spec, 1e-7)),
+    ):
+        calls = record_calls(monkeypatch, module, "half_filling_weights")
+        call()
+        [(args, _)] = calls
+        assert args[1] == 1e-7
+        assert len(args[0]) == spec.n_sites
+
+
+def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
+    spec = pc.ChainSpec(alpha=2, v=1.0, w=2.0, u=1.0, cells=30,
+                        boundary=pc.Boundary.OBC)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense biorthogonal solve on a clean open chain")
+
+    for module in (spectral, entanglement):
+        monkeypatch.setattr(module, "biorthogonal_diagonalize", forbidden)
+    monkeypatch.setattr(spectral.scipy.linalg, "eig", forbidden)
+    sizes = []
+    real_eigvals = np.linalg.eigvals
+
+    def eigvals(a):
+        sizes.append(len(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    prof = pc.entropy_profile(spec, [1, 10, 29], REG)
+    pc.ground_state_energy(spec)
+    assert sizes == [2, 20, 58]  # the subsystem blocks only
+    assert np.all(np.isfinite(prof.values))
