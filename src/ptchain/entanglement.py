@@ -71,12 +71,10 @@ from .spectral import (
     TOL_ZERO,
     BiorthogonalSystem,
     OccupationSet,
-    _singular_mode_energies,
+    _half_filled_inverse_energies,
     _sublattice_gauge,
     biorthogonal_diagonalize,
     build_real_space,
-    half_filling_weights,
-    occupied_correlation,
     select_half_filling,
 )
 
@@ -194,53 +192,27 @@ class EntanglementEnergies:
 def correlation_matrix(
     sys: BiorthogonalSystem, occ: OccupationSet, ell: int
 ) -> CorrelationMatrix:
-    """Subsystem correlation matrix from an occupied biorthogonal system."""
+    """Subsystem correlation matrix from an occupied biorthogonal system.
+
+    Only the leading 2 ell rows of C = sum_n s_n conj(L_n) R_n^T are formed.
+    """
     n_cells = sys.n // 2
     if not 1 <= ell <= n_cells:
         raise ValueError(f"subsystem of {ell} cells out of range 1..{n_cells}")
-    C = occupied_correlation(sys, occ)[: 2 * ell, : 2 * ell]
+    n = 2 * ell
+    C = (sys.left_vectors[:n].conj() * occ.weights) @ sys.right_vectors[:n].T
     return CorrelationMatrix(C, ell, Provenance.REAL_SPACE)
 
 
-def _band_projectors(spec: ChainSpec) -> np.ndarray:
-    """Per-momentum 2x2 correlation blocks of the half-filled ground state.
-
-    The lower band at momentum k has right vector (v_k, -(iu + e)) and left
-    vector (v_k, iu - e) with e = sqrt(|v_k|^2 - u^2); normalized, the
-    occupied block is conj(L) R^T / <L|R>. PT-broken momenta carry the
-    half/half occupation of their +-i|e| pair, which sums to the identity/2.
-    """
-    L = spec.cells
-    k = 2.0 * np.pi * np.arange(L) / L
-    v = np.asarray(vk(spec, k))
-    u = spec.u_eff
-    eps2 = np.abs(v) ** 2 - u * u
-    if np.any(eps2 == 0.0):
-        raise DefectiveMatrix(
-            "momentum grid hits an exceptional point (|v_k| = u_eff); "
-            "increase the detuning"
-        )
-    C = np.empty((L, 2, 2), dtype=complex)
-    e = np.sqrt(eps2.astype(complex))
-    d = 2.0 * e * (e + 1j * u)
-    C[:, 0, 0] = np.abs(v) ** 2 / d
-    C[:, 0, 1] = -np.conj(v) / (2.0 * e)
-    C[:, 1, 0] = -v / (2.0 * e)
-    C[:, 1, 1] = (e + 1j * u) / (2.0 * e)
-    broken = eps2 < 0
-    if np.any(broken):
-        C[broken] = 0.5 * np.eye(2)
-    return C
-
-
 def _toeplitz_correlation(g: np.ndarray, ell: int, L: int) -> np.ndarray:
-    """2 ell x 2 ell block from per-separation 2x2 blocks, in g's dtype."""
+    """2 ell x 2 ell block from the 2 x 2 x L per-separation blocks g, in
+    g's dtype."""
     n = np.arange(ell)
     idx = (n[:, None] - n[None, :]) % L
     C = np.empty((2 * ell, 2 * ell), dtype=g.dtype)
     for a in range(2):
         for b in range(2):
-            C[a::2, b::2] = g[idx, a, b]
+            C[a::2, b::2] = g[a, b, idx]
     return C
 
 
@@ -272,24 +244,15 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
     """Leading 2 cells x 2 cells block of M on a clean open chain.
 
     Each singular triple (s, a, b) of the hopping block V carries the 2 x 2
-    problem [[i u, s], [s, -i u]] on (a, 0), (0, b), whose
-    :func:`_band_projectors` block (v_k -> s) is real in the gauge: with the
-    lower mode filled, M = [[-u/e, -s/e], [s/e, u/e]], e = sqrt(s^2 - u^2);
-    a pair on the imaginary axis (s < u) is half filled and gives 0.
+    problem [[i u, s], [s, -i u]] on (a, 0), (0, b). Its block is the
+    per-momentum block of the k-space route with v_k -> s, real in the
+    gauge: M = [[-u, -s], [s, u]] / e with the lower mode filled,
+    e = sqrt(s^2 - u^2), and 0 for a half-filled pair on the imaginary axis
+    (s < u); :func:`_half_filled_inverse_energies` gives 1/e or 0.
     """
     u = spec.u_eff
     a, sv, bt = np.linalg.svd(_hopping_block(spec))
-    if u > 0 and np.any(sv == u):
-        raise DefectiveMatrix(
-            "a singular value of the hopping block equals u_eff (an "
-            "exceptional point); increase the detuning"
-        )
-    E = _singular_mode_energies(sv, u)
-    weights = half_filling_weights(E, tol_zero)
-    n = len(sv)
-    filled = weights[:n] != weights[n:]  # the lower mode alone, e real
-    inv_e = np.zeros(n)
-    inv_e[filled] = 1.0 / E[n:][filled].real
+    inv_e = _half_filled_inverse_energies(sv, u, tol_zero)
     a, b = a[:cells], bt[:, :cells].T  # rows of the leading cells
     M = np.empty((2 * cells, 2 * cells))
     M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
@@ -309,28 +272,32 @@ def _subsystem_correlation(
     the leading rows of C are formed, never the 2L x 2L product. Routes:
 
     ``"k_space"``
-        clean periodic chains: inverse FFT of the gauged per-momentum band
-        projectors, as Toeplitz blocks;
+        clean periodic chains: inverse FFT of the per-momentum blocks
+        M_k = [[-u, -conj(v_k)], [v_k, u]] / e_k, as Toeplitz blocks;
     ``"singular_mode"``
         clean open chains: per singular triple of the hopping block
-        (:func:`_singular_mode_block`);
+        (:func:`_singular_mode_block`, the same block with v_k -> s);
     ``"dense"``
         disordered chains: biorthogonal diagonalization of the 2L x 2L
         Hamiltonian, in the real sublattice gauge.
+
+    Both clean routes take 1/e_k, or 0 for a half-filled pair, from
+    :func:`_half_filled_inverse_energies`; every route decides the half
+    filling in :func:`half_filling_weights` at ``tol_zero``.
     """
     if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
-        # gauge each momentum block before the transform, so the Toeplitz
-        # blocks are built directly in float64
-        m = _sublattice_gauge(_band_projectors(spec) - 0.5 * np.eye(2))
-        g = 2.0 * _gauge_real(np.fft.ifft(m, axis=0))
-        return _toeplitz_correlation(g, cells, spec.cells), "k_space"
+        L, u = spec.cells, spec.u_eff
+        v = np.asarray(vk(spec, 2.0 * np.pi * np.arange(L) / L))
+        inv_e = _half_filled_inverse_energies(np.abs(v), u, tol_zero)
+        uk = np.full(L, u)
+        m = np.array([[-uk, -np.conj(v)], [v, uk]]) * inv_e  # M_k, k last
+        g = _gauge_real(np.fft.ifft(m))
+        return _toeplitz_correlation(g, cells, L), "k_space"
     if spec.is_translation_invariant:
         return _singular_mode_block(spec, cells, tol_zero), "singular_mode"
     sys = biorthogonal_diagonalize(build_real_space(spec))
-    occ = select_half_filling(sys, tol_zero)
-    n = 2 * cells
-    C = (sys.left_vectors[:n].conj() * occ.weights) @ sys.right_vectors[:n].T
-    C[np.diag_indices(n)] -= 0.5
+    C = correlation_matrix(sys, select_half_filling(sys, tol_zero), cells).matrix
+    C[np.diag_indices_from(C)] -= 0.5
     return 2.0 * _gauge_real(_sublattice_gauge(C)), "dense"
 
 

@@ -215,36 +215,59 @@ def occupied_correlation(sys: BiorthogonalSystem, occ: OccupationSet) -> np.ndar
 
 
 def _singular_mode_energies(s: np.ndarray, u: float) -> np.ndarray:
-    """E = -+sqrt((s - u)(s + u)) per singular value s: all lower modes, then
+    """E = -+sqrt((s - u)(s + u)) per mode amplitude s: all lower modes, then
     all upper ones.
 
     With u uniform, H^2 = diag(V V^T - u^2, V^T V - u^2), so every singular
     triple (s, a, b) of the hopping block V spans the 2 x 2 block
-    [[i u, s], [s, -i u]] of H on (a, 0), (0, b). Below s = u the pair sits
-    on the imaginary axis, with Re E = 0 exactly.
+    [[i u, s], [s, -i u]] of H on (a, 0), (0, b); a momentum of a periodic
+    chain is the same block with s = |v_k|. Below s = u the pair sits on
+    the imaginary axis, with Re E = 0 exactly.
     """
     e = np.sqrt(((s - u) * (s + u)).astype(complex))
     return np.concatenate([-e, e])
 
 
+def _half_filled_inverse_energies(
+    a: np.ndarray, u: float, tol_zero: float
+) -> np.ndarray:
+    """1/e per mode of a clean chain at half filling, 0 for a half-filled pair.
+
+    Each mode is the 2 x 2 problem [[i u, a], [a, -i u]], a = |v_k| on a
+    periodic chain and a singular value of the hopping block on an open one,
+    with E = -+e, e = sqrt((a - u)(a + u)). The lower level alone is filled
+    where e is real; a pair on the imaginary axis (a < u) is half filled.
+    The filling is decided by :func:`half_filling_weights`.
+    """
+    if u > 0 and np.any(a == u):
+        raise DefectiveMatrix(
+            "a mode amplitude equals u_eff (an exceptional point); "
+            "increase the detuning"
+        )
+    E = _singular_mode_energies(a, u)
+    weights = half_filling_weights(E, tol_zero)
+    n = len(a)
+    filled = weights[:n] != weights[n:]  # the lower mode alone, e real
+    inv_e = np.zeros(n)
+    inv_e[filled] = 1.0 / E[n:][filled].real
+    return inv_e
+
+
 def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     """Half-filled ground-state energy sum_n s_n E_n.
 
-    Clean periodic chains take the momentum-space path: the filled lower
-    band contributes -sqrt(|v_k|^2 - u_eff^2) per k_n = 2 pi n / L, and any
-    PT-broken momentum contributes zero because its +-i|E| pair is occupied
-    half/half. Clean open chains take the spectrum from the singular values
-    of the L x L hopping block (:func:`_singular_mode_energies`). Disordered
-    chains are diagonalized densely (eigenvalues only, in the real
-    sublattice gauge).
+    Clean chains take the spectrum E = -+sqrt(a^2 - u_eff^2) of their mode
+    amplitudes a (:func:`_singular_mode_energies`): |v_k| per momentum on a
+    periodic chain, the singular values of the L x L hopping block on an
+    open one. Disordered chains are diagonalized densely (eigenvalues only,
+    in the real sublattice gauge). Both feed :func:`half_filling_weights`.
     """
-    if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
-        k = 2.0 * np.pi * np.arange(spec.cells) / spec.cells
-        e = np.sqrt((np.abs(vk(spec, k)) ** 2 - spec.u_eff**2).astype(complex))
-        return complex(-np.sum(e.real))
     if spec.is_translation_invariant:
-        sv = np.linalg.svd(_hopping_block(spec), compute_uv=False)
-        E = _singular_mode_energies(sv, spec.u_eff)
+        if spec.boundary is Boundary.PBC:
+            a = np.abs(vk(spec, 2.0 * np.pi * np.arange(spec.cells) / spec.cells))
+        else:
+            a = np.linalg.svd(_hopping_block(spec), compute_uv=False)
+        E = _singular_mode_energies(a, spec.u_eff)
     else:
         E = 1j * np.linalg.eigvals(_sublattice_gauge(build_real_space(spec)))
     s = half_filling_weights(E, tol_zero)

@@ -8,11 +8,14 @@ routes agree, that both agree with the Fock-space oracle on small chains,
 that the imaginary entropy stays quantized, and that the degenerate +-iu
 edge blocks of alpha >= 2 open chains are re-biorthogonalized jointly.
 
-Clean open chains take the singular-mode route (the singular values of the
-L x L hopping block) for the ground-state energy and the subsystem
-correlation block; it must agree with the dense route in value and in the
-error it raises.
+Clean chains take one per-mode kernel for the ground-state energy and the
+subsystem correlation block, with the singular values of the L x L
+hopping block as mode amplitudes on open chains and |v_k| on periodic
+ones; both must agree with the dense route in value and in the error they
+raise.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,8 +257,12 @@ def outcome(f, *args):
         return type(exc)
 
 
+CLEAN_CHAINS = st.sampled_from([pc.Boundary.PBC, pc.Boundary.OBC]).flatmap(
+    lambda boundary: chains(clean=boundary))
+
+
 @PROPERTY
-@given(chains(clean=pc.Boundary.OBC))
+@given(CLEAN_CHAINS)
 def test_singular_energy_matches_dense(spec):
     fast, dense = pc.ground_state_energy(spec), dense_energy(spec)
     assert abs(fast - dense) <= 1e-10 * max(abs(dense), 1.0)
@@ -290,20 +297,27 @@ def test_singular_entropies_match_dense(spec):
                 assert abs(fast.values[col] - dense) <= 1e-8
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3])
-@pytest.mark.parametrize(
-    "v, w, u",
-    [
-        (1.0, 0.0, 1.0),   # dimers: every singular value equals u
-        (0.0, 1.3, 1.3),   # every singular value but the zero mode equals u
+def energy_cases():
+    """(v, w, u, boundary); a periodic case's id ends in -pbc."""
+    cases = [
+        (1.0, 0.0, 1.0),   # dimers: every amplitude equals u
+        (0.0, 1.3, 1.3),   # every amplitude but the open chain's zero mode equals u
         (1.0, 3.0, 0.0),   # Hermitian and topological: real zero modes
         (3.0, 1.0, 0.0),   # Hermitian
         (1.0, 1.2, 0.0),   # Hermitian, zero modes split by the short chain
-    ],
-)
-def test_singular_energy_raises_like_dense(alpha, v, w, u):
+    ]
+    for boundary, suffix in ((pc.Boundary.OBC, ""), (pc.Boundary.PBC, "-pbc")):
+        for v, w, u in cases:
+            yield pytest.param(v, w, u, boundary, id=f"{v}-{w}-{u}{suffix}")
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("v, w, u, boundary", energy_cases())
+def test_singular_energy_raises_like_dense(alpha, v, w, u, boundary):
+    # the mode amplitudes are the singular values of the hopping block on
+    # an open chain and |v_k| on a periodic one
     spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=24,
-                        boundary=pc.Boundary.OBC, detuning=0.0)
+                        boundary=boundary, detuning=0.0)
     fast, dense = outcome(pc.ground_state_energy, spec), outcome(dense_energy, spec)
     if isinstance(dense, type):
         assert fast is dense
@@ -311,17 +325,38 @@ def test_singular_energy_raises_like_dense(alpha, v, w, u):
         assert abs(fast - dense) <= 1e-10 * max(abs(dense), 1.0)
 
 
+def leading_block(spec, tol_zero):
+    return _subsystem_correlation(spec, 8, tol_zero)
+
+
+@pytest.mark.parametrize("call", [pc.ground_state_energy, leading_block],
+                         ids=["energy", "block"])
+def test_wide_tol_zero_makes_filling_ambiguous_on_every_route(call):
+    # the smallest |E| of this near-critical chain is ~1.4e-3, inside
+    # tol_zero = 1e-2; the twin with zero offsets takes the dense route
+    clean = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=64, boundary=pc.Boundary.PBC,
+                         detuning=1e-6)
+    twin = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=64, boundary=pc.Boundary.PBC,
+                        detuning=1e-6, disorder=pc.DisorderProfile(np.zeros(64)))
+    for spec in (clean, twin):
+        with pytest.raises(AmbiguousFilling):
+            call(spec, 1e-2)
+
+
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 @pytest.mark.parametrize("v, w, u", [(1.0, 0.0, 1.0), (0.7, 0.0, 0.7)])
 def test_exceptional_point_is_defective(alpha, v, w, u):
-    # w = 0 with u = v puts every bulk singular value exactly on u_eff. The
-    # singular-mode route refuses the block as the k-space route does. The
-    # dense route raises DefectiveMatrix or, where LAPACK splits the Jordan
-    # blocks into distinct E ~ 0, AmbiguousFilling; it never returns.
+    # w = 0 with u = v puts every bulk singular value, and every |v_k| of
+    # the periodic chain, exactly on u_eff. Both clean routes refuse the
+    # block. The dense route raises DefectiveMatrix or, where LAPACK splits
+    # the Jordan blocks into distinct E ~ 0, AmbiguousFilling; it never
+    # returns.
     spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=8,
                         boundary=pc.Boundary.OBC, detuning=0.0)
-    with pytest.raises(DefectiveMatrix, match="increase the detuning"):
-        _subsystem_correlation(spec, 4)
+    periodic = replace(spec, boundary=pc.Boundary.PBC)
+    for clean in (spec, periodic):
+        with pytest.raises(DefectiveMatrix, match="increase the detuning"):
+            _subsystem_correlation(clean, 4)
     with pytest.raises((DefectiveMatrix, AmbiguousFilling)):
         dense_correlation(spec)
 
@@ -367,17 +402,18 @@ def record_calls(monkeypatch, module, name):
     return calls
 
 
-def test_tol_zero_reaches_singular_route(monkeypatch):
-    spec = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=24, boundary=pc.Boundary.OBC)
-    for module, call in (
-        (entanglement, lambda: pc.entropy_profile(spec, [4], REG, tol_zero=1e-7)),
-        (spectral, lambda: pc.ground_state_energy(spec, 1e-7)),
-    ):
-        calls = record_calls(monkeypatch, module, "half_filling_weights")
-        call()
-        [(args, _)] = calls
-        assert args[1] == 1e-7
-        assert len(args[0]) == spec.n_sites
+def test_tol_zero_reaches_clean_routes(monkeypatch):
+    for boundary in (pc.Boundary.OBC, pc.Boundary.PBC):
+        spec = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=24, boundary=boundary)
+        for call in (
+            lambda: pc.entropy_profile(spec, [4], REG, tol_zero=1e-7),
+            lambda: pc.ground_state_energy(spec, 1e-7),
+        ):
+            calls = record_calls(monkeypatch, spectral, "half_filling_weights")
+            call()
+            [(args, _)] = calls
+            assert args[1] == 1e-7
+            assert len(args[0]) == spec.n_sites
 
 
 def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
