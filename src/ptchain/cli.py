@@ -222,6 +222,9 @@ def validate_config(config) -> dict:
         _check_num(task, "delta_L", "task", int)
     if task.get("n_k", 8) < 8:
         raise ConfigError(f"task.n_k must be >= 8, got {task['n_k']!r}")
+    if task.get("n_realizations", 2) < 2:
+        raise ConfigError("task.n_realizations must be >= 2 for a standard error, "
+                          f"got {task['n_realizations']!r}")
     if task.get("ell", 0) > model.get("cells", 0):
         raise ConfigError(f"task.ell must be <= model.cells = {model['cells']}, "
                           f"got {task['ell']!r}")

@@ -47,13 +47,21 @@ this multivalued; this module implements four ways of resolving it:
 Classification of the spectrum into real modes, real pairs {nu, 1-nu},
 edge pairs 1/2 +- i I, quartets, and residual particle-hole pairs
 {nu, 1-nu*} is greedy nearest-distance matching at configurable
-tolerances; matches that remain ambiguous at tolerance are demoted to
-``UNPAIRED`` rather than guessed.
+tolerances. Real modes are visited in (Re, Im, index) order, then complex
+modes in (-|Im|, Re, Im, index) order. A partner lookup takes the nearest
+free mode of the visited mode's kind (real or complex) within ``tol_pair``,
+the lowest index on ties. When its candidates lie more than ``tol_pair``
+apart, or a required partner is missing, the visited mode is demoted to
+``UNPAIRED`` rather than guessed. A lookup bisects one argsort of the real
+parts and scans the window in plain Python: O(log n) plus the modes near
+the target's Re nu, and no numpy call, whose dispatch would dominate on
+spectra of tens of modes.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,37 +314,8 @@ def _subsystem_correlation(
 # ---------------------------------------------------------------------------
 
 
-class _Ambiguous(Exception):
-    pass
-
-
-def _find_partner(
-    nus: np.ndarray,
-    free: np.ndarray,
-    target: complex,
-    tol: float,
-    exclude: tuple[int, ...] = (),
-) -> int | None:
-    """Index of the unused eigenvalue nearest to target within tol.
-
-    Raises _Ambiguous when two candidates within tol differ from each other
-    by more than tol (a genuinely ambiguous match); exact near-duplicates
-    resolve to the nearest (then lowest index).
-    """
-    cand = np.flatnonzero(free)
-    cand = cand[~np.isin(cand, exclude)]
-    if len(cand) == 0:
-        return None
-    dist = np.abs(nus[cand] - target)
-    inside = dist < tol
-    if not np.any(inside):
-        return None
-    cand, dist = cand[inside], dist[inside]
-    best = int(cand[np.argmin(dist)])
-    others = cand[np.abs(nus[cand] - nus[best]) > tol]
-    if len(others):
-        raise _Ambiguous()
-    return best
+class _NoMatch(Exception):
+    """A required partner is missing, or its match is ambiguous."""
 
 
 def classify_spectrum(
@@ -355,11 +334,16 @@ def classify_spectrum(
     nus = np.asarray(nus, dtype=complex)
     tol = tolerances
     n = len(nus)
+    vals = nus.tolist()
+    is_real = (np.abs(nus.imag) < tol.tol_real).tolist()
+    by_re = np.argsort(nus.real).tolist()  # NaN real parts last
+    keys = [vals[j].real for j in by_re]
     labels: list[ModeLabel | None] = [None] * n
     groups: list[ModeGroup] = []
     edge_imags: list[float] = []
     quartets: list[tuple[float, float, float, float, float, float]] = []
-    free = np.ones(n, dtype=bool)
+    free = [True] * n
+    group: list[int] = []  # the visited mode, then the partners it holds
 
     def take(label: ModeLabel, idx: tuple[int, ...]):
         for i in idx:
@@ -367,80 +351,75 @@ def classify_spectrum(
             labels[i] = label
         groups.append(ModeGroup(label, idx))
 
-    is_real = np.abs(nus.imag) < tol.tol_real
-    order = np.lexsort((np.arange(n), nus.imag, nus.real))
+    def partner(target: complex, required: bool = True) -> int | None:
+        """Append the partner of target to group and return it, or None when
+        there is none; raise _NoMatch if it is ambiguous, or none and required.
 
-    for i in order:
+        The window reaches 2 tol_pair either side so that rounding at its
+        ends drops no candidate; the NaN keys sorted last can only widen it.
+        """
+        real = is_real[group[0]]
+        lo = bisect_left(keys, target.real - 2.0 * tol.tol_pair)
+        hi = bisect_right(keys, target.real + 2.0 * tol.tol_pair, lo)
+        near = [
+            (d, j)
+            for j in by_re[lo:hi]
+            if free[j] and is_real[j] == real and j not in group
+            and (d := abs(vals[j] - target)) < tol.tol_pair
+        ]
+        if not near:
+            if required:
+                raise _NoMatch
+            return None
+        best = min(near)[1]
+        if any(abs(vals[j] - vals[best]) > tol.tol_pair for _, j in near):
+            raise _NoMatch
+        group.append(best)
+        return best
+
+    for i in np.lexsort((np.arange(n), nus.imag, nus.real)).tolist():
         if not free[i] or not is_real[i]:
             continue
-        x = nus[i].real
+        x = vals[i].real
         if -tol.tol_real <= x <= 1.0 + tol.tol_real:
             take(ModeLabel.REAL_IN_RANGE, (i,))
             continue
+        group = [i]
         try:
-            j = _find_partner(nus, free & is_real, 1.0 - x, tol.tol_pair, (i,))
-        except _Ambiguous:
-            j = None
-        if j is None:
+            take(ModeLabel.REAL_PAIR, (i, partner(1.0 - x)))
+        except _NoMatch:
             take(ModeLabel.UNPAIRED, (i,))
-        else:
-            take(ModeLabel.REAL_PAIR, (i, j))
 
     # complex modes, largest |Im| first for deterministic grouping
     complex_order = sorted(
         (i for i in range(n) if not is_real[i]),
-        key=lambda i: (-abs(nus[i].imag), nus[i].real, nus[i].imag, i),
+        key=lambda i: (-abs(vals[i].imag), vals[i].real, vals[i].imag, i),
     )
     for i in complex_order:
         if not free[i]:
             continue
-        nu = nus[i]
+        nu = vals[i]
+        group = [i]
         try:
-            jc = _find_partner(nus, free & ~is_real, np.conj(nu), tol.tol_pair, (i,))
-        except _Ambiguous:
+            jc = partner(nu.conjugate(), required=False)
+            if abs(nu.real - 0.5) < tol.tol_edge:
+                if jc is None:
+                    # self-paired under nu -> 1 - nu*: conjugation partner lost
+                    take(ModeLabel.RESIDUAL_PH_PAIR, (i,))
+                else:
+                    take(ModeLabel.EDGE_PAIR, (i, jc))
+                    edge_imags.append(abs(nu.imag))
+            elif jc is None:
+                partner(1.0 - nu.conjugate())
+                take(ModeLabel.RESIDUAL_PH_PAIR, tuple(group))
+            else:
+                rep = nu if nu.imag > 0 else nu.conjugate()
+                partner(1.0 - rep.conjugate())
+                partner(1.0 - rep)
+                take(ModeLabel.QUARTET, tuple(group))
+                quartets.append(_quartet_params(rep))
+        except _NoMatch:
             take(ModeLabel.UNPAIRED, (i,))
-            continue
-        if abs(nu.real - 0.5) < tol.tol_edge:
-            if jc is not None:
-                take(ModeLabel.EDGE_PAIR, (i, jc))
-                edge_imags.append(abs(nu.imag))
-            else:
-                # self-paired under nu -> 1 - nu*: conjugation partner lost
-                take(ModeLabel.RESIDUAL_PH_PAIR, (i,))
-            continue
-        rep = nu if nu.imag > 0 else np.conj(nu)
-        if jc is not None:
-            try:
-                k1 = _find_partner(
-                    nus, free & ~is_real, 1.0 - np.conj(rep), tol.tol_pair, (i, jc)
-                )
-                k2 = (
-                    None
-                    if k1 is None
-                    else _find_partner(
-                        nus, free & ~is_real, 1.0 - rep, tol.tol_pair, (i, jc, k1)
-                    )
-                )
-            except _Ambiguous:
-                take(ModeLabel.UNPAIRED, (i,))
-                continue
-            if k1 is None or k2 is None:
-                take(ModeLabel.UNPAIRED, (i,))
-                continue
-            take(ModeLabel.QUARTET, (i, jc, k1, k2))
-            quartets.append(_quartet_params(rep))
-        else:
-            try:
-                jp = _find_partner(
-                    nus, free & ~is_real, 1.0 - np.conj(nu), tol.tol_pair, (i,)
-                )
-            except _Ambiguous:
-                take(ModeLabel.UNPAIRED, (i,))
-                continue
-            if jp is None:
-                take(ModeLabel.UNPAIRED, (i,))
-            else:
-                take(ModeLabel.RESIDUAL_PH_PAIR, (i, jp))
 
     return EntanglementSpectrum(
         eigenvalues=nus,
@@ -679,8 +658,8 @@ def entropy_profile(
     exact particle-hole partners nu, 1 - nu^*.
     """
     ells = np.asarray(sorted(set(int(e) for e in ells)))
-    if np.any(ells < 1) or np.any(ells > spec.cells):
-        raise ValueError("subsystem sizes out of range")
+    if not len(ells) or np.any(ells < 1) or np.any(ells > spec.cells):
+        raise ValueError(f"subsystem sizes must be a non-empty list in 1..{spec.cells}")
     M, _ = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
     blocks = (M[: 2 * int(e), : 2 * int(e)] for e in ells)
     results = []

@@ -371,6 +371,10 @@ def disorder_ensemble(
         raise ValueError(
             f"delta_bound must lie in (0, min(v, u)) = (0, {min(template.v, template.u)})"
         )
+    if n_realizations < 2:
+        raise ValueError(
+            f"a standard error needs n_realizations >= 2, got {n_realizations}"
+        )
     ells = np.asarray(sorted(set(int(e) for e in ells)))
     tasks = [
         (template, delta_bound, base_seed, r, ells, prescription, tolerances,

@@ -96,6 +96,9 @@ MALFORMED = {
         {"name": "disorder", "ells": [4], "n_realizations": 2, "delta_bound": 1.0},
         None),
     "n-k-below-8": ({"name": "winding", "n_k": 4}, None),
+    "one-realization": (
+        {"name": "disorder", "ells": [4], "n_realizations": 1, "delta_bound": 0.5},
+        None),
     "dead-disorder-bound-key": (
         {"name": "spectrum"},
         lambda cfg: cfg["model"].update(cells=8, disorder_bound=0.5)),

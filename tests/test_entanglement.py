@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from ptchain.errors import (
     ResidualNeedsRegularized,
     UnpairedMode,
 )
+from reference_classify import classify_spectrum as reference_classify
 
 BC = pc.Prescription.BRANCH_CUT
 ABS = pc.Prescription.ABSOLUTE_VALUE
@@ -150,6 +154,62 @@ class TestClassifySpectrum:
         assert covered == list(range(12))
 
 
+#: displacements on both sides of the default tol_pair = 1e-8
+NOISE = (0.0, 1e-12, 3e-9, 1e-8, 2e-8, 1e-6)
+
+
+def multiplet(kind, re, im):
+    nu = complex(re, im)
+    return {
+        "real": [complex(re)],  # in range, or a lone real outside [0, 1]
+        "real_pair": [complex(re), complex(1.0 - re)],
+        "edge": [complex(0.5, im), complex(0.5, -im)],
+        "quartet": [nu, nu.conjugate(), 1.0 - nu, 1.0 - nu.conjugate()],
+        "residual": [nu, 1.0 - nu.conjugate()],
+        "lone": [nu],
+        "nan": [complex(math.nan, im), complex(re, math.nan)],
+    }[kind]
+
+
+@st.composite
+def adversarial_spectra(draw):
+    """Shuffled multiplets, some repeated (alpha-fold degeneracy), each mode
+    displaced by noise that puts matches on both sides of tol_pair."""
+    # a few shared coordinates make multiplets collide and matches ambiguous
+    re = st.sampled_from((0.2, 0.5, 0.5 + 3e-7, 0.8, 1.4)) | st.floats(-0.5, 1.5)
+    im = st.sampled_from((1e-9, 0.3, 2.0)) | st.floats(1e-3, 3.0)
+    kinds = st.sampled_from(
+        ("real", "real_pair", "edge", "quartet", "residual", "lone", "nan"))
+    modes = []
+    for _ in range(draw(st.integers(1, 8))):
+        members = multiplet(draw(kinds), draw(re), draw(im))
+        for _ in range(draw(st.integers(1, 3))):
+            for nu in members:
+                eps = draw(st.sampled_from(NOISE))
+                angle = draw(st.sampled_from((0.0, math.pi / 2, math.pi / 4, 1.0)))
+                modes.append(nu + eps * cmath.exp(1j * angle))
+    return np.array(draw(st.permutations(modes)), dtype=complex)
+
+
+class TestClassifyMatchesReference:
+    """The bisect-window matcher against the numpy scan it replaced."""
+
+    @given(adversarial_spectra(), st.sampled_from((
+        pc.ToleranceSet(),
+        # tol_pair above tol_edge: a quartet lookup must skip the modes the
+        # visit already holds
+        pc.ToleranceSet(tol_real=1e-8, tol_edge=1e-9, tol_pair=1e-6),
+    )))
+    @settings(max_examples=400)
+    def test_identical_classification(self, nus, tolerances):
+        got = pc.classify_spectrum(nus, tolerances)
+        want = reference_classify(nus, tolerances)
+        assert got.labels == want.labels
+        assert got.groups == want.groups
+        assert got.edge_pair_imags == want.edge_pair_imags
+        assert got.quartet_params == want.quartet_params
+
+
 class TestEntropyClosedForms:
     def test_half_half_prescription_independent(self):
         sp = pc.classify_spectrum(np.array([0.5, 0.5]))
@@ -235,7 +295,7 @@ class TestEntropyClosedForms:
             assert out.value == sum((e.contribution for e in out.ledger), 0j)
 
     @given(st.floats(0.05, 0.95))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_real_spectra_prescriptions_agree(self, x):
         sp = pc.classify_spectrum(np.array([x, 1 - x]))
         vals = [pc.entropy(sp, p).value for p in (BC, ABS, PRIN, REG)]
@@ -304,6 +364,12 @@ class TestEntropyProfile:
         for target in (1 - np.conj(nu), np.conj(nu)):
             d = np.max(np.min(np.abs(nu[None, :] - target[:, None]), axis=1))
             assert d < 1e-7
+
+    def test_rejects_empty_and_out_of_range_sizes(self):
+        spec = chain(v=2, w=1, u=1, cells=16)
+        for ells in ([], [0, 4], [17]):
+            with pytest.raises(ValueError, match="non-empty list in 1..16"):
+                pc.entropy_profile(spec, ells)
 
     def test_obc_needs_regularized(self):
         spec = chain(v=2, w=1, u=1, cells=64, boundary="obc")

@@ -46,7 +46,7 @@ class TestCCFitPBC:
             pc.cc_fit_pbc([2, 3, 4], [1.0, 2.0, 3.0], 10)
 
     @given(slope=st.floats(-1, -0.1), intercept=st.floats(-20, 5))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_planted_recovery(self, slope, intercept):
         ells = np.arange(3, 30)
         x = np.log(np.sin(np.pi * ells / 64))
@@ -235,6 +235,12 @@ class TestDisorderEnsemble:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             pc.disorder_ensemble(self.template(), 1.5, 2, 0, [4])
+
+    @pytest.mark.parametrize("n_realizations", [0, 1])
+    def test_standard_error_needs_two_realizations(self, n_realizations):
+        # ddof=1 over one realization is a NaN standard error, not a result
+        with pytest.raises(ValueError, match="n_realizations >= 2"):
+            pc.disorder_ensemble(self.template(), 0.9, n_realizations, 0, [4])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_foreign_failure_keeps_its_arguments(self, monkeypatch, jobs):

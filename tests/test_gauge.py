@@ -43,7 +43,7 @@ from fock_oracle import (
 
 BC = pc.Prescription.BRANCH_CUT
 REG = pc.Prescription.REGULARIZED
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=40)
 
 
 @st.composite
@@ -155,7 +155,7 @@ def test_dense_correlation_matches_k_space(spec):
     assert np.max(np.abs(fast - C)) <= 1e-8 * float(np.max(np.abs(C)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(chains(max_cells=4, min_detuning=1e-3, min_u=0.0))
 def test_fock_oracle_matches_gauge_route(spec):
     # the oracle builds the many-body state by filling Re E < 0 modes, so it

@@ -50,7 +50,7 @@ class TestBlochHamiltonian:
         v=st.floats(0.1, 3), w=st.floats(0.1, 3), u=st.floats(0, 2),
         alpha=st.integers(1, 4), k=st.floats(-np.pi, np.pi),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_pt_symmetry_identity(self, v, w, u, alpha, k):
         # sigma_x H(k)* sigma_x = H(k), exactly
         spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=alpha + 2, detuning=0.0)
@@ -90,7 +90,7 @@ class TestClassifyPT:
         assert out is pc.PTClass.SYMMETRIC  # min |v_k| = |v + w| = 1 > 0.5
 
     @given(v=st.floats(0.1, 3), w=st.floats(0.1, 3), u=st.floats(0, 2.9))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_vw_swap_invariance(self, v, w, u):
         a = pc.classify_pt(pc.ChainSpec(v=v, w=w, u=u, cells=3, detuning=0.0))
         b = pc.classify_pt(pc.ChainSpec(v=w, w=v, u=u, cells=3, detuning=0.0))
