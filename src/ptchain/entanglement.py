@@ -60,7 +60,9 @@ spectra of tens of modes.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -79,7 +81,7 @@ from .spectral import (
     TOL_ZERO,
     BiorthogonalSystem,
     OccupationSet,
-    _half_filled_inverse_energies,
+    _half_filled_energies,
     _sublattice_gauge,
     biorthogonal_diagonalize,
     build_real_space,
@@ -256,11 +258,12 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
     per-momentum block of the k-space route with v_k -> s, real in the
     gauge: M = [[-u, -s], [s, u]] / e with the lower mode filled,
     e = sqrt(s^2 - u^2), and 0 for a half-filled pair on the imaginary axis
-    (s < u); :func:`_half_filled_inverse_energies` gives 1/e or 0.
+    (s < u); :func:`_half_filled_energies` gives e or 0.
     """
     u = spec.u_eff
     a, sv, bt = np.linalg.svd(_hopping_block(spec))
-    inv_e = _half_filled_inverse_energies(sv, u, tol_zero)
+    e = _half_filled_energies(sv, u, tol_zero)
+    inv_e = np.divide(1.0, e, out=np.zeros_like(e), where=e > 0)
     a, b = a[:cells], bt[:, :cells].T  # rows of the leading cells
     M = np.empty((2 * cells, 2 * cells))
     M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
@@ -289,14 +292,17 @@ def _subsystem_correlation(
         disordered chains: biorthogonal diagonalization of the 2L x 2L
         Hamiltonian, in the real sublattice gauge.
 
-    Both clean routes take 1/e_k, or 0 for a half-filled pair, from
-    :func:`_half_filled_inverse_energies`; every route decides the half
-    filling in :func:`half_filling_weights` at ``tol_zero``.
+    Each route fills the spectrum with the kernel of its ground-state
+    energy: both clean routes take e_k, or 0 for a half-filled pair, from
+    :func:`_half_filled_energies`. Every route checks the distance from an
+    exceptional point first, then decides the half filling in
+    :func:`half_filling_weights` at ``tol_zero``.
     """
     if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
         L, u = spec.cells, spec.u_eff
         v = np.asarray(vk(spec, 2.0 * np.pi * np.arange(L) / L))
-        inv_e = _half_filled_inverse_energies(np.abs(v), u, tol_zero)
+        e = _half_filled_energies(np.abs(v), u, tol_zero)
+        inv_e = np.divide(1.0, e, out=np.zeros(L), where=e > 0)
         uk = np.full(L, u)
         m = np.array([[-uk, -np.conj(v)], [v, uk]]) * inv_e  # M_k, k last
         g = _gauge_real(np.fft.ifft(m))
@@ -435,8 +441,8 @@ def _quartet_params(rep: complex) -> tuple[float, float, float, float, float, fl
     R, I = rep.real, rep.imag
     r = abs(rep)
     rho = abs(1.0 - rep)
-    phi = float(np.angle(rep))
-    varphi = float(np.angle(1.0 - np.conj(rep)))
+    phi = cmath.phase(rep)
+    varphi = cmath.phase(1.0 - rep.conjugate())
     return (R, I, r, rho, phi, varphi)
 
 
@@ -449,7 +455,7 @@ def _plogp(z: complex) -> complex:
     """z log z on the principal branch, continuous limit 0 at z = 0."""
     if z == 0:
         return 0.0 + 0.0j
-    return z * np.log(complex(z))
+    return z * cmath.log(z)
 
 
 def _principal_term(nu: complex) -> complex:
@@ -459,25 +465,25 @@ def _principal_term(nu: complex) -> complex:
 def _abs_term(nu: complex) -> complex:
     t = 0.0 + 0.0j
     if nu != 0:
-        t -= nu * np.log(abs(nu))
+        t -= nu * math.log(abs(nu))
     if nu != 1:
-        t -= (1.0 - nu) * np.log(abs(1.0 - nu))
+        t -= (1.0 - nu) * math.log(abs(1.0 - nu))
     return t
 
 
 def _edge_pair_branch(I: float) -> complex:
     # (4 arctan(2I) - 2 pi) I written as -4 I arctan(1/(2I)) to avoid the
     # pi/2 cancellation at large I.
-    real = -2.0 * np.log(np.hypot(0.5, I)) - 4.0 * I * np.arctan(1.0 / (2.0 * I))
-    return complex(real, -np.pi)
+    real = -2.0 * math.log(math.hypot(0.5, I)) - 4.0 * I * math.atan(1.0 / (2.0 * I))
+    return complex(real, -math.pi)
 
 
 def _quartet_branch(p: tuple[float, float, float, float, float, float]) -> complex:
     R, I, r, rho, phi, varphi = p
     return complex(
-        -4.0 * R * np.log(r)
-        - 4.0 * (1.0 - R) * np.log(rho)
-        + 4.0 * I * (phi + varphi - np.pi),
+        -4.0 * R * math.log(r)
+        - 4.0 * (1.0 - R) * math.log(rho)
+        + 4.0 * I * (phi + varphi - math.pi),
         0.0,
     )
 
@@ -491,9 +497,9 @@ def _real_pair_branch(x: float) -> complex:
     # opposite +-i pi branches inside the pair cancel; magnitude logs remain
     val = 0.0
     if x != 0.0:
-        val -= 2.0 * x * np.log(abs(x))
+        val -= 2.0 * x * math.log(abs(x))
     if x != 1.0:
-        val -= 2.0 * (1.0 - x) * np.log(abs(1.0 - x))
+        val -= 2.0 * (1.0 - x) * math.log(abs(1.0 - x))
     return complex(val, 0.0)
 
 
@@ -567,7 +573,7 @@ def _regularized_mode(nu: complex, tol: ToleranceSet) -> complex:
         return _real_pair_branch(nu.real) / 2.0
     if abs(nu.real - 0.5) < tol.tol_edge:
         return _edge_pair_branch(abs(nu.imag)) / 2.0
-    rep = nu if nu.imag > 0 else np.conj(nu)
+    rep = nu if nu.imag > 0 else nu.conjugate()
     return _quartet_branch(_quartet_params(rep)) / 4.0
 
 

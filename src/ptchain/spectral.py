@@ -44,6 +44,12 @@ TOL_ZERO = 1e-8
 #: treated as one degenerate block and re-biorthogonalized together.
 _CLUSTER_REL = 1e-7
 
+#: Smallest distance kappa from an exceptional point at which a spectrum is
+#: still filled; 1/kappa is the eigenvalue condition number. Exact
+#: exceptional points of the family measure kappa <= 6.7e-8, detuning
+#: 1e-14 gives kappa >= 1.2e-7 and the default detuning kappa >= 1.2e-6.
+_KAPPA_EP = 1e-7
+
 
 @dataclass(frozen=True)
 class BiorthogonalSystem:
@@ -113,9 +119,9 @@ def biorthogonal_diagonalize(
     every chain of the family; S is unitary, so overlaps are unchanged.
     Eigenvalues are ordered deterministically by (Re, Im, input index).
     Nearly degenerate eigenvalues are re-biorthogonalized block-wise via the
-    overlap matrix; a singular overlap means coalescing eigenvectors and
-    raises :class:`DefectiveMatrix` (the matrix sits at an exceptional
-    point, typically cured by increasing the spec's detuning).
+    overlap matrix of the unit left and right vectors. Its smallest singular
+    value (|<L|R>| for a single eigenvalue) is the distance kappa from an
+    exceptional point, checked by :func:`_require_off_exceptional_point`.
     """
     H = np.asarray(H, dtype=complex)
     if not np.all(np.isfinite(H)):
@@ -131,35 +137,39 @@ def biorthogonal_diagonalize(
     R[1::2] *= 1j
     L[1::2] *= 1j
 
-    scale = max(np.max(np.abs(E)), 1.0)
-    tol_cluster = _CLUSTER_REL * scale
-    blocks = _cluster_blocks(E, tol_cluster)
-    for lo, hi in blocks:
+    kappa = 1.0
+    for lo, hi in _cluster_blocks(E, _CLUSTER_REL * max(np.max(np.abs(E)), 1.0)):
         if hi - lo == 1:
             d = np.vdot(L[:, lo], R[:, lo])
-            if abs(d) < 1e-12:
-                raise DefectiveMatrix(
-                    f"left/right eigenvectors at E={E[lo]:.3e} are orthogonal"
-                )
+            kappa = min(kappa, _require_off_exceptional_point(abs(d)))
             L[:, lo] /= np.conj(d)
         else:
             M = L[:, lo:hi].conj().T @ R[:, lo:hi]
-            sv = np.linalg.svd(M, compute_uv=False)
-            if sv[-1] < 1e-10 * sv[0] or sv[-1] == 0.0:
-                raise DefectiveMatrix(
-                    f"degenerate block at E~{E[lo]:.3e} is defective "
-                    f"(overlap condition {sv[0]/max(sv[-1], 1e-300):.1e})"
-                )
+            sv_min = np.linalg.svd(M, compute_uv=False)[-1]
+            kappa = min(kappa, _require_off_exceptional_point(sv_min))
             # L_blk <- L_blk @ inv(M)^dag  so that  L_blk^dag R_blk = I
             L[:, lo:hi] = L[:, lo:hi] @ np.linalg.inv(M).conj().T
     gram = L.conj().T @ R
     residual = float(np.max(np.abs(gram - np.eye(len(E)))))
     if residual > tol_biorth:
         raise DefectiveMatrix(
-            f"biorthogonality residual {residual:.2e} exceeds {tol_biorth:.1e}; "
-            "eigenvalue collision beyond tolerance"
+            f"biorthogonality residual {residual:.2e} exceeds {tol_biorth:.1e} "
+            f"at a distance kappa = {kappa:.1e} from an exceptional point; "
+            "increase the detuning"
         )
     return BiorthogonalSystem(E, R, L, residual)
+
+
+def _require_off_exceptional_point(kappa: float) -> float:
+    """kappa, the distance from an exceptional point that every route checks
+    before it decides the half filling, or :class:`DefectiveMatrix` when it
+    is below ``_KAPPA_EP``."""
+    if not kappa >= _KAPPA_EP:
+        raise DefectiveMatrix(
+            f"kappa = {kappa:.1e} below {_KAPPA_EP:.0e}: eigenvectors coalesce "
+            "at an exceptional point; increase the detuning"
+        )
+    return kappa
 
 
 def _cluster_blocks(E: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -214,64 +224,46 @@ def occupied_correlation(sys: BiorthogonalSystem, occ: OccupationSet) -> np.ndar
     return (sys.left_vectors.conj() * occ.weights[None, :]) @ sys.right_vectors.T
 
 
-def _singular_mode_energies(s: np.ndarray, u: float) -> np.ndarray:
-    """E = -+sqrt((s - u)(s + u)) per mode amplitude s: all lower modes, then
-    all upper ones.
+def _half_filled_energies(a: np.ndarray, u: float, tol_zero: float) -> np.ndarray:
+    """e per mode of a clean chain whose lower level alone is filled at half
+    filling, 0 for a half-filled pair; E0 = -sum(e).
 
     With u uniform, H^2 = diag(V V^T - u^2, V^T V - u^2), so every singular
-    triple (s, a, b) of the hopping block V spans the 2 x 2 block
-    [[i u, s], [s, -i u]] of H on (a, 0), (0, b); a momentum of a periodic
-    chain is the same block with s = |v_k|. Below s = u the pair sits on
-    the imaginary axis, with Re E = 0 exactly.
+    triple (a, x, y) of the hopping block V spans the 2 x 2 block
+    [[i u, a], [a, -i u]] of H on (x, 0), (0, y); a momentum of a periodic
+    chain is the same block with a = |v_k|. Its levels are E = -+e,
+    e = sqrt((a - u)(a + u)), on the imaginary axis (Re E = 0 exactly)
+    below a = u. The distance kappa = |e| / max(a, u) from an exceptional
+    point is checked first where u > 0 (a Hermitian chain cannot be
+    defective); :func:`half_filling_weights` then fills the lower level
+    alone where e is real and half of each level of an imaginary pair.
     """
-    e = np.sqrt(((s - u) * (s + u)).astype(complex))
-    return np.concatenate([-e, e])
-
-
-def _half_filled_inverse_energies(
-    a: np.ndarray, u: float, tol_zero: float
-) -> np.ndarray:
-    """1/e per mode of a clean chain at half filling, 0 for a half-filled pair.
-
-    Each mode is the 2 x 2 problem [[i u, a], [a, -i u]], a = |v_k| on a
-    periodic chain and a singular value of the hopping block on an open one,
-    with E = -+e, e = sqrt((a - u)(a + u)). The lower level alone is filled
-    where e is real; a pair on the imaginary axis (a < u) is half filled.
-    The filling is decided by :func:`half_filling_weights`.
-    """
-    if u > 0 and np.any(a == u):
-        raise DefectiveMatrix(
-            "a mode amplitude equals u_eff (an exceptional point); "
-            "increase the detuning"
-        )
-    E = _singular_mode_energies(a, u)
-    weights = half_filling_weights(E, tol_zero)
-    n = len(a)
-    filled = weights[:n] != weights[n:]  # the lower mode alone, e real
-    inv_e = np.zeros(n)
-    inv_e[filled] = 1.0 / E[n:][filled].real
-    return inv_e
+    e = np.sqrt(((a - u) * (a + u)).astype(complex))
+    if u > 0:
+        _require_off_exceptional_point(float(np.min(np.abs(e) / np.maximum(a, u))))
+    weights = half_filling_weights(np.concatenate([-e, e]), tol_zero)
+    filled = weights[: len(a)] != weights[len(a):]
+    return np.where(filled, e.real, 0.0)
 
 
 def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     """Half-filled ground-state energy sum_n s_n E_n.
 
-    Clean chains take the spectrum E = -+sqrt(a^2 - u_eff^2) of their mode
-    amplitudes a (:func:`_singular_mode_energies`): |v_k| per momentum on a
-    periodic chain, the singular values of the L x L hopping block on an
-    open one. Disordered chains are diagonalized densely (eigenvalues only,
-    in the real sublattice gauge). Both feed :func:`half_filling_weights`.
+    Each route takes the kernel its correlation block takes. Clean chains
+    sum the filled levels of :func:`_half_filled_energies` over their mode
+    amplitudes: |v_k| per momentum on a periodic chain, the singular values
+    of the L x L hopping block on an open one. Disordered chains go through
+    :func:`biorthogonal_diagonalize` and :func:`select_half_filling`.
     """
-    if spec.is_translation_invariant:
-        if spec.boundary is Boundary.PBC:
-            a = np.abs(vk(spec, 2.0 * np.pi * np.arange(spec.cells) / spec.cells))
-        else:
-            a = np.linalg.svd(_hopping_block(spec), compute_uv=False)
-        E = _singular_mode_energies(a, spec.u_eff)
+    if not spec.is_translation_invariant:
+        sys = biorthogonal_diagonalize(build_real_space(spec))
+        occ = select_half_filling(sys, tol_zero)
+        return complex(np.sum(occ.weights * sys.energies))
+    if spec.boundary is Boundary.PBC:
+        a = np.abs(vk(spec, 2.0 * np.pi * np.arange(spec.cells) / spec.cells))
     else:
-        E = 1j * np.linalg.eigvals(_sublattice_gauge(build_real_space(spec)))
-    s = half_filling_weights(E, tol_zero)
-    return complex(np.sum(s * E))
+        a = np.linalg.svd(_hopping_block(spec), compute_uv=False)
+    return complex(-np.sum(_half_filled_energies(a, spec.u_eff, tol_zero)))
 
 
 def density_profile(sys: BiorthogonalSystem, occ: OccupationSet) -> DensityProfile:

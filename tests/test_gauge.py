@@ -91,9 +91,9 @@ def chains(draw, max_cells=40, clean=None, min_detuning=1e-10, min_u=0.1):
                         boundary=boundary, detuning=detuning, disorder=disorder)
 
 
-def dense_correlation(spec):
+def dense_correlation(spec, tol_zero=pc.spectral.TOL_ZERO):
     system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
-    return pc.occupied_correlation(system, pc.select_half_filling(system))
+    return pc.occupied_correlation(system, pc.select_half_filling(system, tol_zero))
 
 
 def gauge_block(C):
@@ -238,9 +238,11 @@ PRESCRIPTIONS = list(pc.Prescription)
 
 
 def dense_energy(spec, tol_zero=pc.spectral.TOL_ZERO):
-    """E0 from the eigenvalues of the 2L x 2L Hamiltonian in the real gauge."""
-    E = 1j * np.linalg.eigvals(_sublattice_gauge(pc.build_real_space(spec)))
-    return complex(np.sum(pc.half_filling_weights(E, tol_zero) * E))
+    """E0 the library takes on a disordered chain: the biorthogonal system of
+    the 2L x 2L Hamiltonian at half filling."""
+    system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
+    occ = pc.select_half_filling(system, tol_zero)
+    return complex(np.sum(occ.weights * system.energies))
 
 
 def dense_entropy(spec, ell, prescription):
@@ -255,6 +257,16 @@ def outcome(f, *args):
         return f(*args)
     except pc.errors.PTChainError as exc:
         return type(exc)
+
+
+def assert_block_like_dense(fast, dense):
+    """Outcomes of _subsystem_correlation and dense_correlation on one chain
+    hold the same block or the same error class."""
+    if isinstance(fast, type) or isinstance(dense, type):
+        assert fast is dense
+    else:
+        C = dense
+        assert np.max(np.abs(fast[0] - gauge_block(C))) <= 1e-10 * np.max(np.abs(C))
 
 
 CLEAN_CHAINS = st.sampled_from([pc.Boundary.PBC, pc.Boundary.OBC]).flatmap(
@@ -305,6 +317,7 @@ def energy_cases():
         (1.0, 3.0, 0.0),   # Hermitian and topological: real zero modes
         (3.0, 1.0, 0.0),   # Hermitian
         (1.0, 1.2, 0.0),   # Hermitian, zero modes split by the short chain
+        (1.0, 2.0, 1.0),   # exactly critical: |v_k| = u at the gap-closing k
     ]
     for boundary, suffix in ((pc.Boundary.OBC, ""), (pc.Boundary.PBC, "-pbc")):
         for v, w, u in cases:
@@ -315,14 +328,19 @@ def energy_cases():
 @pytest.mark.parametrize("v, w, u, boundary", energy_cases())
 def test_singular_energy_raises_like_dense(alpha, v, w, u, boundary):
     # the mode amplitudes are the singular values of the hopping block on
-    # an open chain and |v_k| on a periodic one
+    # an open chain and |v_k| on a periodic one. E0 and the correlation
+    # block take the same value or raise the same error on both routes.
     spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=24,
                         boundary=boundary, detuning=0.0)
-    fast, dense = outcome(pc.ground_state_energy, spec), outcome(dense_energy, spec)
-    if isinstance(dense, type):
-        assert fast is dense
-    else:
-        assert abs(fast - dense) <= 1e-10 * max(abs(dense), 1.0)
+    for tol_zero in (1e-8, 1e-2):
+        fast = outcome(pc.ground_state_energy, spec, tol_zero)
+        dense = outcome(dense_energy, spec, tol_zero)
+        if isinstance(dense, type):
+            assert fast is dense
+        else:
+            assert abs(fast - dense) <= 1e-10 * max(abs(dense), 1.0)
+        assert_block_like_dense(outcome(_subsystem_correlation, spec, 24, tol_zero),
+                                outcome(dense_correlation, spec, tol_zero))
 
 
 def leading_block(spec, tol_zero):
@@ -347,18 +365,31 @@ def test_wide_tol_zero_makes_filling_ambiguous_on_every_route(call):
 @pytest.mark.parametrize("v, w, u", [(1.0, 0.0, 1.0), (0.7, 0.0, 0.7)])
 def test_exceptional_point_is_defective(alpha, v, w, u):
     # w = 0 with u = v puts every bulk singular value, and every |v_k| of
-    # the periodic chain, exactly on u_eff. Both clean routes refuse the
-    # block. The dense route raises DefectiveMatrix or, where LAPACK splits
-    # the Jordan blocks into distinct E ~ 0, AmbiguousFilling; it never
-    # returns.
-    spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=8,
-                        boundary=pc.Boundary.OBC, detuning=0.0)
-    periodic = replace(spec, boundary=pc.Boundary.PBC)
-    for clean in (spec, periodic):
-        with pytest.raises(DefectiveMatrix, match="increase the detuning"):
-            _subsystem_correlation(clean, 4)
-    with pytest.raises((DefectiveMatrix, AmbiguousFilling)):
-        dense_correlation(spec)
+    # the periodic chain, exactly on u_eff. Every route, the dense one of
+    # the zero-offset twins included, refuses E0 and the block before it
+    # decides the filling, even where LAPACK splits the Jordan blocks into
+    # distinct E ~ 0, and so it does at detuning 1e-15 (kappa ~ 4.5e-8,
+    # where |E| is still above tol_zero). At the default detuning of 1e-12
+    # (kappa ~ 1.4e-6) no route raises: E0 runs each route's kernel. The
+    # blocks are left out there because the k-space one of alpha = 2 fails
+    # the gauge reality bound, a check independent of kappa: |v_k| carries
+    # rounding of 1e-16 against a - u = 1e-12.
+    for detuning in (0.0, 1e-15, 1e-12):
+        spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=8,
+                            boundary=pc.Boundary.OBC, detuning=detuning)
+        periodic = replace(spec, boundary=pc.Boundary.PBC)
+        twins = [replace(s, disorder=pc.DisorderProfile(np.zeros(8)))
+                 for s in (spec, periodic)]
+        specs = [spec, periodic, *twins]
+        calls = [(pc.ground_state_energy, s) for s in specs]
+        calls += [(dense_correlation, s) for s in (spec, periodic)]
+        if detuning == 1e-12:
+            for f, s in calls:
+                f(s)
+            continue
+        for f, *args in calls + [(_subsystem_correlation, s, 4) for s in specs]:
+            with pytest.raises(DefectiveMatrix, match="increase the detuning"):
+                f(*args)
 
 
 def hermitian_cases():
@@ -370,7 +401,9 @@ def hermitian_cases():
                     marks = pytest.mark.xfail(
                         strict=True, raises=AssertionError,
                         reason="the dense solve raises DefectiveMatrix on the "
-                        "+-2e-19 zero-mode pair of this Hermitian chain")
+                        "+-2e-19 zero-mode pair of this Hermitian chain "
+                        "(kappa 9.8e-9), before the clean route's "
+                        "AmbiguousFilling")
                 yield pytest.param(alpha, v, w, cells, marks=marks)
 
 
@@ -380,13 +413,8 @@ def test_hermitian_chain_block_matches_dense(alpha, v, w, cells):
     # make half filling ambiguous on both routes; otherwise the blocks agree
     spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=0.0, cells=cells,
                         boundary=pc.Boundary.OBC, detuning=0.0)
-    fast = outcome(_subsystem_correlation, spec, cells)
-    dense = outcome(dense_correlation, spec)
-    if isinstance(fast, type) or isinstance(dense, type):
-        assert fast is dense
-    else:
-        C = dense
-        assert np.max(np.abs(fast[0] - gauge_block(C))) <= 1e-10 * np.max(np.abs(C))
+    assert_block_like_dense(outcome(_subsystem_correlation, spec, cells),
+                            outcome(dense_correlation, spec))
 
 
 def record_calls(monkeypatch, module, name):

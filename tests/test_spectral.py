@@ -16,6 +16,14 @@ class TestBiorthogonalDiagonalize:
         with pytest.raises(DefectiveMatrix):
             pc.biorthogonal_diagonalize(np.array([[1j, 1.0], [1.0, -1j]]))
 
+    def test_biorthogonality_failure_names_kappa(self):
+        # no residual meets tol_biorth = 1e-20; the error gives the distance
+        # kappa = sqrt(2 u detuning) / u from the exceptional point and the cure
+        spec = pc.ChainSpec(v=1, w=2, u=1, cells=6)
+        with pytest.raises(DefectiveMatrix,
+                           match=r"kappa = 1\.4e-06 .*increase the detuning"):
+            pc.biorthogonal_diagonalize(pc.build_real_space(spec), tol_biorth=1e-20)
+
     def test_gapped_dimer_hand_solve(self):
         out = pc.biorthogonal_diagonalize(np.array([[1j, 2.0], [2.0, -1j]]))
         assert_allclose(out.energies, [-np.sqrt(3), np.sqrt(3)], atol=1e-12)
