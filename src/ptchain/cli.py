@@ -15,11 +15,14 @@ The manifest is written on failure as well.
 
 The tasks are one table, ``TASKS`` (section "Task table"): each entry
 states the model kinds the task accepts, its optional and required task
-keys, and its runner. ``validate_config`` and ``execute`` both read it;
-the model kinds and their keys are the table ``_MODELS``.
+keys, and its runner. One pass, ``_resolve``, turns a config into a run:
+``validate_config`` and ``execute`` both take it, so a config validates
+exactly when it runs. The model kinds and their keys are the table
+``_MODELS``; the spec classes check their own ranges.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (module
-error name recorded in the manifest), 4 I/O error.
+error name recorded in the manifest), 4 I/O error; ``_EXITS`` maps each
+failure to its code.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,7 +43,6 @@ import numpy as np
 from . import __version__
 from .cookbook import figure_cookbook, figure_names, scale_config
 from .entanglement import (
-    DEFAULT_TOLERANCES,
     Prescription,
     Provenance,
     ToleranceSet,
@@ -59,56 +62,46 @@ from .fits import (
     disorder_ensemble,
 )
 from .lattice import Boundary, ChainSpec, InterfaceSpec, build_real_space, classify_pt
-from .spectral import (
-    TOL_ZERO,
-    biorthogonal_diagonalize,
-    density_profile,
-    select_half_filling,
-)
+from .spectral import biorthogonal_diagonalize, density_profile, select_half_filling
 from .edge import interface_continuum, interface_density, interface_lattice_solve
-from .topology import TOL_SYM, TOL_ZAK, characterize, symmetry_closure, winding_number
+from .topology import characterize, symmetry_closure, winding_number
 
-_PRESCRIPTIONS = {p.value: p for p in Prescription}
-
-#: model kind -> (spec class, required keys, optional keys); each key maps
-#: to the type its value is converted to.
+#: model kind -> (spec class, required keys, optional keys)
 _MODELS = {
-    "chain": (
-        ChainSpec,
-        {"v": float, "w": float, "u": float, "cells": int, "boundary": Boundary},
-        {"alpha": int, "detuning": float},
-    ),
-    "interface": (
-        InterfaceSpec,
-        {"v1": float, "v2": float, "w": float, "u": float,
-         "cells_left": int, "cells_right": int},
-        {},
-    ),
+    "chain": (ChainSpec, {"v", "w", "u", "cells", "boundary"}, {"alpha", "detuning"}),
+    "interface": (InterfaceSpec,
+                  {"v1", "v2", "w", "u", "cells_left", "cells_right"}, set()),
 }
 
 _CLASSIFICATION_KEYS = {"tol_real", "tol_edge", "tol_pair"}
 _TOLERANCE_KEYS = {*_CLASSIFICATION_KEYS, "tol_zero", "tol_sym", "tol_zak"}
 
-#: trim policy -> its keys besides ``policy``; boundary -> the policies its
-#: fit takes (cc_fit_pbc trims by SSE, cc_fit_obc by RMSE).
-_TRIM_KEYS = {"fixed": {"n"}, "until_sse": {"threshold"}, "until_rmse": {"threshold"}}
-_TRIM_POLICIES = {"pbc": ("fixed", "until_sse"), "obc": ("fixed", "until_rmse")}
-_POSITIVE_INT = {"kind": int, "positive": True}
+#: trim policy -> (its policy class, its keys besides ``policy``); boundary
+#: -> the policies its fit takes, the default first (cc_fit_pbc trims by
+#: SSE, cc_fit_obc by RMSE).
+_TRIMS = {"fixed": (FixedCount, {"n"}), "until_sse": (UntilSSE, {"threshold"}),
+          "until_rmse": (UntilRMSE, {"threshold"})}
+_TRIM_POLICIES = {Boundary.PBC: ("until_sse", "fixed"),
+                  Boundary.OBC: ("until_rmse", "fixed")}
+_SPACINGS = {"log": np.geomspace, "linear": np.linspace}
 
-#: numeric keys -> _check_num options, the same in whichever block they occur.
+#: numeric keys -> _number options, the same in whichever block they occur.
+#: The model's ranges are its spec class's own, so its keys get a type only.
 _NUMBERS = {
-    **dict.fromkeys(("alpha", "cells", "cells_left", "cells_right", "n_k",
-                     "n_realizations", "ell", "num", "lo", "hi", "jobs"),
-                    _POSITIVE_INT),
-    **dict.fromkeys(("v", "w", "v1", "v2"), {}),
-    **dict.fromkeys(("u", "detuning"), {"nonneg": True}),
-    **dict.fromkeys(("seed", "n"), {"kind": int, "nonneg": True}),
+    **dict.fromkeys(("alpha", "cells", "cells_left", "cells_right"), {"kind": int}),
+    **dict.fromkeys(("ell", "num", "lo", "hi", "jobs"), {"kind": int, "low": 1}),
+    **dict.fromkeys(("seed", "n"), {"kind": int, "low": 0}),
+    "n_k": {"kind": int, "low": 8},
+    # a standard error needs two realizations
+    "n_realizations": {"kind": int, "low": 2},
+    "delta_L": {"kind": int, "nullable": True},
+    **dict.fromkeys(("v", "w", "v1", "v2", "u", "detuning"), {}),
     **dict.fromkeys(("delta_bound", "threshold", *_TOLERANCE_KEYS), {"positive": True}),
 }
 
 
 # ---------------------------------------------------------------------------
-# Schema validation
+# Resolution: one pass from a config to a run
 # ---------------------------------------------------------------------------
 
 
@@ -121,25 +114,25 @@ def _require_keys(block: dict, allowed: set[str], required: set[str], where: str
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
-def _check_num(block: dict, key: str, where: str, kind=float, positive=False,
-               nonneg=False):
-    if key not in block:
-        return
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
-    if kind is int and int(val) != val:
-        raise ConfigError(f"{where}.{key} must be an integer, got {val!r}")
+def _number(val, where: str, kind=float, low=None, positive=False, nullable=False):
+    if val is None and nullable:
+        return None
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or isinstance(val, float) and not math.isfinite(val)):
+        raise ConfigError(f"{where} must be a finite number, got {val!r}")
+    if kind is int and isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {val!r}")
     if positive and val <= 0:
-        raise ConfigError(f"{where}.{key} must be > 0, got {val!r}")
-    if nonneg and val < 0:
-        raise ConfigError(f"{where}.{key} must be >= 0, got {val!r}")
+        raise ConfigError(f"{where} must be > 0, got {val!r}")
+    if low is not None and val < low:
+        raise ConfigError(f"{where} must be >= {low}, got {val!r}")
+    return kind(val)
 
 
-def _check_nums(block: dict, where: str):
-    for key in block:
-        if key in _NUMBERS:
-            _check_num(block, key, where, **_NUMBERS[key])
+def _values(block: dict, where: str) -> dict:
+    """The block with every number checked and converted per ``_NUMBERS``."""
+    return {key: _number(val, f"{where}.{key}", **_NUMBERS[key]) if key in _NUMBERS
+            else val for key, val in block.items()}
 
 
 def _object(block: dict, key: str, where: str) -> dict:
@@ -148,176 +141,167 @@ def _object(block: dict, key: str, where: str) -> dict:
     return block[key]
 
 
-def validate_config(config) -> dict:
-    """Strict structural validation; returns the config unchanged."""
-    if not isinstance(config, dict):
-        raise ConfigError("top-level config must be an object")
-    _require_keys(
-        config,
-        {"model", "task", "output", "seed", "tolerances", "jobs"},
-        {"model", "task", "output"},
-        "config",
-    )
-    _check_nums(config, "config")
+def _ints(block: dict, key: str, low: int) -> list[int]:
+    """A non-empty list of integers >= low."""
+    if not isinstance(block[key], list) or not block[key]:
+        raise ConfigError(f"task.{key} must be a non-empty list of integers")
+    return [_number(x, f"task.{key} entries", int, low) for x in block[key]]
 
-    model = _object(config, "model", "config")
+
+def _member(enum_class, val, where: str):
+    try:
+        return enum_class(val)
+    except ValueError:
+        choices = [m.value for m in enum_class]
+        raise ConfigError(f"{where} must be one of {choices}, got {val!r}") from None
+
+
+def _build_model(model: dict) -> ChainSpec | InterfaceSpec:
+    """The spec of a model block; the spec class checks the ranges."""
     kind = model.get("kind")
     if kind not in tuple(_MODELS):
-        raise ConfigError("model.kind must be 'chain' or 'interface'")
-    _, required, optional = _MODELS[kind]
+        raise ConfigError(f"model.kind must be one of {list(_MODELS)}, got {kind!r}")
+    spec_class, required, optional = _MODELS[kind]
     _require_keys(model, {"kind", *required, *optional}, {"kind", *required}, "model")
-    _check_nums(model, "model")
-    if model.get("boundary", "pbc") not in ("pbc", "obc"):
-        raise ConfigError("model.boundary must be 'pbc' or 'obc'")
+    fields = _values(model, "model")
+    del fields["kind"]
+    if "boundary" in fields:
+        fields["boundary"] = _member(Boundary, fields["boundary"], "model.boundary")
+    try:
+        spec = spec_class(**fields)
+    except (ValueError, PTChainError) as exc:
+        raise ConfigError(f"invalid {kind} model: {exc}") from exc
+    if kind == "interface" and not (spec.u > 0 and spec.w != 0):
+        raise ConfigError(
+            "an interface needs u > 0 (the gain/loss side) and w != 0 (the bond "
+            f"joining the two sides), got u = {spec.u}, w = {spec.w}")
+    return spec
+
+
+def _resolve_ells(task: dict, cells: int) -> list[int]:
+    if "ells" in task:
+        ells = sorted(set(_ints(task, "ells", 1)))
+    elif "ell_grid" in task:
+        grid = _values(_object(task, "ell_grid", "task"), "task.ell_grid")
+        _require_keys(grid, {"num", "lo", "hi", "spacing"}, {"num", "lo", "hi"},
+                      "task.ell_grid")
+        spacing = grid.get("spacing", "log")
+        if spacing not in tuple(_SPACINGS):
+            raise ConfigError(f"task.ell_grid.spacing must be one of {list(_SPACINGS)}")
+        raw = _SPACINGS[spacing](grid["lo"], min(grid["hi"], cells), grid["num"])
+        ells = sorted({int(round(x)) for x in raw})
+    else:
+        raise ConfigError(f"task {task['name']} needs 'ells' or 'ell_grid'")
+    ells = [e for e in ells if 1 <= e <= cells]
+    if not ells:
+        raise ConfigError(f"no subsystem sizes in 1..{cells} after resolution")
+    return ells
+
+
+def _resolve_trim(trim, boundary: Boundary):
+    policies = _TRIM_POLICIES[boundary]
+    if not isinstance(trim, dict) or trim.get("policy") not in policies:
+        raise ConfigError(
+            f"task.trim on a {boundary.value} chain must be "
+            f"{{'policy': {'|'.join(map(repr, policies))}, ...}}")
+    policy_class, keys = _TRIMS[trim["policy"]]
+    _require_keys(trim, {"policy", *keys}, {"policy"}, "task.trim")
+    return policy_class(**{k: v for k, v in _values(trim, "task.trim").items()
+                           if k != "policy"})
+
+
+class _Run(NamedTuple):
+    """A resolved config: the task, its spec, its runner's keyword arguments
+    (the library's own defaults stand for every key left out) and the output
+    directory and path prefix."""
+
+    name: str
+    spec: ChainSpec | InterfaceSpec
+    args: dict
+    out: str
+    base: str
+
+
+def _resolve(config, out_dir: str | None = None, jobs: int | None = None) -> _Run:
+    """The one pass from a config to a run; raises ConfigError for every
+    config that cannot run."""
+    if not isinstance(config, dict):
+        raise ConfigError("top-level config must be an object")
+    _require_keys(config, {"model", "task", "output", "seed", "tolerances", "jobs"},
+                  {"model", "task", "output"}, "config")
+    top = _values({**config, **({} if jobs is None else {"jobs": jobs})}, "config")
+    output = _object(config, "output", "config")
+    _require_keys(output, {"dir", "prefix"}, {"dir"}, "output")
+    for key, val in output.items():
+        if not isinstance(val, str):
+            raise ConfigError(f"output.{key} must be a string, got {val!r}")
+    spec = _build_model(_object(config, "model", "config"))
 
     task = _object(config, "task", "config")
     name = task.get("name")
     if name not in tuple(TASKS):
         raise ConfigError(f"task.name must be one of {tuple(TASKS)}, got {name!r}")
     entry = TASKS[name]
+    kind = config["model"]["kind"]
     if kind not in entry.kinds:
         raise ConfigError(
-            f"task {name} needs a model of kind {' or '.join(entry.kinds)}, got {kind!r}"
-        )
+            f"task {name} needs a model of kind {' or '.join(entry.kinds)}, got {kind!r}")
     _require_keys(task, {"name", *entry.optional, *entry.required},
                   {"name", *entry.required}, "task")
-    _check_nums(task, "task")
-    if "ells" in entry.optional and not {"ells", "ell_grid"} & set(task):
-        raise ConfigError(f"task {name} needs 'ells' or 'ell_grid'")
-    if "ell_grid" in task:
-        grid = _object(task, "ell_grid", "task")
-        _require_keys(grid, {"num", "lo", "hi", "spacing"}, {"num", "lo", "hi"},
-                      "task.ell_grid")
-        _check_nums(grid, "task.ell_grid")
-        if grid.get("spacing", "log") not in ("log", "linear"):
-            raise ConfigError("task.ell_grid.spacing must be 'log' or 'linear'")
-    if "ells" in task:
-        if not isinstance(task["ells"], list) or not task["ells"]:
-            raise ConfigError("task.ells must be a non-empty list of integers")
-        for e in task["ells"]:
-            if isinstance(e, bool) or not isinstance(e, int) or e < 1:
-                raise ConfigError(f"task.ells entries must be positive integers, got {e!r}")
-    if "sizes" in task:
-        if not isinstance(task["sizes"], list):
-            raise ConfigError("task.sizes must be a list of integers >= 4")
-        for s in task["sizes"]:
-            if isinstance(s, bool) or not isinstance(s, int) or s < 4:
-                raise ConfigError(f"task.sizes entries must be integers >= 4, got {s!r}")
-    if "prescription" in task and task["prescription"] not in tuple(_PRESCRIPTIONS):
-        raise ConfigError(
-            f"task.prescription must be one of {sorted(_PRESCRIPTIONS)}"
-        )
-    if "trim" in task:
-        trim = task["trim"]
-        policies = _TRIM_POLICIES[model["boundary"]]
-        if not isinstance(trim, dict) or trim.get("policy") not in policies:
-            raise ConfigError(
-                f"task.trim on a {model['boundary']} chain must be "
-                f"{{'policy': {'|'.join(map(repr, policies))}, ...}}"
-            )
-        _require_keys(trim, {"policy", *_TRIM_KEYS[trim["policy"]]}, {"policy"},
-                      "task.trim")
-        _check_nums(trim, "task.trim")
-    if "delta_L" in task and task["delta_L"] is not None:
-        _check_num(task, "delta_L", "task", int)
-    if task.get("n_k", 8) < 8:
-        raise ConfigError(f"task.n_k must be >= 8, got {task['n_k']!r}")
-    if task.get("n_realizations", 2) < 2:
-        raise ConfigError("task.n_realizations must be >= 2 for a standard error, "
-                          f"got {task['n_realizations']!r}")
-    if task.get("ell", 0) > model.get("cells", 0):
-        raise ConfigError(f"task.ell must be <= model.cells = {model['cells']}, "
-                          f"got {task['ell']!r}")
-    if "delta_bound" in task and not task["delta_bound"] < min(model["v"], model["u"]):
-        raise ConfigError(
-            f"task.delta_bound must lie in (0, min(v, u)) = "
-            f"(0, {min(model['v'], model['u'])}), got {task['delta_bound']!r}"
-        )
+    args = _values(task, "task")
+    del args["name"]
+    if "ells" in entry.optional:
+        args.pop("ell_grid", None)
+        # a cc fit runs over half the chain
+        args["ells"] = _resolve_ells(task, spec.cells // (2 if name == "cc-fit" else 1))
+    if "prescription" in args:
+        args["prescription"] = _member(Prescription, args["prescription"],
+                                       "task.prescription")
+    if "trim" in entry.optional:
+        default = {"policy": _TRIM_POLICIES[spec.boundary][0]}
+        args["trim"] = _resolve_trim(task.get("trim", default), spec.boundary)
+    if "sizes" in args:
+        args["sizes"] = _ints(task, "sizes", max(4, spec.alpha + 1))
+    if args.get("delta_L") is not None and spec.boundary is Boundary.PBC:
+        raise ConfigError("task.delta_L applies to open chains; the periodic "
+                          "Casimir fit has no extrapolation length")
+    if args.get("ell", 0) > spec.cells:
+        raise ConfigError(f"task.ell must be <= model.cells = {spec.cells}, "
+                          f"got {args['ell']!r}")
+    if "delta_bound" in args and not args["delta_bound"] < min(spec.v, spec.u):
+        raise ConfigError(f"task.delta_bound must lie in (0, min(v, u)) = "
+                          f"(0, {min(spec.v, spec.u)}), got {args['delta_bound']!r}")
+    if name == "disorder":  # the one task that draws realizations
+        args["seed"] = top.get("seed", 0)
+        if "jobs" in top:
+            args["jobs"] = top["jobs"]
 
-    output = _object(config, "output", "config")
-    _require_keys(output, {"dir", "prefix"}, {"dir"}, "output")
-    for key, val in output.items():
-        if not isinstance(val, str):
-            raise ConfigError(f"output.{key} must be a string, got {val!r}")
     if "tolerances" in config:
-        tol = _object(config, "tolerances", "config")
+        tol = _values(_object(config, "tolerances", "config"), "tolerances")
         ignored = (set(tol) & _TOLERANCE_KEYS) - entry.tolerances
         if ignored:
             raise ConfigError(f"task {name} reads no tolerances {sorted(ignored)}")
         _require_keys(tol, entry.tolerances, set(), "tolerances")
-        _check_nums(tol, "tolerances")
+        classification = {k: tol.pop(k) for k in _CLASSIFICATION_KEYS & set(tol)}
+        if classification:
+            tol["tolerances"] = ToleranceSet(**classification)
+        args.update(tol)
+
+    out = out_dir or output["dir"]
+    base = os.path.join(out, output.get("prefix", name.replace("-", "_")))
+    return _Run(name, spec, args, out, base)
+
+
+def validate_config(config) -> dict:
+    """Resolve the config as a run would, without running; returns it
+    unchanged."""
+    _resolve(config)
     return config
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-def _build_model(model: dict) -> ChainSpec | InterfaceSpec:
-    kind = model["kind"]
-    spec_class, required, optional = _MODELS[kind]
-    types = required | optional
-    try:
-        return spec_class(**{key: types[key](val) for key, val in model.items()
-                             if key != "kind"})
-    except (ValueError, PTChainError) as exc:
-        raise ConfigError(f"invalid {kind} model: {exc}") from exc
-
-
-def _resolve_ells(task: dict, cells: int) -> list[int]:
-    if "ells" in task:
-        ells = sorted({int(e) for e in task["ells"]})
-    else:
-        grid = task["ell_grid"]
-        lo, hi, num = grid["lo"], min(grid["hi"], cells), grid["num"]
-        if grid.get("spacing", "log") == "log":
-            raw = np.geomspace(max(lo, 1), hi, num)
-        else:
-            raw = np.linspace(lo, hi, num)
-        ells = sorted({int(round(x)) for x in raw})
-    ells = [e for e in ells if 1 <= e <= cells]
-    if not ells:
-        raise ConfigError("no valid subsystem sizes after resolution")
-    return ells
-
-
-def _resolve_trim(task: dict, default):
-    trim = task.get("trim")
-    if trim is None:
-        return default
-    if trim["policy"] == "fixed":
-        return FixedCount(int(trim.get("n", 0)))
-    if trim["policy"] == "until_sse":
-        return UntilSSE(float(trim.get("threshold", 1e-4)))
-    return UntilRMSE(float(trim.get("threshold", 1e-4)))
-
-
-class _Run(NamedTuple):
-    """Run-wide settings a runner may read."""
-
-    tolerances: ToleranceSet
-    tol_zero: float
-    tol_sym: float
-    tol_zak: float
-    seed: int
-    jobs: int
-
-
-def _resolve_run(config: dict, jobs: int | None) -> _Run:
-    tol = config.get("tolerances", {})
-    return _Run(
-        tolerances=ToleranceSet(
-            tol_real=float(tol.get("tol_real", DEFAULT_TOLERANCES.tol_real)),
-            tol_edge=float(tol.get("tol_edge", DEFAULT_TOLERANCES.tol_edge)),
-            tol_pair=float(tol.get("tol_pair", DEFAULT_TOLERANCES.tol_pair)),
-        ),
-        tol_zero=float(tol.get("tol_zero", TOL_ZERO)),
-        tol_sym=float(tol.get("tol_sym", TOL_SYM)),
-        tol_zak=float(tol.get("tol_zak", TOL_ZAK)),
-        seed=int(config.get("seed", 0)),
-        jobs=int(jobs or config.get("jobs", 1)),
-    )
 
 
 def _fmt(x) -> str:
@@ -370,13 +354,14 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 # Task table
 #
-# A runner maps (spec, task block, _Run) to (csv, summary fields), where csv
-# is (stem, header, rows) or None. Runners reach the library through this
-# module's globals, so patching ptchain.cli.<function> reaches them.
+# A runner maps a spec and the keyword arguments ``_resolve`` gives it to
+# (csv, summary fields), where csv is (stem, header, rows) or None. Runners
+# reach the library through this module's globals, so patching
+# ptchain.cli.<function> reaches them.
 # ---------------------------------------------------------------------------
 
 
-def _run_spectrum(spec, task, run):
+def _run_spectrum(spec):
     system = biorthogonal_diagonalize(build_real_space(spec))
     rows = [[i, float(e.real), float(e.imag)] for i, e in enumerate(system.energies)]
     return ("spectrum", ["index", "re_E", "im_E"], rows), {
@@ -386,10 +371,8 @@ def _run_spectrum(spec, task, run):
     }
 
 
-def _run_entropy_scan(spec, task, run, max_ell=None):
-    prescription = _PRESCRIPTIONS[task.get("prescription", "branch_cut")]
-    ells = _resolve_ells(task, spec.cells if max_ell is None else max_ell)
-    prof = entropy_profile(spec, ells, prescription, run.tolerances, run.tol_zero)
+def _run_entropy_scan(spec, ells, **opts):
+    prof = entropy_profile(spec, ells, **opts)
     rows = [
         [int(ell), float(val.real), float(val.imag), int(ne), int(nq), int(nr)]
         for ell, val, ne, nq, nr in zip(
@@ -398,36 +381,34 @@ def _run_entropy_scan(spec, task, run, max_ell=None):
     ]
     header = ["ell", "re_S", "im_S", "n_edge_pairs", "n_quartets", "n_residual"]
     return ("entropy", header, rows), {
-        "prescription": prescription.value, "n_points": len(rows),
+        "prescription": prof.prescription.value, "n_points": len(rows),
     }
 
 
-def _run_cc_fit(spec, task, run):
-    csv, fields = _run_entropy_scan(spec, task, run, spec.cells // 2)
+def _run_cc_fit(spec, ells, trim, **opts):
+    csv, fields = _run_entropy_scan(spec, ells, **opts)
+    fit = cc_fit_pbc if spec.boundary is Boundary.PBC else cc_fit_obc
     ells, re_s = [row[0] for row in csv[2]], [row[1] for row in csv[2]]
-    if spec.boundary is Boundary.PBC:
-        fit = cc_fit_pbc(ells, re_s, spec.cells, _resolve_trim(task, UntilSSE()))
-    else:
-        fit = cc_fit_obc(ells, re_s, spec.cells, _resolve_trim(task, UntilRMSE()))
-    return csv, {"prescription": fields["prescription"], "fit": fit}
+    return csv, {"prescription": fields["prescription"],
+                 "fit": fit(ells, re_s, spec.cells, trim)}
 
 
-def _run_casimir(spec, task, run):
-    sizes, energies = casimir_energy_table(spec, task["sizes"], tol_zero=run.tol_zero)
-    fit = casimir_fit(sizes, energies, spec.boundary.value, task.get("delta_L"))
+def _run_casimir(spec, sizes, delta_L=None, **tol):
+    sizes, energies = casimir_energy_table(spec, sizes, **tol)
+    fit = casimir_fit(sizes, energies, spec.boundary.value, delta_L)
     rows = [[int(L), float(e)] for L, e in zip(sizes, energies)]
     return ("casimir", ["L", "re_E0"], rows), {"fit": fit}
 
 
-def _run_winding(spec, task, run):
+def _run_winding(spec, **opts):
     return None, {
-        "winding": winding_number(spec, int(task.get("n_k", 4096))),
+        "winding": winding_number(spec, **opts),
         "pt_class": classify_pt(spec).value,
     }
 
 
-def _run_zak(spec, task, run):
-    result = characterize(spec, int(task.get("n_k", 4096)), run.tol_zak)
+def _run_zak(spec, **opts):
+    result = characterize(spec, **opts)
     return None, {
         "winding": result.winding,
         "re_Q": result.zak.real,
@@ -437,7 +418,7 @@ def _run_zak(spec, task, run):
     }
 
 
-def _run_interface(spec, task, run):
+def _run_interface(spec):
     state = interface_lattice_solve(spec)
     continuum = interface_continuum(spec.w - spec.v1, spec.u)
     return None, {
@@ -450,13 +431,13 @@ def _run_interface(spec, task, run):
     }
 
 
-def _run_density(spec, task, run):
+def _run_density(spec, **tol):
     if isinstance(spec, InterfaceSpec):
         profile, state = interface_density(spec)
         fields = {"mode_E": state.E}
     else:
         system = biorthogonal_diagonalize(build_real_space(spec))
-        profile = density_profile(system, select_half_filling(system, run.tol_zero))
+        profile = density_profile(system, select_half_filling(system, **tol))
         fields = {}
     rows = [
         [i + 1, a.real, a.imag, b.real, b.imag, c.real, c.imag]
@@ -466,19 +447,8 @@ def _run_density(spec, task, run):
     return ("density", header, rows), fields
 
 
-def _run_disorder(spec, task, run):
-    prescription = _PRESCRIPTIONS[task.get("prescription", "regularized")]
-    stats = disorder_ensemble(
-        spec,
-        float(task["delta_bound"]),
-        int(task["n_realizations"]),
-        run.seed,
-        _resolve_ells(task, spec.cells),
-        prescription,
-        jobs=run.jobs,
-        tolerances=run.tolerances,
-        tol_zero=run.tol_zero,
-    )
+def _run_disorder(spec, ells, delta_bound, n_realizations, seed, **opts):
+    stats = disorder_ensemble(spec, delta_bound, n_realizations, seed, ells, **opts)
     rows = [
         [int(e), float(mr), float(sr), float(mi), float(si)]
         for e, mr, sr, mi, si in zip(
@@ -494,10 +464,10 @@ def _run_disorder(spec, task, run):
     }
 
 
-def _run_symmetry_check(spec, task, run):
-    ell = int(task["ell"])
-    M, route = _subsystem_correlation(spec, ell, run.tol_zero)
-    report = symmetry_closure(_ungauge(M), run.tol_sym)
+def _run_symmetry_check(spec, ell, **tol):
+    zero = {"tol_zero": tol.pop("tol_zero")} if "tol_zero" in tol else {}
+    M, route = _subsystem_correlation(spec, ell, **zero)
+    report = symmetry_closure(_ungauge(M), **tol)
     # the singular-mode and dense routes both work in real space
     provenance = Provenance.K_SPACE if route == "k_space" else Provenance.REAL_SPACE
     return None, {
@@ -518,7 +488,7 @@ class _Task(NamedTuple):
     optional: set[str]
     required: set[str]
     tolerances: set[str]
-    run: Callable[[ChainSpec | InterfaceSpec, dict, _Run], tuple[tuple | None, dict]]
+    run: Callable[..., tuple[tuple | None, dict]]
 
 
 _CHAIN = ("chain",)
@@ -545,22 +515,19 @@ TASKS: dict[str, _Task] = {
 
 
 def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -> dict:
-    """Run one validated config; returns the JSON summary dict."""
-    name = config["task"]["name"]
-    run = _resolve_run(config, jobs)
-    out = out_dir or config["output"]["dir"]
-    base = os.path.join(out, config["output"].get("prefix", name.replace("-", "_")))
-    os.makedirs(out, exist_ok=True)
-    csv, fields = TASKS[name].run(_build_model(config["model"]), config["task"], run)
+    """Resolve and run one config; returns the JSON summary dict."""
+    run = _resolve(config, out_dir, jobs)
+    os.makedirs(run.out, exist_ok=True)
+    csv, fields = TASKS[run.name].run(run.spec, **run.args)
 
     outputs: list[str] = []
     if csv is not None:
         stem, header, rows = csv
-        _write_csv(f"{base}_{stem}.csv", header, rows)
-        outputs.append(f"{base}_{stem}.csv")
-    summary = _jsonable({"task": name, **fields})
-    _atomic_write(f"{base}_summary.json", json.dumps(summary, indent=2) + "\n")
-    outputs.append(f"{base}_summary.json")
+        _write_csv(f"{run.base}_{stem}.csv", header, rows)
+        outputs.append(f"{run.base}_{stem}.csv")
+    summary = _jsonable({"task": run.name, **fields})
+    _atomic_write(f"{run.base}_summary.json", json.dumps(summary, indent=2) + "\n")
+    outputs.append(f"{run.base}_summary.json")
     summary["outputs"] = outputs
     return summary
 
@@ -569,14 +536,31 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
 # Entry points
 # ---------------------------------------------------------------------------
 
+#: failure -> (exit code, what stderr calls it); the first match wins, so a
+#: ConfigError, itself a PTChainError, exits 2. Any other exception is
+#: re-raised with its traceback once the manifest is written.
+_EXITS = ((ConfigError, 2, "config error"), (PTChainError, 3, "numerical failure"),
+          (OSError, 4, "i/o error"))
 
-def _write_manifest(out: str, config: dict, status: dict, outputs: list[str],
+
+def _get(config, block: str, key: str):
+    """config[block][key], or None where the config lacks that shape."""
+    part = config.get(block) if isinstance(config, dict) else None
+    return part.get(key) if isinstance(part, dict) else None
+
+
+def _write_manifest(config, out_dir: str | None, status: str, outputs: list[str],
                     wall: float, error: str | None):
+    out = out_dir or _get(config, "output", "dir")
+    if not isinstance(out, str):
+        print("i/o error: run manifest not written: the config names no output "
+              "directory", file=sys.stderr)
+        return
     manifest = {
         "config_hash": config_hash(config),
         "artifact_version": __version__,
         "wall_time_s": wall,
-        "tasks": status,
+        "tasks": {str(_get(config, "task", "name")): status},
         "outputs": outputs,
         "error": error,
     }
@@ -591,33 +575,20 @@ def _write_manifest(out: str, config: dict, status: dict, outputs: list[str],
         print(f"i/o error: run manifest not written: {exc}", file=sys.stderr)
 
 
-def _run_config(config: dict, out_dir: str | None, jobs: int | None) -> int:
-    try:
-        validate_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out = out_dir or config["output"]["dir"]
-    name = config["task"]["name"]
+def _run_config(config, out_dir: str | None, jobs: int | None) -> int:
     start = time.monotonic()
     try:
         summary = execute(config, out_dir=out_dir, jobs=jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _write_manifest(out, config, {name: f"error:{type(exc).__name__}"}, [],
+    except BaseException as exc:
+        _write_manifest(config, out_dir, f"error:{type(exc).__name__}", [],
                         time.monotonic() - start, str(exc))
-        return 2
-    except PTChainError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        _write_manifest(out, config, {name: f"error:{type(exc).__name__}"}, [],
-                        time.monotonic() - start, str(exc))
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        _write_manifest(out, config, {name: "error:OSError"}, [],
-                        time.monotonic() - start, str(exc))
-        return 4
-    _write_manifest(out, config, {name: "ok"}, summary["outputs"],
+        for failure, code, label in _EXITS:
+            if isinstance(exc, failure):
+                named = f"{type(exc).__name__}: " if type(exc) is not failure else ""
+                print(f"{label}: {named}{exc}", file=sys.stderr)
+                return code
+        raise
+    _write_manifest(config, out_dir, "ok", summary["outputs"],
                     time.monotonic() - start, None)
     return 0
 

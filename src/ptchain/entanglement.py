@@ -75,7 +75,7 @@ from .errors import (
     ResidualNeedsRegularized,
     UnpairedMode,
 )
-from .lattice import Boundary, ChainSpec, _hopping_block, vk
+from .lattice import Boundary, ChainSpec, _hopping_block, _momenta, vk
 from .spectral import (
     TOL_BIORTH,
     TOL_ZERO,
@@ -300,7 +300,7 @@ def _subsystem_correlation(
     """
     if spec.is_translation_invariant and spec.boundary is Boundary.PBC:
         L, u = spec.cells, spec.u_eff
-        v = np.asarray(vk(spec, 2.0 * np.pi * np.arange(L) / L))
+        v = np.asarray(vk(spec, _momenta(L)))
         e = _half_filled_energies(np.abs(v), u, tol_zero)
         inv_e = np.divide(1.0, e, out=np.zeros(L), where=e > 0)
         uk = np.full(L, u)

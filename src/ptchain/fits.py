@@ -19,6 +19,7 @@ elbow instead of eating the whole data set.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -364,6 +365,8 @@ def disorder_ensemble(
     Realization r draws its per-cell offsets from a SplitMix64 stream with
     seed ``base_seed + r``; aggregation is by realization index, so the
     statistics are identical for any worker count or completion order.
+    ``jobs`` caps the worker processes, which are further capped at the
+    realization count and the CPU count.
     """
     if template.disorder is not None:
         raise ValueError("template must be disorder-free; offsets are drawn per realization")
@@ -382,10 +385,12 @@ def disorder_ensemble(
         for r in range(n_realizations)
     ]
     values = np.empty((n_realizations, len(ells)), dtype=complex)
-    if jobs > 1:
+    # more workers than realizations or CPUs only cost forks
+    workers = min(jobs, n_realizations, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, vals in pool.map(_one_realization, tasks):
                 values[r] = vals
     else:

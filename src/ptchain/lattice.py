@@ -195,6 +195,14 @@ def vk(spec: ChainSpec, k) -> np.ndarray | complex:
     return out if out.ndim else complex(out)
 
 
+def _momenta(cells: int) -> np.ndarray:
+    """The momenta 2 pi j / L of a periodic chain in FFT order, folded into
+    [-pi, pi): k and -k are exact negatives, so |v_k| = |v_-k| holds to the
+    last bit. (2 pi arange(L) / L rounds k and 2 pi - k apart, which breaks
+    the conjugate symmetry of the per-momentum blocks.)"""
+    return 2.0 * np.pi * np.fft.fftfreq(cells)
+
+
 def bloch_hamiltonian(spec: ChainSpec, k: float) -> np.ndarray:
     """2x2 momentum-space Hamiltonian [[i u_eff, v_k], [v_k*, -i u_eff]]."""
     spec.require_translation_invariant("bloch_hamiltonian")

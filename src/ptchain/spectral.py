@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AmbiguousFilling, DefectiveMatrix
-from .lattice import Boundary, ChainSpec, _hopping_block, build_real_space, vk
+from .lattice import Boundary, ChainSpec, _hopping_block, _momenta, build_real_space, vk
 
 #: Post-normalization bound on max |<L_m|R_n> - delta_mn|.
 TOL_BIORTH = 1e-9
@@ -260,7 +260,7 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
         occ = select_half_filling(sys, tol_zero)
         return complex(np.sum(occ.weights * sys.energies))
     if spec.boundary is Boundary.PBC:
-        a = np.abs(vk(spec, 2.0 * np.pi * np.arange(spec.cells) / spec.cells))
+        a = np.abs(vk(spec, _momenta(spec.cells)))
     else:
         a = np.linalg.svd(_hopping_block(spec), compute_uv=False)
     return complex(-np.sum(_half_filled_energies(a, spec.u_eff, tol_zero)))

@@ -112,18 +112,18 @@ def _zak_symmetric(spec: ChainSpec, n_k: int, tol: float) -> complex:
         integrand = -0.5 * _phi_prime(spec, k) * (1.0 - 1j * u / s)
         return complex(np.sum(integrand) * 2.0 * np.pi / n)
 
-    prev = quad(n_k)
-    n = 2 * n_k
-    while n <= _MAX_NK:
+    # compare at least once, at 2 n_k, however large n_k is
+    prev, n = quad(n_k), 2 * n_k
+    while True:
         cur = quad(n)
         if abs(cur - prev) <= tol:
             return cur
-        prev = cur
-        n *= 2
-    raise GridTooCoarse(
-        f"Zak phase did not converge to {tol} by n_k = {_MAX_NK}; "
-        "the spec is too close to an exceptional point"
-    )
+        if 2 * n > _MAX_NK:
+            raise GridTooCoarse(
+                f"Zak phase did not converge to {tol} by n_k = {n}; "
+                "the spec is too close to an exceptional point"
+            )
+        prev, n = cur, 2 * n
 
 
 def _gauss_cheb_segment(f, a: float, b: float, order: int) -> float:

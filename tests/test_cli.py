@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pathlib
@@ -123,6 +124,24 @@ MALFORMED = {
     "tol-sym-with-entropy-scan": (
         {"name": "entropy-scan", "ells": [2]},
         lambda cfg: cfg.update(tolerances={"tol_sym": 1e-3})),
+    # the spec class refuses the model, or the task cannot use it
+    "cells-below-alpha-plus-1": ({"name": "spectrum"},
+                                 lambda cfg: cfg["model"].update(cells=1)),
+    "u-below-detuning": ({"name": "spectrum"},
+                         lambda cfg: cfg["model"].update(u=0.5, detuning=1.0)),
+    "alpha-beyond-cells": ({"name": "spectrum"},
+                           lambda cfg: cfg["model"].update(alpha=9, cells=8)),
+    "ells-beyond-cells": ({"name": "entropy-scan", "ells": [20]},
+                          lambda cfg: cfg["model"].update(cells=8)),
+    "interface-u-zero": ({"name": "interface"},
+                         lambda cfg: (interface_model(cfg), cfg["model"].update(u=0.0))),
+    "interface-density-u-zero": (
+        {"name": "density"},
+        lambda cfg: (interface_model(cfg), cfg["model"].update(u=0.0))),
+    "interface-w-zero": ({"name": "interface"},
+                         lambda cfg: (interface_model(cfg), cfg["model"].update(w=0.0))),
+    "delta-L-on-pbc": ({"name": "casimir", "sizes": [8, 12, 16, 20], "delta_L": 2},
+                       None),
 }
 
 
@@ -133,6 +152,9 @@ def test_malformed_config_exits_2(tmp_path, task, edit):
         edit(cfg)
     assert run_config(tmp_path, cfg) == 2
     assert not list(tmp_path.rglob("*.csv"))
+    if isinstance(cfg["output"]["dir"], str):
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert list(manifest["tasks"].values()) == ["error:ConfigError"]
     assert main(["validate", str(tmp_path / "cfg.json")]) == 2
 
 
@@ -154,12 +176,13 @@ def test_python_m_validate(tmp_path, module):
 
 
 def spy(monkeypatch, name):
-    """Record the arguments of every call to ptchain.cli.<name>, then call it."""
+    """Record the arguments of every call to ptchain.cli.<name> by parameter
+    name, however they were passed, then call it."""
     calls = []
     real = getattr(cli, name)
 
     def wrapper(*args, **kwargs):
-        calls.append((args, kwargs))
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, wrapper)
@@ -177,8 +200,8 @@ class TestToleranceOverrides:
         cfg["model"].update(cells=16, detuning=1e-10)
         cfg["tolerances"] = {"tol_edge": 1e-5, "tol_real": 1e-9, "tol_pair": 1e-7}
         assert run_config(tmp_path, cfg) == 0
-        [(_, kwargs)] = calls
-        assert kwargs["tolerances"] == ToleranceSet(
+        [bound] = calls
+        assert bound["tolerances"] == ToleranceSet(
             tol_real=1e-9, tol_edge=1e-5, tol_pair=1e-7
         )
 
@@ -189,8 +212,8 @@ class TestToleranceOverrides:
         cfg["model"].update(cells=16, detuning=1e-10)
         cfg["tolerances"] = {"tol_zero": 1e-7}
         assert run_config(tmp_path, cfg) == 0
-        [(_, kwargs)] = calls
-        assert kwargs["tol_zero"] == 1e-7
+        [bound] = calls
+        assert bound["tol_zero"] == 1e-7
 
     def test_tol_zero_reaches_casimir_energy_table(self, tmp_path, monkeypatch):
         calls = spy(monkeypatch, "casimir_energy_table")
@@ -198,8 +221,8 @@ class TestToleranceOverrides:
         cfg["model"]["boundary"] = "obc"
         cfg["tolerances"] = {"tol_zero": 1e-7}
         assert run_config(tmp_path, cfg) == 0
-        [(_, kwargs)] = calls
-        assert kwargs["tol_zero"] == 1e-7
+        [bound] = calls
+        assert bound["tol_zero"] == 1e-7
 
     def test_tol_zero_reaches_entropy_profile(self, tmp_path, monkeypatch):
         calls = spy(monkeypatch, "entropy_profile")
@@ -208,8 +231,8 @@ class TestToleranceOverrides:
         cfg["model"]["boundary"] = "obc"
         cfg["tolerances"] = {"tol_zero": 1e-7}
         assert run_config(tmp_path, cfg) == 0
-        [(args, _)] = calls
-        assert args[4] == 1e-7
+        [bound] = calls
+        assert bound["tol_zero"] == 1e-7
 
     def test_tol_zero_reaches_half_filling(self, tmp_path, monkeypatch):
         calls = spy(monkeypatch, "select_half_filling")
@@ -217,16 +240,16 @@ class TestToleranceOverrides:
         cfg["model"].update(cells=12, boundary="obc")
         cfg["tolerances"] = {"tol_zero": 1e-7}
         assert run_config(tmp_path, cfg) == 0
-        [(args, _)] = calls
-        assert args[1] == 1e-7
+        [bound] = calls
+        assert bound["tol_zero"] == 1e-7
 
     def test_tol_sym_reaches_symmetry_closure(self, tmp_path, monkeypatch):
         calls = spy(monkeypatch, "symmetry_closure")
         cfg = base_config(tmp_path, name="symmetry-check", ell=4)
         cfg["tolerances"] = {"tol_sym": 1e-3}
         assert run_config(tmp_path, cfg) == 0
-        [(args, _)] = calls
-        assert args[1] == 1e-3
+        [bound] = calls
+        assert bound["tol_sym"] == 1e-3
 
     def test_tol_zak_reaches_characterize(self, tmp_path, monkeypatch):
         calls = spy(monkeypatch, "characterize")
@@ -234,8 +257,8 @@ class TestToleranceOverrides:
         cfg["model"]["u"] = 0.5
         cfg["tolerances"] = {"tol_zak": 1e-4}
         assert run_config(tmp_path, cfg) == 0
-        [(args, _)] = calls
-        assert args[2] == 1e-4
+        [bound] = calls
+        assert bound["tol_zak"] == 1e-4
 
 
 class TestRun:
@@ -354,6 +377,36 @@ class TestRun:
         assert run_config(tmp_path, cfg) == 0
         assert "run manifest not written: read-only directory" in capsys.readouterr().err
         assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_foreign_failure_writes_manifest_and_raises(self, tmp_path,
+                                                        monkeypatch):
+        # an exception the package does not own keeps its traceback, and the
+        # manifest still records the failed run
+        def fail(spec, **kwargs):
+            raise ZeroDivisionError("complex division by zero")
+
+        monkeypatch.setitem(cli.TASKS, "winding",
+                            cli.TASKS["winding"]._replace(run=fail))
+        cfg = base_config(tmp_path, name="winding", n_k=512)
+        with pytest.raises(ZeroDivisionError):
+            run_config(tmp_path, cfg)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["tasks"] == {"winding": "error:ZeroDivisionError"}
+        assert manifest["error"] == "complex division by zero"
+        assert manifest["outputs"] == []
+
+    def test_jobs_flag_reaches_disorder_ensemble(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "disorder_ensemble")
+        cfg = base_config(tmp_path, name="disorder", ells=[4],
+                          n_realizations=2, delta_bound=0.9, prescription="regularized")
+        cfg["model"].update(cells=16, detuning=1e-10)
+        cfg["jobs"] = 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--jobs", "1"]) == 0
+        assert main(["run", str(path)]) == 0
+        assert [bound["jobs"] for bound in calls] == [1, 3]
+        assert main(["run", str(path), "--jobs", "0"]) == 2
 
     def test_manifest_hash_tracks_content(self, tmp_path):
         cfg = base_config(tmp_path, name="winding", n_k=512)

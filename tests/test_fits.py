@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,37 @@ class TestDisorderEnsemble:
         parallel = pc.disorder_ensemble(self.template(), **kw, jobs=2)
         assert np.array_equal(serial.re_values, parallel.re_values)
         assert np.array_equal(serial.im_values, parallel.im_values)
+
+    @pytest.mark.parametrize("n_realizations, cpus, workers",
+                             [(3, 4, 3), (8, 4, 4), (8, 1, None)])
+    def test_worker_count_is_capped(self, monkeypatch, n_realizations, cpus,
+                                    workers):
+        # jobs = 64 asks for 64 forks; the pool gets min(jobs, realizations,
+        # CPUs) and one worker runs serially, without a pool
+        import concurrent.futures
+
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)  # in this process: no worker starts
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        kw = dict(delta_bound=0.9, n_realizations=n_realizations, base_seed=5,
+                  ells=[4])
+        capped = pc.disorder_ensemble(self.template(cells=8), **kw, jobs=64)
+        assert pools == ([] if workers is None else [workers])
+        serial = pc.disorder_ensemble(self.template(cells=8), **kw, jobs=1)
+        assert np.array_equal(capped.re_values, serial.re_values)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):

@@ -370,10 +370,10 @@ def test_exceptional_point_is_defective(alpha, v, w, u):
     # decides the filling, even where LAPACK splits the Jordan blocks into
     # distinct E ~ 0, and so it does at detuning 1e-15 (kappa ~ 4.5e-8,
     # where |E| is still above tol_zero). At the default detuning of 1e-12
-    # (kappa ~ 1.4e-6) no route raises: E0 runs each route's kernel. The
-    # blocks are left out there because the k-space one of alpha = 2 fails
-    # the gauge reality bound, a check independent of kappa: |v_k| carries
-    # rounding of 1e-16 against a - u = 1e-12.
+    # (kappa ~ 1.4e-6) no route raises, the blocks included: the k-space
+    # block passes the gauge reality bound, a check independent of kappa,
+    # only because the momentum grid holds k and -k as exact negatives
+    # (|v_k| rounding of 1e-16 against a - u = 1e-12 broke it before).
     for detuning in (0.0, 1e-15, 1e-12):
         spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=8,
                             boundary=pc.Boundary.OBC, detuning=detuning)
@@ -383,11 +383,12 @@ def test_exceptional_point_is_defective(alpha, v, w, u):
         specs = [spec, periodic, *twins]
         calls = [(pc.ground_state_energy, s) for s in specs]
         calls += [(dense_correlation, s) for s in (spec, periodic)]
+        calls += [(_subsystem_correlation, s, 4) for s in specs]
         if detuning == 1e-12:
-            for f, s in calls:
-                f(s)
+            for f, *args in calls:
+                f(*args)
             continue
-        for f, *args in calls + [(_subsystem_correlation, s, 4) for s in specs]:
+        for f, *args in calls:
             with pytest.raises(DefectiveMatrix, match="increase the detuning"):
                 f(*args)
 

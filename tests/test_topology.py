@@ -88,6 +88,13 @@ class TestZakPhase:
         # both the real quantization and the imaginary part must agree
         assert abs(analytic - wilson) < 1e-5
 
+    def test_n_k_above_half_the_grid_cap(self):
+        # sm-s1's chain: 2 n_k exceeds the 2^16 doubling cap, so the
+        # quadrature must still compare once before it gives up
+        spec = chain(v=1, w=2, u=0.5, cells=64)
+        coarse = pc.zak_phase(spec, n_k=4096)
+        assert abs(pc.zak_phase(spec, n_k=40000) - coarse) <= pc.topology.TOL_ZAK
+
     def test_quantization_identity(self):
         for v, w in [(2.0, 1.0), (1.0, 2.0), (1.0, 3.0)]:
             spec = chain(alpha=2, v=v, w=w, u=0.4)
