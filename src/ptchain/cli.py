@@ -52,6 +52,9 @@ from .entanglement import (
 )
 from .errors import ConfigError, PTChainError
 from .fits import (
+    _CASIMIR_MIN_SIZES,
+    _CC_OBC_MIN_POINTS,
+    _CC_PBC_MIN_POINTS,
     FixedCount,
     UntilRMSE,
     UntilSSE,
@@ -75,6 +78,9 @@ _MODELS = {
 
 _CLASSIFICATION_KEYS = {"tol_real", "tol_edge", "tol_pair"}
 _TOLERANCE_KEYS = {*_CLASSIFICATION_KEYS, "tol_zero", "tol_sym", "tol_zak"}
+#: model kind -> the tolerance keys any task reads on it; an interface
+#: selects no half filling
+_MODEL_TOLERANCES = {"chain": _TOLERANCE_KEYS, "interface": set()}
 
 #: trim policy -> (its policy class, its keys besides ``policy``); boundary
 #: -> the policies its fit takes, the default first (cc_fit_pbc trims by
@@ -83,6 +89,8 @@ _TRIMS = {"fixed": (FixedCount, {"n"}), "until_sse": (UntilSSE, {"threshold"}),
           "until_rmse": (UntilRMSE, {"threshold"})}
 _TRIM_POLICIES = {Boundary.PBC: ("until_sse", "fixed"),
                   Boundary.OBC: ("until_rmse", "fixed")}
+#: boundary -> the fewest points its cc fit takes after trimming
+_CC_MIN_POINTS = {Boundary.PBC: _CC_PBC_MIN_POINTS, Boundary.OBC: _CC_OBC_MIN_POINTS}
 _SPACINGS = {"log": np.geomspace, "linear": np.linspace}
 
 #: numeric keys -> _number options, the same in whichever block they occur.
@@ -179,8 +187,14 @@ def _build_model(model: dict) -> ChainSpec | InterfaceSpec:
 
 
 def _resolve_ells(task: dict, cells: int) -> list[int]:
+    """Explicit ``ells`` must all fit in ``cells``; an ``ell_grid`` is
+    clipped to it."""
     if "ells" in task:
         ells = sorted(set(_ints(task, "ells", 1)))
+        beyond = [e for e in ells if e > cells]
+        if beyond:
+            raise ConfigError(f"task.ells {beyond} exceed the largest subsystem, "
+                              f"{cells} cells")
     elif "ell_grid" in task:
         grid = _values(_object(task, "ell_grid", "task"), "task.ell_grid")
         _require_keys(grid, {"num", "lo", "hi", "spacing"}, {"num", "lo", "hi"},
@@ -260,8 +274,17 @@ def _resolve(config, out_dir: str | None = None, jobs: int | None = None) -> _Ru
     if "trim" in entry.optional:
         default = {"policy": _TRIM_POLICIES[spec.boundary][0]}
         args["trim"] = _resolve_trim(task.get("trim", default), spec.boundary)
+        trimmed = args["trim"].n if isinstance(args["trim"], FixedCount) else 0
+        need = _CC_MIN_POINTS[spec.boundary] + trimmed
+        if len(args["ells"]) < need:
+            raise ConfigError(
+                f"the cc fit of a {spec.boundary.value} chain needs >= {need} "
+                f"subsystem sizes ({trimmed} trimmed), got {args['ells']}")
     if "sizes" in args:
         args["sizes"] = _ints(task, "sizes", max(4, spec.alpha + 1))
+        if len(args["sizes"]) < _CASIMIR_MIN_SIZES:
+            raise ConfigError(f"the Casimir fit needs >= {_CASIMIR_MIN_SIZES} "
+                              f"sizes, got {args['sizes']}")
     if args.get("delta_L") is not None and spec.boundary is Boundary.PBC:
         raise ConfigError("task.delta_L applies to open chains; the periodic "
                           "Casimir fit has no extrapolation length")
@@ -278,10 +301,12 @@ def _resolve(config, out_dir: str | None = None, jobs: int | None = None) -> _Ru
 
     if "tolerances" in config:
         tol = _values(_object(config, "tolerances", "config"), "tolerances")
-        ignored = (set(tol) & _TOLERANCE_KEYS) - entry.tolerances
+        readable = entry.tolerances & _MODEL_TOLERANCES[kind]
+        ignored = (set(tol) & _TOLERANCE_KEYS) - readable
         if ignored:
-            raise ConfigError(f"task {name} reads no tolerances {sorted(ignored)}")
-        _require_keys(tol, entry.tolerances, set(), "tolerances")
+            raise ConfigError(f"task {name} on a {kind} model reads no tolerances "
+                              f"{sorted(ignored)}")
+        _require_keys(tol, readable, set(), "tolerances")
         classification = {k: tol.pop(k) for k in _CLASSIFICATION_KEYS & set(tol)}
         if classification:
             tol["tolerances"] = ToleranceSet(**classification)

@@ -67,6 +67,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.special import xlogy
 
 from .errors import (
@@ -81,6 +82,7 @@ from .spectral import (
     TOL_ZERO,
     BiorthogonalSystem,
     OccupationSet,
+    _gemm,
     _half_filled_energies,
     _sublattice_gauge,
     biorthogonal_diagonalize,
@@ -210,7 +212,7 @@ def correlation_matrix(
     if not 1 <= ell <= n_cells:
         raise ValueError(f"subsystem of {ell} cells out of range 1..{n_cells}")
     n = 2 * ell
-    C = (sys.left_vectors[:n].conj() * occ.weights) @ sys.right_vectors[:n].T
+    C = _gemm(sys.left_vectors[:n].conj() * occ.weights, sys.right_vectors[:n].T)
     return CorrelationMatrix(C, ell, Provenance.REAL_SPACE)
 
 
@@ -261,15 +263,15 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
     (s < u); :func:`_half_filled_energies` gives e or 0.
     """
     u = spec.u_eff
-    a, sv, bt = np.linalg.svd(_hopping_block(spec))
+    a, sv, bt = scipy.linalg.svd(_hopping_block(spec))
     e = _half_filled_energies(sv, u, tol_zero)
     inv_e = np.divide(1.0, e, out=np.zeros_like(e), where=e > 0)
     a, b = a[:cells], bt[:, :cells].T  # rows of the leading cells
     M = np.empty((2 * cells, 2 * cells))
-    M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
-    M[1::2, 0::2] = (b * (sv * inv_e)) @ a.T
+    M[0::2, 0::2] = _gemm(a * (-u * inv_e), a.T)
+    M[1::2, 0::2] = _gemm(b * (sv * inv_e), a.T)
     M[0::2, 1::2] = -M[1::2, 0::2].T
-    M[1::2, 1::2] = (b * (u * inv_e)) @ b.T
+    M[1::2, 1::2] = _gemm(b * (u * inv_e), b.T)
     return M
 
 
@@ -671,7 +673,7 @@ def entropy_profile(
     results = []
     counts = np.zeros((3, len(ells)), dtype=int)
     for col, block in enumerate(blocks):
-        nus = 0.5 + 0.5j * np.linalg.eigvals(block)
+        nus = 0.5 + 0.5j * scipy.linalg.eigvals(block)
         spect = classify_spectrum(nus, tolerances)
         results.append(entropy(spect, prescription))
         counts[:, col] = (spect.n_edge_pairs, spect.n_quartets, spect.n_residual)

@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientPoints, NoConvergence, PTChainError
@@ -35,6 +36,12 @@ from .entanglement import (
 from .lattice import ChainSpec, DisorderProfile
 from .rng import disorder_offsets
 from .spectral import TOL_ZERO, ground_state_energy
+
+
+#: Fewest points each fit takes, after trimming.
+_CC_PBC_MIN_POINTS = 4
+_CC_OBC_MIN_POINTS = 5
+_CASIMIR_MIN_SIZES = 4
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ class EnsembleStats:
 
 def _linear_fit(X: np.ndarray, y: np.ndarray, names: list[str], model: str,
                 trim_count: int) -> FitResult:
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    coef, *_ = scipy.linalg.lstsq(X, y)
     res = y - X @ coef
     sse = float(res @ res)
     n, p = X.shape
@@ -115,7 +122,7 @@ def _linear_fit(X: np.ndarray, y: np.ndarray, names: list[str], model: str,
     stderr = {}
     if n > p:
         try:
-            cov = np.linalg.inv(X.T @ X) * sse / (n - p)
+            cov = scipy.linalg.inv(X.T @ X) * sse / (n - p)
             stderr = {nm: float(np.sqrt(max(cov[i, i], 0.0)))
                       for i, nm in enumerate(names)}
         except np.linalg.LinAlgError:
@@ -141,9 +148,10 @@ def cc_fit_pbc(
     ells, y = ells[order], y[order]
 
     def fit_from(k: int) -> FitResult:
-        if len(ells) - k < 4:
+        if len(ells) - k < _CC_PBC_MIN_POINTS:
             raise InsufficientPoints(
-                f"{len(ells) - k} points left after trimming {k}; need >= 4"
+                f"{len(ells) - k} points left after trimming {k}; "
+                f"need >= {_CC_PBC_MIN_POINTS}"
             )
         x = np.log(np.sin(np.pi * ells[k:] / L))
         X = np.vstack([x, np.ones_like(x)]).T
@@ -173,7 +181,7 @@ def _fit_obc_at(ells: np.ndarray, y: np.ndarray, L: float, dl: float):
     X = _shifted_cc_design(ells, L, dl)
     if X is None:
         return None, np.inf
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    coef, *_ = scipy.linalg.lstsq(X, y)
     res = y - X @ coef
     return coef, float(res @ res)
 
@@ -244,9 +252,10 @@ def cc_fit_obc(
 
     def fit_from(k: int) -> FitResult:
         e, yy = ells[k:], y[k:]
-        if len(e) < 5:
+        if len(e) < _CC_OBC_MIN_POINTS:
             raise InsufficientPoints(
-                f"{len(e)} points left after trimming {k}; need >= 5"
+                f"{len(e)} points left after trimming {k}; "
+                f"need >= {_CC_OBC_MIN_POINTS}"
             )
         dl, _ = _best_shift(e, yy, float(L), bounds)
         X = _shifted_cc_design(e, float(L), dl)
@@ -293,8 +302,8 @@ def casimir_fit(
     """
     sizes = np.asarray(sizes, dtype=float)
     y = np.asarray(re_energy, dtype=float)
-    if len(sizes) < 4:
-        raise InsufficientPoints(f"{len(sizes)} sizes; need >= 4")
+    if len(sizes) < _CASIMIR_MIN_SIZES:
+        raise InsufficientPoints(f"{len(sizes)} sizes; need >= {_CASIMIR_MIN_SIZES}")
     if boundary == "pbc":
         X = np.vstack([sizes, 1.0 / sizes]).T
         return _linear_fit(X, y, ["eps_bulk", "slope"], "casimir_pbc", 0)

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import AmbiguousFilling, DefectiveMatrix
 from .lattice import Boundary, ChainSpec, _hopping_block, _momenta, build_real_space, vk
@@ -145,11 +146,11 @@ def biorthogonal_diagonalize(
             L[:, lo] /= np.conj(d)
         else:
             M = L[:, lo:hi].conj().T @ R[:, lo:hi]
-            sv_min = np.linalg.svd(M, compute_uv=False)[-1]
+            sv_min = scipy.linalg.svdvals(M)[-1]
             kappa = min(kappa, _require_off_exceptional_point(sv_min))
             # L_blk <- L_blk @ inv(M)^dag  so that  L_blk^dag R_blk = I
-            L[:, lo:hi] = L[:, lo:hi] @ np.linalg.inv(M).conj().T
-    gram = L.conj().T @ R
+            L[:, lo:hi] = L[:, lo:hi] @ scipy.linalg.inv(M).conj().T
+    gram = _gemm(L.conj().T, R)
     residual = float(np.max(np.abs(gram - np.eye(len(E)))))
     if residual > tol_biorth:
         raise DefectiveMatrix(
@@ -221,7 +222,20 @@ def select_half_filling(
 
 def occupied_correlation(sys: BiorthogonalSystem, occ: OccupationSet) -> np.ndarray:
     """Full-system two-point function C = sum_n s_n conj(L_n) R_n^T."""
-    return (sys.left_vectors.conj() * occ.weights[None, :]) @ sys.right_vectors.T
+    return _gemm(sys.left_vectors.conj() * occ.weights[None, :], sys.right_vectors.T)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two matrices on scipy's BLAS, the library of every dense
+    factorization here, so that one thread pool serves a run.
+
+    A C-ordered operand goes in as its Fortran-ordered transpose with the
+    transpose flag set, so neither is copied. The result is Fortran-ordered.
+    """
+    gemm = get_blas_funcs("gemm", (a, b))
+    fa, fb = a.flags.f_contiguous, b.flags.f_contiguous
+    return gemm(1.0, a if fa else a.T, b if fb else b.T,
+                trans_a=0 if fa else 1, trans_b=0 if fb else 1)
 
 
 def _half_filled_energies(a: np.ndarray, u: float, tol_zero: float) -> np.ndarray:
@@ -262,7 +276,7 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     if spec.boundary is Boundary.PBC:
         a = np.abs(vk(spec, _momenta(spec.cells)))
     else:
-        a = np.linalg.svd(_hopping_block(spec), compute_uv=False)
+        a = scipy.linalg.svdvals(_hopping_block(spec))
     return complex(-np.sum(_half_filled_energies(a, spec.u_eff, tol_zero)))
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import svdvals
 
 from .errors import GaplessWinding, GridTooCoarse, OddDimension
 from .lattice import ChainSpec, PTClass, classify_pt, vk
@@ -211,10 +212,10 @@ def symmetry_closure(corr: np.ndarray, tol_sym: float = TOL_SYM) -> SymmetryRepo
     perm = np.empty(n, dtype=int)
     perm[0::2] = 2 * (cells - 1 - np.arange(cells)) + 1
     perm[1::2] = 2 * (cells - 1 - np.arange(cells))
-    t_plus = float(np.linalg.norm(C.conj()[np.ix_(perm, perm)] - C, 2))
+    t_plus = float(svdvals(C.conj()[np.ix_(perm, perm)] - C)[0])
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # sigma_z per cell
     ph = float(
-        np.linalg.norm(sign[:, None] * C.conj().T * sign[None, :] + C - np.eye(n), 2)
+        svdvals(sign[:, None] * C.conj().T * sign[None, :] + C - np.eye(n))[0]
     )
     return SymmetryReport(
         t_plus_residual=t_plus,

@@ -69,6 +69,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    def test_tol_zero_only_for_chain_density(self, tmp_path):
+        cfg = base_config(tmp_path, name="density")
+        cfg["tolerances"] = {"tol_zero": 1e-7}
+        assert validate_config(cfg) is cfg
+        interface_model(cfg)
+        with pytest.raises(ConfigError, match=r"interface model reads no "
+                                              r"tolerances \['tol_zero'\]"):
+            validate_config(cfg)
+
+    def test_out_of_range_ells_are_named(self, tmp_path):
+        cfg = base_config(tmp_path, name="entropy-scan", ells=[2, 9, 20])
+        cfg["model"]["cells"] = 8
+        with pytest.raises(ConfigError, match=r"\[9, 20\]"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("boundary, need", [("pbc", 4), ("obc", 5)])
+    def test_cc_fit_takes_its_fits_minimum(self, tmp_path, boundary, need):
+        cfg = base_config(tmp_path, name="cc-fit", ells=list(range(2, 2 + need)))
+        cfg["model"]["boundary"] = boundary
+        assert validate_config(cfg) is cfg
+        cfg["task"]["ells"].pop()
+        with pytest.raises(ConfigError, match=f">= {need} subsystem sizes"):
+            validate_config(cfg)
+
 
 def interface_model(cfg):
     cfg["model"] = {"kind": "interface", "v1": 1.5, "v2": 0.5, "w": 1.0,
@@ -142,6 +166,20 @@ MALFORMED = {
                          lambda cfg: (interface_model(cfg), cfg["model"].update(w=0.0))),
     "delta-L-on-pbc": ({"name": "casimir", "sizes": [8, 12, 16, 20], "delta_L": 2},
                        None),
+    # explicit sizes beyond the chain, or fewer than the fit takes
+    "ells-partly-beyond-cells": ({"name": "entropy-scan", "ells": [2, 20]},
+                                 lambda cfg: cfg["model"].update(cells=8)),
+    "cc-fit-ells-beyond-half-chain": ({"name": "cc-fit", "ells": [2, 4, 8, 16, 40]},
+                                      None),
+    "casimir-three-sizes": ({"name": "casimir", "sizes": [8, 12, 16]}, None),
+    "cc-fit-pbc-three-ells": ({"name": "cc-fit", "ells": [2, 4, 6]}, None),
+    "cc-fit-obc-four-ells": ({"name": "cc-fit", "ells": [2, 4, 6, 8]},
+                             lambda cfg: cfg["model"].update(boundary="obc")),
+    "cc-fit-trim-leaves-three": (
+        {**_CC_FIT, "trim": {"policy": "fixed", "n": 3}}, None),
+    "tol-zero-with-interface-density": (
+        {"name": "density"},
+        lambda cfg: (interface_model(cfg), cfg.update(tolerances={"tol_zero": 0.5}))),
 }
 
 

@@ -456,13 +456,13 @@ def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
         monkeypatch.setattr(module, "biorthogonal_diagonalize", forbidden)
     monkeypatch.setattr(spectral.scipy.linalg, "eig", forbidden)
     sizes = []
-    real_eigvals = np.linalg.eigvals
+    real_eigvals = entanglement.scipy.linalg.eigvals
 
     def eigvals(a):
         sizes.append(len(a))
         return real_eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(entanglement.scipy.linalg, "eigvals", eigvals)
     prof = pc.entropy_profile(spec, [1, 10, 29], REG)
     pc.ground_state_energy(spec)
     assert sizes == [2, 20, 58]  # the subsystem blocks only
