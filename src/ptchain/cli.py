@@ -653,6 +653,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "fig":
+        if args.scale < 1:
+            print(f"error: --scale must be >= 1, got {args.scale}", file=sys.stderr)
+            return 2
         try:
             config = figure_cookbook(args.name)
         except PTChainError as exc:

@@ -179,7 +179,7 @@ def interface_lattice_solve(
     profile = _exponential_profile(spec, e1, beta_l, beta_r)
     return BoundState(
         E=complex(e1),
-        a=float(e1.imag / spec.u) if spec.u else float("nan"),
+        a=float(e1.imag / spec.u),
         beta_l=beta_l,
         beta_r=beta_r,
         sublattice_ratio=complex(1.0 / ratio_r),
@@ -240,7 +240,7 @@ def interface_density(
             density = DensityProfile(site=site, cell=site[0::2] + site[1::2])
             state = BoundState(
                 E=complex(system.energies[idx]),
-                a=float(system.energies[idx].imag / spec.u) if spec.u else float("nan"),
+                a=float(system.energies[idx].imag / spec.u),
                 profile=psi.copy(),
             )
             return density, state

@@ -20,7 +20,9 @@ elbow instead of eating the whole data set.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -153,8 +155,11 @@ def cc_fit_pbc(
                 f"{len(ells) - k} points left after trimming {k}; "
                 f"need >= {_CC_PBC_MIN_POINTS}"
             )
-        x = np.log(np.sin(np.pi * ells[k:] / L))
-        X = np.vstack([x, np.ones_like(x)]).T
+        e = ells[k:]
+        X = _shifted_cc_design(e, float(L), 0.0)
+        if X is None:
+            outside = ", ".join(f"{x:g}" for x in e[(e <= 0) | (e >= L)])
+            raise ValueError(f"subsystem sizes {outside} lie outside (0, L = {L})")
         return _linear_fit(X, y[k:], ["c_over_3", "s0"], "cc_pbc", k)
 
     if isinstance(trim, FixedCount):
@@ -177,22 +182,13 @@ def _shifted_cc_design(ells: np.ndarray, L: float, dl: float) -> np.ndarray | No
     return np.vstack([x, np.ones_like(x)]).T
 
 
-def _fit_obc_at(ells: np.ndarray, y: np.ndarray, L: float, dl: float):
-    X = _shifted_cc_design(ells, L, dl)
-    if X is None:
-        return None, np.inf
-    coef, *_ = scipy.linalg.lstsq(X, y)
-    res = y - X @ coef
-    return coef, float(res @ res)
-
-
 def _shift_grid_sse(ells: np.ndarray, y: np.ndarray, L: float,
                     grid: np.ndarray) -> np.ndarray:
     """SSE of the two-parameter shifted fit at every shift of the grid.
 
-    The closed form of :func:`_fit_obc_at` in one pass: the least-squares
-    slope of the centred data, then the residual sum; infeasible shifts
-    get inf.
+    The closed form of :func:`_linear_fit` on :func:`_shifted_cc_design`,
+    for all shifts in one pass: the least-squares slope of the centred data,
+    then the residual sum; infeasible shifts get inf.
     """
     d = grid[:, None]
     arg = (ells + 2.0 * d) / (L + 2.0 * d)
@@ -222,7 +218,7 @@ def _best_shift(ells: np.ndarray, y: np.ndarray, L: float,
     left = grid[max(b - 1, 0)]
     right = grid[min(b + 1, len(grid) - 1)]
     res = minimize_scalar(
-        lambda d: _fit_obc_at(ells, y, L, d)[1],
+        lambda d: _shift_grid_sse(ells, y, L, np.array([d]))[0],
         bounds=(left, right),
         method="bounded",
         options={"xatol": 1e-12},
@@ -339,8 +335,10 @@ def casimir_energy_table(
     return sizes, np.asarray(energies)
 
 
-def _one_realization(args) -> tuple[int, np.ndarray]:
-    (template, bound, base_seed, r, ells, prescription, tolerances, tol_zero) = args
+def _one_realization(template: ChainSpec, bound: float, base_seed: int,
+                     ells: np.ndarray, prescription: Prescription,
+                     tolerances: ToleranceSet, tol_zero: float,
+                     r: int) -> np.ndarray:
     seed = base_seed + r
     offsets = disorder_offsets(seed, bound, template.cells)
     spec = replace(template, disorder=DisorderProfile(offsets))
@@ -355,7 +353,7 @@ def _one_realization(args) -> tuple[int, np.ndarray]:
         # process pickles back to the parent; the context rides as a note
         exc.add_note(context)
         raise
-    return r, prof.values
+    return prof.values
 
 
 def disorder_ensemble(
@@ -388,24 +386,17 @@ def disorder_ensemble(
             f"a standard error needs n_realizations >= 2, got {n_realizations}"
         )
     ells = np.asarray(sorted(set(int(e) for e in ells)))
-    tasks = [
-        (template, delta_bound, base_seed, r, ells, prescription, tolerances,
-         tol_zero)
-        for r in range(n_realizations)
-    ]
-    values = np.empty((n_realizations, len(ells)), dtype=complex)
+    run = partial(_one_realization, template, delta_bound, base_seed, ells,
+                  prescription, tolerances, tol_zero)
     # more workers than realizations or CPUs only cost forks
     workers = min(jobs, n_realizations, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, vals in pool.map(_one_realization, tasks):
-                values[r] = vals
-    else:
-        for task in tasks:
-            r, vals = _one_realization(task)
-            values[r] = vals
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        values = np.array(list(mapper(run, range(n_realizations))), dtype=complex)
     return EnsembleStats(
         ells=ells,
         re_values=values.real.copy(),

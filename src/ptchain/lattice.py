@@ -278,10 +278,6 @@ def _hopping_block(spec: ChainSpec) -> np.ndarray:
 
 def build_real_space(spec: ChainSpec) -> np.ndarray:
     """Dense 2L x 2L Hamiltonian in the fixed site convention."""
-    if spec.cells < spec.alpha + 1:
-        raise SpecTooSmall(
-            f"cells={spec.cells} cannot host hopping range alpha={spec.alpha}"
-        )
     L = spec.cells
     _, u_x = _cell_couplings(spec)
     V = _hopping_block(spec)

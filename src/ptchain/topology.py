@@ -20,10 +20,11 @@ the test suite as the independent oracle for this closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import svdvals
+from scipy.special import roots_legendre
 
 from .errors import GaplessWinding, GridTooCoarse, OddDimension
 from .lattice import ChainSpec, PTClass, classify_pt, vk
@@ -127,6 +128,10 @@ def _zak_symmetric(spec: ChainSpec, n_k: int, tol: float) -> complex:
         prev, n = cur, 2 * n
 
 
+#: Gauss-Legendre nodes and weights per order, computed once
+_legendre_rule = cache(roots_legendre)
+
+
 def _gauss_cheb_segment(f, a: float, b: float, order: int) -> float:
     """Integrate f over (a, b) with inverse-square-root endpoint behavior.
 
@@ -134,7 +139,7 @@ def _gauss_cheb_segment(f, a: float, b: float, order: int) -> float:
     singularities into the Jacobian, leaving a smooth integrand for
     Gauss-Legendre in theta.
     """
-    nodes, weights = leggauss(order)
+    nodes, weights = _legendre_rule(order)
     theta = 0.5 * np.pi * nodes
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     k = mid + half * np.sin(theta)

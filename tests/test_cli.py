@@ -485,6 +485,13 @@ class TestCookbook:
         im_tail = [float(r.split(",")[2]) for r in csv[-5:]]
         assert all(abs(x + np.pi) < 1e-9 for x in im_tail)
 
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    def test_scale_below_one_exits_2(self, tmp_path, capsys, scale):
+        # K < 1 must not fall through to the reference scale (L = 10000)
+        assert main(["fig", "fig2b", f"--scale={scale}", "--out", str(tmp_path)]) == 2
+        assert "--scale" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig_unknown_exits_2(self, tmp_path):
         assert main(["fig", "nope", "--out", str(tmp_path)]) == 2
 

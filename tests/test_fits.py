@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 import ptchain as pc
 from ptchain.errors import InsufficientPoints, NoConvergence
-from ptchain.fits import FixedCount, UntilRMSE, UntilSSE, _fit_obc_at, _shift_grid_sse
+from ptchain.fits import (FixedCount, UntilRMSE, UntilSSE, _linear_fit,
+                          _shift_grid_sse, _shifted_cc_design)
 from ptchain.rng import SplitMix64, disorder_offsets
 
 
@@ -46,6 +47,14 @@ class TestCCFitPBC:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
             pc.cc_fit_pbc([2, 3, 4], [1.0, 2.0, 3.0], 10)
+
+    @pytest.mark.parametrize("bad", [[0], [24], [30, 40]])
+    def test_sizes_outside_the_chain_are_named(self, bad):
+        # log sin(pi l / L) is -inf at l = 0, near -37 at l = L, NaN beyond
+        ells = [2, 4, 6, 8] + bad
+        with pytest.raises(ValueError, match=r"subsystem sizes "
+                           + ", ".join(map(str, bad)) + r" lie outside \(0, L = 24\)"):
+            pc.cc_fit_pbc(ells, np.ones(len(ells)), 24)
 
     @given(slope=st.floats(-1, -0.1), intercept=st.floats(-20, 5))
     @settings(max_examples=25)
@@ -122,18 +131,39 @@ class TestCCFitOBC:
         with pytest.raises(InsufficientPoints):
             pc.cc_fit_obc([3, 4, 5, 6], [1, 2, 3, 4], 50, FixedCount(0))
 
+    def test_rmse_trim_out_of_points_returns_previous_fit(self):
+        # the contaminated first point goes, the rest keeps an unreachable
+        # RMSE; the next trim step would leave 4 points
+        L = 60
+        ells = np.arange(4.0, 10.0)
+        rng = np.random.default_rng(3)
+        y = self.model(ells, L, -1 / 3, -0.8, 0.5) + 1e-3 * rng.standard_normal(6)
+        y[0] += 0.3
+        fit = pc.cc_fit_obc(ells, y, L, UntilRMSE(1e-12))
+        assert fit == pc.cc_fit_obc(ells, y, L, FixedCount(1))
+        assert fit.rmse > 1e-12 and fit.n_points == 5
+
+    def test_rmse_trim_below_minimum_raises(self):
+        ells = np.arange(4.0, 8.0)
+        with pytest.raises(InsufficientPoints, match="4 points left after trimming 0"):
+            pc.cc_fit_obc(ells, self.model(ells, 60, -1 / 3, -0.8, 0.5), 60,
+                          UntilRMSE())
+
     @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-5, 1e-2])
     @pytest.mark.parametrize("dl", [-2.1, 0.5, 3.0])
     def test_shift_grid_matches_per_shift_fits(self, dl, noise):
-        # the one-pass grid against the per-shift least squares it replaced;
-        # shifts below -ells.min() / 2 are infeasible on both
+        # the one-pass grid against a per-shift least-squares fit; shifts
+        # below -ells.min() / 2 are infeasible on both
         L = 120
         ells = np.arange(5, 61, dtype=float)
         rng = np.random.default_rng(7)
         y = self.model(ells, L, -0.34, 0.2, dl) + noise * rng.standard_normal(len(ells))
         grid = np.linspace(-10.0, L / 4.0, 512)
         fast = _shift_grid_sse(ells, y, float(L), grid)
-        loop = np.array([_fit_obc_at(ells, y, float(L), d)[1] for d in grid])
+        designs = (_shifted_cc_design(ells, float(L), d) for d in grid)
+        loop = np.array([np.inf if X is None else
+                         _linear_fit(X, y, ["c_over_6", "s0"], "", 0).sse
+                         for X in designs])
         np.testing.assert_array_equal(np.isinf(fast), np.isinf(loop))
         assert np.isinf(fast[0]) and np.isfinite(fast[-1])
         # rounding of the centred sums: a few ulps of sum (y - mean)^2

@@ -75,6 +75,13 @@ def test_energies_and_fits_run_without_numpy_linalg(no_numpy_linalg):
         assert fit.stderr and np.isfinite(fit.sse)
 
 
+def test_broken_class_zak_phase_runs_without_numpy_linalg(no_numpy_linalg):
+    # the Gauss-Legendre quadrature of the PT-broken wedge
+    spec = pc.ChainSpec(v=1.0, w=1.5, u=1.0, cells=8)
+    assert pc.classify_pt(spec) is pc.PTClass.BROKEN
+    assert np.isfinite(pc.zak_phase(spec))
+
+
 @pytest.mark.parametrize("order_a, order_b", [("C", "C"), ("C", "F"), ("F", "C"),
                                               ("F", "F")])
 def test_gemm_matches_matmul_in_any_memory_order(order_a, order_b):
