@@ -407,6 +407,7 @@ def _run_entropy_scan(spec, ells, **opts):
     header = ["ell", "re_S", "im_S", "n_edge_pairs", "n_quartets", "n_residual"]
     return ("entropy", header, rows), {
         "prescription": prof.prescription.value, "n_points": len(rows),
+        "route": prof.route,
     }
 
 
@@ -415,7 +416,8 @@ def _run_cc_fit(spec, ells, trim, **opts):
     fit = cc_fit_pbc if spec.boundary is Boundary.PBC else cc_fit_obc
     ells, re_s = [row[0] for row in csv[2]], [row[1] for row in csv[2]]
     return csv, {"prescription": fields["prescription"],
-                 "fit": fit(ells, re_s, spec.cells, trim)}
+                 "fit": fit(ells, re_s, spec.cells, trim),
+                 "route": fields["route"]}
 
 
 def _run_casimir(spec, sizes, delta_L=None, **tol):

@@ -42,7 +42,9 @@ this multivalued; this module implements four ways of resolving it:
     partner matching is needed. The subsystem eigensolve runs on a real
     matrix (see :func:`entropy_profile`), where that closure is exact: a
     self-paired mode is a real eigenvalue and sits at Re nu = 1/2 to the
-    last bit, so the default ``tol_edge`` serves disordered chains too.
+    last bit, so the default ``tol_edge`` serves disordered chains too. On
+    clean periodic chains a reflection halves that eigensolve to one real
+    ell x ell solve and keeps the closure exact (:func:`_subsystem_eigvals`).
 
 Classification of the spectrum into real modes, real pairs {nu, 1-nu},
 edge pairs 1/2 +- i I, quartets, and residual particle-hole pairs
@@ -609,7 +611,9 @@ def entanglement_energies(spectrum: EntanglementSpectrum) -> EntanglementEnergie
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """Entropy against subsystem size, with per-size mode counts."""
+    """Entropy against subsystem size, with per-size mode counts and the
+    route that formed the correlation block (``"k_space"``,
+    ``"singular_mode"`` or ``"dense"``)."""
 
     ells: np.ndarray
     entropies: tuple[ComplexEntropy, ...]
@@ -617,6 +621,7 @@ class EntropyProfile:
     n_quartets: np.ndarray
     n_residual: np.ndarray
     prescription: Prescription
+    route: str
 
     @property
     def values(self) -> np.ndarray:
@@ -645,6 +650,47 @@ def _gauge_real(M: np.ndarray) -> np.ndarray:
     return M.real
 
 
+#: Smallest min |mu| / (||P||_1 ||Q||_1) at which :func:`_subsystem_eigvals`
+#: keeps the halved solve. The product P Q and its eigensolve carry a
+#: backward error of up to about ell u ||P||_1 ||Q||_1 (u = 2.2e-16, from
+#: the ell-term sums of the product), below 1e-12 up to ell = 4500, and the
+#: square root turns a mu within that error of 0 into noise of size
+#: sqrt(error). Over 2106 k-space blocks (README, "Numerical tolerances")
+#: every block that the unguarded halving misclassified sat below 5e-18;
+#: the fig2a-c blocks sit at 7.1e-10 or more at L = 10000.
+_MU_FLOOR = 1e-12
+
+
+def _subsystem_eigvals(block: np.ndarray, route: str) -> np.ndarray:
+    """Eigenvalues lambda of a gauged 2 ell x 2 ell block M_A of M, formed on
+    ``route``; nu = 1/2 + (i/2) lambda.
+
+    On the k-space route M_A = [[-u X, -Y^T], [Y, u X]] by sublattice, with
+    X symmetric Toeplitz and Y Toeplitz, so J X J = X and J Y J = Y^T for the
+    flip J. The reflection Gamma: A(i) <-> B(ell-1-i) then gives
+    Gamma M_A Gamma = -M_A, and in Gamma's +-1 basis M_A = [[0, P], [Q, 0]]
+    with P = M_AA - M_AB J and Q = M_AA + M_AB J. So lambda = +-sqrt(mu),
+    mu = eig(P Q): one real ell x ell eigensolve in place of a 2 ell x 2 ell
+    one. The pairing is exact: mu > 0 is an edge pair at Re nu = 1/2 to the
+    last bit, mu < 0 two real modes nu, 1 - nu, and a complex pair of mu a
+    quartet.
+
+    Near mu = 0 the square root amplifies rounding, which can push
+    half-filled modes across ``tol_real``; a block with min |mu| below
+    ``_MU_FLOOR`` ||P||_1 ||Q||_1 takes the 2 ell solve instead, as do the
+    blocks of the other routes, which have no such reflection.
+    """
+    if route == "k_space":
+        aa, ab_j = block[0::2, 0::2], block[0::2, 1::2][:, ::-1]
+        p, q = aa - ab_j, aa + ab_j
+        mu = scipy.linalg.eigvals(_gemm(p, q))
+        floor = _MU_FLOOR * scipy.linalg.norm(p, 1) * scipy.linalg.norm(q, 1)
+        if np.min(np.abs(mu)) >= floor:
+            root = np.sqrt(mu)
+            return np.concatenate([root, -root])
+    return scipy.linalg.eigvals(block)
+
+
 def entropy_profile(
     spec: ChainSpec,
     ells,
@@ -657,23 +703,26 @@ def entropy_profile(
     The correlation block is formed once, at the largest size, by
     :func:`_subsystem_correlation` (k-space for clean periodic chains,
     singular modes for clean open chains, dense for disordered chains) and
-    sliced per size.
+    sliced per size; the profile records that route.
 
     The subsystem eigensolve is real: the blocks are those of
     M = -2i S^-1 (C - 1/2) S in the sublattice gauge, and
     nu = 1/2 + (i/2) eig(M). A real eigenvalue of M is a self-paired mode
     at Re nu = 1/2 exactly; the others come in conjugate pairs, which are
-    exact particle-hole partners nu, 1 - nu^*.
+    exact particle-hole partners nu, 1 - nu^*. On the k-space route a
+    reflection of the block halves it to one real ell x ell solve, with a
+    fallback to the 2 ell x 2 ell solve near its square-root singularity
+    (:func:`_subsystem_eigvals`); the other routes take the 2 ell solve.
     """
     ells = np.asarray(sorted(set(int(e) for e in ells)))
     if not len(ells) or np.any(ells < 1) or np.any(ells > spec.cells):
         raise ValueError(f"subsystem sizes must be a non-empty list in 1..{spec.cells}")
-    M, _ = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
+    M, route = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
     blocks = (M[: 2 * int(e), : 2 * int(e)] for e in ells)
     results = []
     counts = np.zeros((3, len(ells)), dtype=int)
     for col, block in enumerate(blocks):
-        nus = 0.5 + 0.5j * scipy.linalg.eigvals(block)
+        nus = 0.5 + 0.5j * _subsystem_eigvals(block, route)
         spect = classify_spectrum(nus, tolerances)
         results.append(entropy(spect, prescription))
         counts[:, col] = (spect.n_edge_pairs, spect.n_quartets, spect.n_residual)
@@ -684,4 +733,5 @@ def entropy_profile(
         n_quartets=counts[1],
         n_residual=counts[2],
         prescription=prescription,
+        route=route,
     )

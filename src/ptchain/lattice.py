@@ -89,8 +89,8 @@ class ChainSpec:
         Per-cell offsets; presence disables all momentum-space paths.
     detuning : float, optional
         Amount subtracted from u so that u_eff = u - detuning. ``None``
-        resolves to ``CRITICAL_DETUNING`` when the clean spec sits on a
-        critical line (within ``TOL_CRIT``) and to 0 otherwise.
+        resolves to ``CRITICAL_DETUNING``, capped at u, when the clean spec
+        sits on a critical line (within ``TOL_CRIT``) and to 0 otherwise.
     """
 
     alpha: int = 1
@@ -135,7 +135,7 @@ class ChainSpec:
         if self.u <= 0:
             return 0.0
         if abs(min_abs_vk(self) - self.u) <= TOL_CRIT:
-            return CRITICAL_DETUNING
+            return min(CRITICAL_DETUNING, self.u)  # u_eff never below 0
         return 0.0
 
     @property

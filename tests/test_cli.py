@@ -4,10 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ptchain as pc
 import ptchain.cli as cli
 from ptchain.cli import config_hash, main, validate_config
 from ptchain.cookbook import figure_cookbook, figure_names, scale_config
@@ -314,6 +316,30 @@ class TestRun:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["tasks"] == {"entropy-scan": "ok"}
         assert manifest["error"] is None
+
+    def test_entropy_summaries_name_route(self, tmp_path):
+        scan = base_config(tmp_path / "scan", name="entropy-scan", ells=[2, 4])
+        assert run_config(tmp_path, scan) == 0
+        summary = json.loads(
+            (tmp_path / "scan" / "entropy_scan_summary.json").read_text())
+        assert list(summary) == ["task", "prescription", "n_points", "route"]
+        assert summary["route"] == "k_space"
+
+        fit = base_config(tmp_path / "fit", name="cc-fit", ells=list(range(2, 12)),
+                          prescription="regularized")
+        fit["model"].update(boundary="obc", cells=24)
+        assert run_config(tmp_path, fit) == 0
+        summary = json.loads((tmp_path / "fit" / "cc_fit_summary.json").read_text())
+        assert list(summary) == ["task", "prescription", "fit", "route"]
+        assert summary["route"] == "singular_mode"
+
+        # no config builds a disordered chain for a scan; the runner still names it
+        spec = cli._resolve(scan).spec
+        offsets = pc.DisorderProfile(0.3 * np.sin(np.arange(spec.cells)))
+        disordered = replace(spec, disorder=offsets, detuning=1e-6)
+        _, fields = cli._run_entropy_scan(disordered, [2, 4],
+                                          prescription=pc.Prescription.REGULARIZED)
+        assert fields["route"] == "dense"
 
     def test_spectrum_csv_schema(self, tmp_path):
         cfg = base_config(tmp_path, name="spectrum")

@@ -1,14 +1,20 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ptchain as pc
+import ptchain.entanglement as entanglement
+from ptchain.entanglement import _subsystem_correlation, _subsystem_eigvals
 from ptchain.errors import (
+    AmbiguousFilling,
+    DefectiveMatrix,
     DegenerateEigenvalue,
     DisorderPresent,
     ResidualNeedsRegularized,
@@ -377,3 +383,111 @@ class TestEntropyProfile:
             pc.entropy_profile(spec, [8, 16], BC)
         prof = pc.entropy_profile(spec, [8, 16], REG)
         assert np.all(np.isfinite(prof.values.real))
+
+
+def _counts_and_entropy(lam):
+    """Mode counts and REGULARIZED entropy of a block's eigenvalues lambda."""
+    spect = pc.classify_spectrum(0.5 + 0.5j * lam)
+    counts = (spect.n_edge_pairs, spect.n_quartets, spect.n_residual, spect.n_unpaired)
+    return counts, pc.entropy(spect, REG).value
+
+
+class TestReflectionHalving:
+    """The k-space block anticommutes with Gamma: A(i) <-> B(ell-1-i), which
+    on the interleaved index A(0), B(0), A(1), ... is its reversal; the
+    subsystem eigensolve halves to +-sqrt(eig(P Q)) on it, with a fallback
+    to the 2 ell solve near mu = 0."""
+
+    @given(
+        alpha=st.integers(1, 3),
+        v=st.floats(0.25, 2.5),
+        w=st.floats(0.25, 2.5),
+        u=st.floats(0.0, 2.0),
+        detuning=st.sampled_from((None, 1e-12, 1e-6, 1e-2)),
+        cells=st.integers(8, 160),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_anticommutes_with_reflection(self, alpha, v, w, u, detuning,
+                                                cells, data):
+        assume(detuning is None or detuning <= u)
+        spec = chain(alpha=alpha, v=v, w=w, u=u, cells=cells, detuning=detuning)
+        ell = data.draw(st.integers(1, cells))
+        try:
+            M, route = _subsystem_correlation(spec, ell)
+        except (DefectiveMatrix, AmbiguousFilling):
+            assume(False)
+        assert route == "k_space"
+        even = (M + M[::-1, ::-1]) / 2
+        assert np.max(np.abs(even)) <= 1e-12 * max(np.max(np.abs(M)), 1.0)
+
+    def test_guard_keeps_worst_sweep_block(self, monkeypatch):
+        # nearly every mode is half filled, so most mu sit at rounding level
+        spec = chain(alpha=3, v=0.5, w=0.5, u=1.0, cells=200, detuning=1e-2)
+        block, route = _subsystem_correlation(spec, 100)
+        full = _counts_and_entropy(scipy.linalg.eigvals(block))
+        assert full[0] == (1, 0, 0, 0)
+        assert full[1].imag == pytest.approx(-np.pi, abs=1e-12)
+        counts, value = _counts_and_entropy(_subsystem_eigvals(block, route))
+        assert counts == full[0]
+        assert abs(value.imag - full[1].imag) < 1e-12
+        # without the guard the square root turns that rounding into edge pairs
+        monkeypatch.setattr(entanglement, "_MU_FLOOR", 0.0)
+        unguarded, _ = _counts_and_entropy(_subsystem_eigvals(block, route))
+        assert unguarded[0] > 1
+
+    @given(
+        alpha=st.sampled_from((1, 2, 3)),
+        v=st.sampled_from((0.5, 1.0, 2.0)),
+        w=st.sampled_from((0.5, 1.0, 2.0)),
+        u=st.sampled_from((0.3, 1.0)),
+        detuning=st.sampled_from((1e-12, 1e-6, 1e-2)),
+        cells=st.sampled_from((64, 200)),
+        size=st.sampled_from((1, 2, 3, 7, 16, "L/4", "L/2")),
+    )
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_halved_classification_matches_full_solve(self, alpha, v, w, u,
+                                                      detuning, cells, size):
+        spec = chain(alpha=alpha, v=v, w=w, u=u, cells=cells, detuning=detuning)
+        ell = {"L/4": cells // 4, "L/2": cells // 2}.get(size, size)
+        block, route = _subsystem_correlation(spec, ell)
+        full_counts, full_value = _counts_and_entropy(scipy.linalg.eigvals(block))
+        counts, value = _counts_and_entropy(_subsystem_eigvals(block, route))
+        assert counts == full_counts
+        assert abs(value.imag - full_value.imag) < 1e-12
+
+    def test_re_s_precision_against_mpmath(self):
+        """Re S of both solves against a 40-digit reference, on the fig2b
+        chain. The block is made exactly reflection-odd first, so that the
+        reference can take the same halving at 40 digits; at ell = 8 it is
+        checked against a 40-digit eigensolve of the whole block."""
+        spec = chain(v=1, w=2, u=1, cells=10000, detuning=1e-12)
+
+        def reference(block):
+            aa = mpmath.matrix(block[0::2, 0::2].tolist())
+            ab_j = mpmath.matrix(block[0::2, 1::2][:, ::-1].tolist())
+            mu = mpmath.mp.eig((aa - ab_j) * (aa + ab_j), left=False, right=False)
+            roots = [mpmath.mp.sqrt(m) for m in mu]
+            return roots + [-r for r in roots]
+
+        def re_s(lam):
+            spect = pc.classify_spectrum(0.5 + 0.5j * np.asarray(lam, dtype=complex))
+            return pc.entropy(spect, BC).value.real
+
+        M, _ = _subsystem_correlation(spec, 30)
+        M = (M - M[::-1, ::-1]) / 2
+        assert np.array_equal(M[::-1, ::-1], -M)
+        with mpmath.workdps(40):
+            small = M[:16, :16]
+            whole = mpmath.mp.eig(mpmath.matrix(small.tolist()), left=False, right=False)
+            halved = reference(small)
+            assert max(min(abs(x - y) for y in halved) for x in whole) < 1e-30
+            exact = re_s([complex(x) for x in reference(M)])
+
+        lam = _subsystem_eigvals(M, "k_space")
+        assert np.array_equal(lam[:30], -lam[30:])  # the halved solve ran
+        err_full = abs(re_s(scipy.linalg.eigvals(M)) - exact)
+        err_halved = abs(re_s(lam) - exact)
+        # measured: 6.7e-13 and 1.9e-11
+        assert err_full < 1e-11
+        assert err_halved < 2e-10

@@ -467,3 +467,26 @@ def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
     pc.ground_state_energy(spec)
     assert sizes == [2, 20, 58]  # the subsystem blocks only
     assert np.all(np.isfinite(prof.values))
+
+
+def test_subsystem_eigensolve_sizes_by_route(monkeypatch):
+    sizes = []
+    real_eigvals = entanglement.scipy.linalg.eigvals
+
+    def eigvals(a):
+        sizes.append(a.shape)
+        return real_eigvals(a)
+
+    monkeypatch.setattr(entanglement.scipy.linalg, "eigvals", eigvals)
+    ells = [1, 10, 29]
+    clean = dict(alpha=2, v=1.0, w=2.0, u=1.0, cells=30)
+    offsets = pc.DisorderProfile(0.3 * np.cos(np.arange(30)))
+    # the open chain's 2 ell solves are pinned by the test above
+    for spec, dims in (
+        # the reflection halves the periodic block: one ell x ell solve
+        (pc.ChainSpec(**clean), ells),
+        (pc.ChainSpec(**clean, detuning=1e-6, disorder=offsets), [2 * e for e in ells]),
+    ):
+        sizes.clear()
+        pc.entropy_profile(spec, ells, REG)
+        assert sizes == [(n, n) for n in dims]

@@ -107,6 +107,12 @@ class TestAutoDetuning:
     def test_zero_for_hermitian(self):
         assert chain(v=1, w=1, u=0.0).detuning == 0.0
 
+    def test_capped_at_u(self):
+        # u below CRITICAL_DETUNING on the v = w critical line
+        spec = chain(v=1, w=1, u=1e-13)
+        assert spec.detuning == 1e-13
+        assert spec.u_eff == 0.0
+
     def test_explicit_value_kept(self):
         assert chain(v=1, w=2, u=1, detuning=1e-7).detuning == 1e-7
 
