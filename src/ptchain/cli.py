@@ -44,7 +44,6 @@ from . import __version__
 from .cookbook import figure_cookbook, figure_names, scale_config
 from .entanglement import (
     Prescription,
-    Provenance,
     ToleranceSet,
     _subsystem_correlation,
     _ungauge,
@@ -495,11 +494,9 @@ def _run_symmetry_check(spec, ell, **tol):
     zero = {"tol_zero": tol.pop("tol_zero")} if "tol_zero" in tol else {}
     M, route = _subsystem_correlation(spec, ell, **zero)
     report = symmetry_closure(_ungauge(M), **tol)
-    # the singular-mode and dense routes both work in real space
-    provenance = Provenance.K_SPACE if route == "k_space" else Provenance.REAL_SPACE
     return None, {
         "ell": ell,
-        "provenance": provenance.value,
+        "route": route,
         "t_plus_residual": report.t_plus_residual,
         "ph_residual": report.ph_residual,
         "t_plus_ok": report.t_plus_ok,

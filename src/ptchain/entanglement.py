@@ -23,8 +23,11 @@ this multivalued; this module implements four ways of resolving it:
 
     with the sign of the imaginary part fixed to -i pi, and a quartet
     {nu, nu*, 1-nu, 1-nu*} contributes the purely real
-    -4 R ln r - 4 (1-R) ln rho + 4 I (phi + varphi - pi). Requires the
-    spectrum to carry both the conjugation and particle-hole pairings.
+    -4 R ln r - 4 (1-R) ln rho + 4 I (phi + varphi - pi). A real mode x
+    contributes its magnitude logs -x ln|x| - (1-x) ln|1-x|, in [0, 1] and
+    in a real pair outside it alike, where the pair's +-i pi cancel.
+    Requires the spectrum to carry both the conjugation and particle-hole
+    pairings.
 ``ABSOLUTE_VALUE``
     Magnitude logs only, log|.|; kept as the comparison prescription. It
     differs from BRANCH_CUT by exactly (4 phi - 2 pi) I per edge pair and
@@ -35,12 +38,14 @@ this multivalued; this module implements four ways of resolving it:
     then halved. This restores the conjugation partner that open boundaries
     or disorder remove at the state level, and is the only prescription
     defined when only the particle-hole pairing survives. It is evaluated
-    mode by mode: the particle-hole closure guarantees each complex
-    eigenvalue either sits at Re nu = 1/2 exactly (self-paired, half an
-    edge-pair contribution) or has the partner 1 - nu* elsewhere in the
-    spectrum (a quarter of the completed quartet each), so no numerical
-    partner matching is needed. The subsystem eigensolve runs on a real
-    matrix (see :func:`entropy_profile`), where that closure is exact: a
+    mode by mode, and a mode's share follows its group: a real mode takes
+    its magnitude logs, a mode of an edge pair or a self-paired residual
+    mode half an edge-pair contribution, and a mode of a quartet or of a
+    residual pair {nu, 1 - nu*} a quarter of the quartet it completes. Only
+    an unpaired mode, which has no group to go by, is placed by its own
+    position. BRANCH_CUT is this sum plus the refusal of unpaired modes and
+    residual pairs. The subsystem eigensolve runs on a real matrix (see
+    :func:`entropy_profile`), where the particle-hole closure is exact: a
     self-paired mode is a real eigenvalue and sits at Re nu = 1/2 to the
     last bit, so the default ``tol_edge`` serves disordered chains too. On
     clean periodic chains a reflection halves that eigensolve to one real
@@ -70,7 +75,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import xlogy
 
 from .errors import (
     DefectiveMatrix,
@@ -177,6 +181,14 @@ class EntanglementSpectrum:
 
 @dataclass(frozen=True)
 class LedgerEntry:
+    """One group's contribution: the sum of one term per mode of the group.
+
+    ``branch_shifts`` counts the logs of the group that BRANCH_CUT and
+    REGULARIZED move off the principal branch, by label: 1 for a real pair
+    or an edge pair, 2 for a quartet, 0 for every other group and under
+    PRINCIPAL and ABSOLUTE_VALUE.
+    """
+
     label: ModeLabel
     contribution: complex
     branch_shifts: int
@@ -467,7 +479,8 @@ def _principal_term(nu: complex) -> complex:
 
 
 def _abs_term(nu: complex) -> complex:
-    t = 0.0 + 0.0j
+    # a float nu stays float, with the bits of the complex evaluation
+    t = 0.0
     if nu != 0:
         t -= nu * math.log(abs(nu))
     if nu != 1:
@@ -492,27 +505,38 @@ def _quartet_branch(p: tuple[float, float, float, float, float, float]) -> compl
     )
 
 
-def _real_in_range_branch(x: float) -> complex:
-    xc = min(max(x, 0.0), 1.0)
-    return complex(-(xlogy(xc, xc) + xlogy(1.0 - xc, 1.0 - xc)), 0.0)
+def _real_share(nu: complex) -> float:
+    return _abs_term(nu.real)
 
 
-def _real_pair_branch(x: float) -> complex:
-    # opposite +-i pi branches inside the pair cancel; magnitude logs remain
-    val = 0.0
-    if x != 0.0:
-        val -= 2.0 * x * math.log(abs(x))
-    if x != 1.0:
-        val -= 2.0 * (1.0 - x) * math.log(abs(1.0 - x))
-    return complex(val, 0.0)
+def _edge_share(nu: complex) -> complex:
+    return _edge_pair_branch(abs(nu.imag)) / 2.0
 
 
-_BRANCH_SHIFTS = {
-    ModeLabel.REAL_IN_RANGE: 0,
-    ModeLabel.REAL_PAIR: 1,
-    ModeLabel.EDGE_PAIR: 1,
-    ModeLabel.QUARTET: 2,
+def _quartet_share(nu: complex) -> complex:
+    return _quartet_branch(_quartet_params(nu if nu.imag > 0 else nu.conjugate())) / 4.0
+
+
+_SHARES = {
+    ModeLabel.REAL_IN_RANGE: _real_share,
+    ModeLabel.REAL_PAIR: _real_share,
+    ModeLabel.EDGE_PAIR: _edge_share,
+    ModeLabel.QUARTET: _quartet_share,
 }
+
+_BRANCH_SHIFTS = {ModeLabel.REAL_PAIR: 1, ModeLabel.EDGE_PAIR: 1, ModeLabel.QUARTET: 2}
+
+
+def _branch_share(group: ModeGroup, nu: complex, tol: ToleranceSet):
+    """Share function of the modes of group, nu one of them: each mode's
+    part of BRANCH_CUT(spectrum + conjugates) / 2 (see REGULARIZED above)."""
+    if group.label is ModeLabel.RESIDUAL_PH_PAIR:
+        return _edge_share if len(group.indices) == 1 else _quartet_share
+    if group.label is ModeLabel.UNPAIRED:
+        if abs(nu.imag) < tol.tol_real:
+            return _real_share
+        return _edge_share if abs(nu.real - 0.5) < tol.tol_edge else _quartet_share
+    return _SHARES[group.label]
 
 
 def entropy(
@@ -520,15 +544,12 @@ def entropy(
 ) -> ComplexEntropy:
     """Complex entanglement entropy of a classified spectrum.
 
-    The branch-cut prescription refuses spectra with unpaired modes and
-    directs spectra that carry only the particle-hole pairing to the
-    regularized prescription.
+    Each group of the spectrum gives one ledger entry, the sum of one term
+    per mode. REGULARIZED takes each mode's share of its multiplet
+    (:func:`_branch_share`); BRANCH_CUT is the same sum, which it refuses
+    for spectra with unpaired modes and directs to REGULARIZED for spectra
+    that carry only the particle-hole pairing.
     """
-    if prescription is Prescription.REGULARIZED:
-        return _regularized(spectrum)
-
-    nus = spectrum.eigenvalues
-    entries: list[LedgerEntry] = []
     if prescription is Prescription.BRANCH_CUT:
         if spectrum.n_unpaired:
             raise UnpairedMode(
@@ -539,61 +560,25 @@ def entropy(
                 "spectrum carries only the particle-hole pairing; "
                 "use Prescription.REGULARIZED"
             )
-    edge_it = iter(spectrum.edge_pair_imags)
-    quartet_it = iter(spectrum.quartet_params)
+    term = {
+        Prescription.PRINCIPAL: _principal_term,
+        Prescription.ABSOLUTE_VALUE: _abs_term,
+    }.get(prescription)
+    tol = spectrum.tolerances
+    nus = spectrum.eigenvalues.tolist()
+    entries: list[LedgerEntry] = []
     for g in spectrum.groups:
-        if prescription is Prescription.PRINCIPAL:
-            val = sum((_principal_term(nus[i]) for i in g.indices), 0.0 + 0.0j)
-            shifts = 0
-        elif prescription is Prescription.ABSOLUTE_VALUE:
-            val = sum((_abs_term(nus[i]) for i in g.indices), 0.0 + 0.0j)
-            shifts = 0
-        else:  # BRANCH_CUT
-            shifts = _BRANCH_SHIFTS[g.label]
-            if g.label is ModeLabel.REAL_IN_RANGE:
-                val = _real_in_range_branch(nus[g.indices[0]].real)
-            elif g.label is ModeLabel.REAL_PAIR:
-                val = _real_pair_branch(nus[g.indices[0]].real)
-            elif g.label is ModeLabel.EDGE_PAIR:
-                val = _edge_pair_branch(next(edge_it))
-            else:
-                val = _quartet_branch(next(quartet_it))
-        entries.append(LedgerEntry(g.label, complex(val), shifts, g.indices))
+        if term is None:
+            share = _branch_share(g, nus[g.indices[0]], tol)
+            shifts = _BRANCH_SHIFTS.get(g.label, 0)
+        else:
+            share, shifts = term, 0
+        val = 0.0 + 0.0j
+        for i in g.indices:
+            val += share(nus[i])
+        entries.append(LedgerEntry(g.label, val, shifts, g.indices))
     total = sum((e.contribution for e in entries), 0.0 + 0.0j)
     return ComplexEntropy(total, tuple(entries), prescription)
-
-
-def _regularized_mode(nu: complex, tol: ToleranceSet) -> complex:
-    """Per-mode share of BRANCH_CUT(spectrum + conjugates)/2.
-
-    A real mode and its conjugate form a real pair, so the mode owns half
-    of the real-pair formula (magnitude logs outside [0, 1], where the two
-    +-i pi branches of the doubled pair cancel). A self-paired
-    complex mode (Re nu = 1/2 under the particle-hole closure) owns half of
-    the edge-pair formula; any other complex mode owns a quarter of the
-    quartet completed by its structural partner 1 - nu*.
-    """
-    if abs(nu.imag) < tol.tol_real:
-        return _real_pair_branch(nu.real) / 2.0
-    if abs(nu.real - 0.5) < tol.tol_edge:
-        return _edge_pair_branch(abs(nu.imag)) / 2.0
-    rep = nu if nu.imag > 0 else nu.conjugate()
-    return _quartet_branch(_quartet_params(rep)) / 4.0
-
-
-def _regularized(spectrum: EntanglementSpectrum) -> ComplexEntropy:
-    tol = spectrum.tolerances
-    entries = tuple(
-        LedgerEntry(
-            spectrum.labels[i],
-            complex(_regularized_mode(complex(nu), tol)),
-            1 if abs(nu.imag) >= tol.tol_real else 0,
-            (i,),
-        )
-        for i, nu in enumerate(spectrum.eigenvalues)
-    )
-    total = sum((e.contribution for e in entries), 0.0 + 0.0j)
-    return ComplexEntropy(total, entries, Prescription.REGULARIZED)
 
 
 def entanglement_energies(spectrum: EntanglementSpectrum) -> EntanglementEnergies:

@@ -359,14 +359,15 @@ class TestRun:
         assert len(rows) == 24
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
-    @pytest.mark.parametrize("boundary, provenance",
-                             [("pbc", "k_space"), ("obc", "real_space")])
-    def test_symmetry_check_provenance(self, tmp_path, boundary, provenance):
+    @pytest.mark.parametrize("boundary, route",
+                             [("pbc", "k_space"), ("obc", "singular_mode")])
+    def test_symmetry_check_route(self, tmp_path, boundary, route):
         cfg = base_config(tmp_path, name="symmetry-check", ell=8)
         cfg["model"]["boundary"] = boundary
         assert run_config(tmp_path, cfg) == 0
         summary = json.loads((tmp_path / "symmetry_check_summary.json").read_text())
-        assert summary["provenance"] == provenance
+        assert summary["route"] == route
+        assert "provenance" not in summary
         assert summary["ph_ok"]
         assert summary["t_plus_ok"] is (boundary == "pbc")
 

@@ -296,9 +296,69 @@ class TestEntropyClosedForms:
     def test_ledger_sums_exactly(self):
         corr = pc.correlation_k_space(chain(v=1, w=2, u=1, cells=128), 20)
         sp = pc.classify_spectrum(np.linalg.eigvals(corr.matrix))
+        assert sp.n_edge_pairs == 1
+        shifts = {pc.ModeLabel.REAL_PAIR: 1, pc.ModeLabel.EDGE_PAIR: 1,
+                  pc.ModeLabel.QUARTET: 2}
         for presc in (BC, ABS, PRIN, REG):
             out = pc.entropy(sp, presc)
             assert out.value == sum((e.contribution for e in out.ledger), 0j)
+            # one entry per group, in group order
+            assert [(e.label, e.indices) for e in out.ledger] == \
+                [(g.label, g.indices) for g in sp.groups]
+            branch = presc in (BC, REG)
+            assert [e.branch_shifts for e in out.ledger] == \
+                [shifts.get(g.label, 0) if branch else 0 for g in sp.groups]
+
+    def test_regularized_ledger_one_entry_per_group(self):
+        nu = 0.3 + 0.2j
+        sp = pc.classify_spectrum(np.array([nu, 1 - np.conj(nu), 0.5 + 0.4j, 0.2]))
+        out = pc.entropy(sp, REG)
+        assert [e.indices for e in out.ledger] == [g.indices for g in sp.groups]
+        assert [e.branch_shifts for e in out.ledger] == [0, 0, 0]
+        assert out.value == sum((e.contribution for e in out.ledger), 0j)
+
+    @given(adversarial_spectra())
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    def test_branch_cut_is_regularized_where_accepted(self, nus):
+        sp = pc.classify_spectrum(nus)
+        try:
+            branch = pc.entropy(sp, BC).value
+        except (UnpairedMode, ResidualNeedsRegularized):
+            return
+        regularized = pc.entropy(sp, REG).value
+        assert branch.imag == regularized.imag
+        assert abs(branch.real - regularized.real) <= 1e-12
+
+    def test_edge_pair_just_inside_tol_edge(self):
+        # the partner sits 5e-9 beyond tol_edge, but the pair is an edge pair
+        nus = np.array([complex(0.5 - 0.999997e-6, 0.3 + 1e-9),
+                        complex(0.5 - 1.004997e-6, -0.3)])
+        sp = pc.classify_spectrum(nus)
+        assert sp.n_edge_pairs == 1
+        for presc in (BC, REG):
+            assert pc.entropy(sp, presc).value.imag == -np.pi
+
+    def test_residual_pair_just_outside_tol_edge(self):
+        # the partner of nu sits inside tol_edge, nu itself outside it; the
+        # pair completes a quartet, which carries no imaginary part
+        nu = complex(0.5 - 1.000004e-6, 0.3)
+        nus = np.array([nu, (1 - nu.conjugate()) - 5e-9])
+        sp = pc.classify_spectrum(nus)
+        assert sp.n_residual == 1
+        half = pc.entropy(sp, REG).value
+        completed = pc.classify_spectrum(np.concatenate([nus, nus.conj()]))
+        assert completed.n_quartets == 1
+        whole = pc.entropy(completed, BC).value
+        assert half.imag == 0.0
+        assert_allclose(half.real, whole.real / 2, rtol=0, atol=1e-14)
+
+    def test_branch_cut_continuous_at_tol_real(self):
+        # x inside -tol_real counts as in range, beyond it as a real pair
+        inside, outside = (
+            pc.entropy(pc.classify_spectrum(np.array([x, 1 - x])), BC).value
+            for x in (-0.99e-8, -1.01e-8)
+        )
+        assert abs(inside - outside) < 1e-8
 
     @given(st.floats(0.05, 0.95))
     @settings(max_examples=30)
@@ -456,6 +516,20 @@ class TestReflectionHalving:
         assert counts == full_counts
         assert abs(value.imag - full_value.imag) < 1e-12
 
+    def test_halved_re_s_matches_full_solve_on_fig2b(self):
+        # fig2b at --scale 8, its largest block: about half of the real
+        # modes sit just outside [0, 1], on a side that depends on the solver
+        spec = chain(v=1, w=2, u=1, cells=1250, detuning=1e-12)
+        block, route = _subsystem_correlation(spec, 312)
+
+        def re_s(lam):
+            return pc.entropy(pc.classify_spectrum(0.5 + 0.5j * lam), BC).value.real
+
+        halved = _subsystem_eigvals(block, route)
+        assert np.array_equal(halved[:312], -halved[312:])  # the halved solve ran
+        # measured: 9.6e-10
+        assert abs(re_s(halved) - re_s(scipy.linalg.eigvals(block))) < 1e-8
+
     def test_re_s_precision_against_mpmath(self):
         """Re S of both solves against a 40-digit reference, on the fig2b
         chain. The block is made exactly reflection-odd first, so that the
@@ -488,6 +562,6 @@ class TestReflectionHalving:
         assert np.array_equal(lam[:30], -lam[30:])  # the halved solve ran
         err_full = abs(re_s(scipy.linalg.eigvals(M)) - exact)
         err_halved = abs(re_s(lam) - exact)
-        # measured: 6.7e-13 and 1.9e-11
+        # measured: 7.4e-13 and 2.5e-12
         assert err_full < 1e-11
-        assert err_halved < 2e-10
+        assert err_halved < 2e-11
