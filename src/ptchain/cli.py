@@ -225,8 +225,9 @@ def _resolve_trim(trim, boundary: Boundary):
 
 class _Run(NamedTuple):
     """A resolved config: the task, its spec, its runner's keyword arguments
-    (the library's own defaults stand for every key left out) and the output
-    directory and path prefix."""
+    (the library's own defaults stand for every key left out, except the
+    ``cc-fit`` trim of a periodic chain: ``UntilSSE()`` where ``cc_fit_pbc``
+    defaults to ``FixedCount(0)``) and the output directory and path prefix."""
 
     name: str
     spec: ChainSpec | InterfaceSpec

@@ -123,14 +123,16 @@ def _root_in_disk(A: float, B: complex) -> complex:
 
 def _matching_residual(
     E: complex, spec: InterfaceSpec
-) -> tuple[complex, complex, complex]:
+) -> tuple[complex, tuple[complex, complex, complex, complex]]:
+    """Boundary-matching residual at E, and the sides it matched: the roots
+    (beta_L, beta_R) and the sublattice ratios psi_B / psi_A (left, right)."""
     v1, v2, w, u = spec.v1, spec.v2, spec.w, spec.u
     beta_l = _root_in_disk(v1 * w, v1 * v1 + w * w - E * E)
     beta_r = _root_in_disk(v2 * w, v2 * v2 + w * w - (E * E + u * u))
-    ratio_l = E / (v1 - w * beta_l)            # (psi_B / psi_A) left
-    ratio_r = (E - 1j * u) / (v2 - w / beta_r)  # (psi_B / psi_A) right
+    ratio_l = E / (v1 - w * beta_l)
+    ratio_r = (E - 1j * u) / (v2 - w / beta_r)
     f = (E - v1 / ratio_l) * (E - 1j * u - v2 * ratio_r) - w * w
-    return f, beta_l, beta_r
+    return f, (beta_l, beta_r, ratio_l, ratio_r)
 
 
 def interface_lattice_solve(
@@ -155,8 +157,8 @@ def interface_lattice_solve(
     seed = interface_continuum(spec.w - spec.v1, spec.u)
     e0 = seed.E
     e1 = e0 * (1.0 + 1e-4) + 1e-8j
-    f0, _, _ = _matching_residual(e0, spec)
-    f1, beta_l, beta_r = _matching_residual(e1, spec)
+    f0, _ = _matching_residual(e0, spec)
+    f1, sides = _matching_residual(e1, spec)
     max_step = 0.25 * max(spec.u, abs(e0))
     for _ in range(max_iter):
         if abs(f1) < tol:
@@ -169,33 +171,31 @@ def interface_lattice_solve(
             step *= max_step / abs(step)
         e0, f0 = e1, f1
         e1 = e1 + step
-        f1, beta_l, beta_r = _matching_residual(e1, spec)
+        f1, sides = _matching_residual(e1, spec)
     residual = abs(f1)
     if residual > 1e-10:
         raise NoConvergence(
             f"matching residual {residual:.2e} after {max_iter} iterations"
         )
-    ratio_r = (e1 - 1j * spec.u) / (spec.v2 - spec.w / beta_r)
-    profile = _exponential_profile(spec, e1, beta_l, beta_r)
+    beta_l, beta_r, _, ratio_r = sides
     return BoundState(
         E=complex(e1),
         a=float(e1.imag / spec.u),
         beta_l=beta_l,
         beta_r=beta_r,
         sublattice_ratio=complex(1.0 / ratio_r),
-        profile=profile,
+        profile=_exponential_profile(spec, e1, *sides),
         residual=residual,
     )
 
 
 def _exponential_profile(
-    spec: InterfaceSpec, E: complex, beta_l: complex, beta_r: complex
+    spec: InterfaceSpec, E: complex, beta_l: complex, beta_r: complex,
+    ratio_l: complex, ratio_r: complex,
 ) -> np.ndarray:
     """Per-site amplitudes of the exponential interface ansatz, anchored at
     the last Hermitian cell with psi_A = 1."""
-    v1, v2, w, u = spec.v1, spec.v2, spec.w, spec.u
-    ratio_l = E / (v1 - w * beta_l)
-    ratio_r = (E - 1j * u) / (v2 - w / beta_r)
+    v1, w = spec.v1, spec.w
     L1, L2 = spec.cells_left, spec.cells_right
     psi = np.zeros(2 * (L1 + L2), dtype=complex)
     a_if = 1.0  # psi_A at interface cell (last left cell)

@@ -71,7 +71,9 @@ import cmath
 import enum
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -172,11 +174,16 @@ class EntanglementSpectrum:
 
     @property
     def n_residual(self) -> int:
-        return sum(1 for g in self.groups if g.label is ModeLabel.RESIDUAL_PH_PAIR)
+        return self._label_counts[ModeLabel.RESIDUAL_PH_PAIR]
 
     @property
     def n_unpaired(self) -> int:
-        return sum(1 for g in self.groups if g.label is ModeLabel.UNPAIRED)
+        return self._label_counts[ModeLabel.UNPAIRED]
+
+    @cached_property
+    def _label_counts(self) -> Counter:
+        """Groups per label, counted once per spectrum."""
+        return Counter(g.label for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -676,6 +683,18 @@ def _subsystem_eigvals(block: np.ndarray, route: str) -> np.ndarray:
     return scipy.linalg.eigvals(block)
 
 
+def _subsystem_sizes(ells, cells: int) -> np.ndarray:
+    """The distinct sizes in 1..cells, sorted; an integral float is a size,
+    2.7 is refused rather than truncated."""
+    given = list(ells)
+    if not all(float(e).is_integer() for e in given):
+        raise ValueError(f"subsystem sizes must be integers, got {given}")
+    sizes = np.asarray(sorted(set(int(e) for e in given)))
+    if not len(sizes) or np.any(sizes < 1) or np.any(sizes > cells):
+        raise ValueError(f"subsystem sizes must be a non-empty list in 1..{cells}")
+    return sizes
+
+
 def entropy_profile(
     spec: ChainSpec,
     ells,
@@ -699,9 +718,7 @@ def entropy_profile(
     fallback to the 2 ell x 2 ell solve near its square-root singularity
     (:func:`_subsystem_eigvals`); the other routes take the 2 ell solve.
     """
-    ells = np.asarray(sorted(set(int(e) for e in ells)))
-    if not len(ells) or np.any(ells < 1) or np.any(ells > spec.cells):
-        raise ValueError(f"subsystem sizes must be a non-empty list in 1..{spec.cells}")
+    ells = _subsystem_sizes(ells, spec.cells)
     M, route = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
     blocks = (M[: 2 * int(e), : 2 * int(e)] for e in ells)
     results = []

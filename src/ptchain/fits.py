@@ -4,9 +4,9 @@ Three fit families:
 
 * periodic-chain entropy against log sin(pi l / L) (slope = c/3);
 * open-chain regularized entropy against the boundary-shifted form
-  (c/6) log sin(pi (l + 2 dl) / (L + 2 dl)) + s0, with the shift dl fitted
-  by an outer one-dimensional search so the curve keeps its extremum at
-  half chain;
+  (c/6) log sin(pi (l + 2 dl) / (L + 2 dl)) + s0, which keeps its extremum
+  at half chain; dl is the least-SSE point of a 512-point scan of the
+  feasible bounds, refined by eight 33-point rescans of the best bracket;
 * ground-state-energy Casimir fits, E0 = eps L + A / L (periodic) and
   E0 = eps L + b + A / (L + Delta_L) (open) with an integer extrapolation
   length Delta_L, either given or scanned over [-4, 4].
@@ -26,13 +26,13 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientPoints, NoConvergence, PTChainError
 from .entanglement import (
     DEFAULT_TOLERANCES,
     Prescription,
     ToleranceSet,
+    _subsystem_sizes,
     entropy_profile,
 )
 from .lattice import ChainSpec, DisorderProfile
@@ -190,42 +190,41 @@ def _shift_grid_sse(ells: np.ndarray, y: np.ndarray, L: float,
     for all shifts in one pass: the least-squares slope of the centred data,
     then the residual sum; infeasible shifts get inf.
     """
-    d = grid[:, None]
-    arg = (ells + 2.0 * d) / (L + 2.0 * d)
-    feasible = np.all((arg > 0.0) & (arg < 1.0), axis=1)
-    x = np.log(np.sin(np.pi * arg[feasible]))
+    d = 2.0 * grid[:, None]
+    # the sine argument is monotone in l: the end sizes decide feasibility
+    ends = (np.array([ells.min(), ells.max()]) + d) / (L + d)
+    feasible = np.all((ends > 0.0) & (ends < 1.0), axis=1)
+    x = ells + d[feasible]
+    x /= L + d[feasible]
+    x *= np.pi
+    np.log(np.sin(x, out=x), out=x)
     x -= x.mean(axis=1, keepdims=True)
     yc = y - y.mean()
     slope = (x @ yc) / np.einsum("ij,ij->i", x, x)
-    res = yc - slope[:, None] * x
+    x *= slope[:, None]
+    np.subtract(yc, x, out=x)
     sse = np.full(len(grid), np.inf)
-    sse[feasible] = np.einsum("ij,ij->i", res, res)
+    sse[feasible] = np.einsum("ij,ij->i", x, x)
     return sse
 
 
 def _best_shift(ells: np.ndarray, y: np.ndarray, L: float,
-                bounds: tuple[float, float]) -> tuple[float, float]:
-    """Grid scan plus bounded refinement of the extrapolation shift."""
+                bounds: tuple[float, float]) -> float:
+    """Least-SSE extrapolation shift on a scan and rescans of the bounds."""
     lo = max(bounds[0], -float(ells.min()) / 2.0 + 1e-6)
-    hi = bounds[1]
-    if lo >= hi:
+    if lo >= bounds[1]:
         raise NoConvergence("no feasible extrapolation shift in bounds")
-    grid = np.linspace(lo, hi, 512)
+    grid = np.linspace(lo, bounds[1], 512)
     sses = _shift_grid_sse(ells, y, L, grid)
     if not np.any(np.isfinite(sses)):
         raise NoConvergence("shifted fit infeasible on the whole search range")
-    b = int(np.argmin(sses))
-    left = grid[max(b - 1, 0)]
-    right = grid[min(b + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda d: _shift_grid_sse(ells, y, L, np.array([d]))[0],
-        bounds=(left, right),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if not res.success:
-        raise NoConvergence("bounded refinement of the shift failed")
-    return float(res.x), float(res.fun)
+    # eight 16-fold narrowings end under 1e-12 of the bounds; a fixed count,
+    # since two ulps of a large shift are wider than any absolute target
+    for _ in range(8):
+        b = int(np.argmin(sses))
+        grid = np.linspace(grid[max(b - 1, 0)], grid[min(b + 1, len(grid) - 1)], 33)
+        sses = _shift_grid_sse(ells, y, L, grid)
+    return float(grid[np.argmin(sses)])
 
 
 def cc_fit_obc(
@@ -237,8 +236,8 @@ def cc_fit_obc(
 ) -> FitResult:
     """Boundary-shifted fit for open chains.
 
-    Inner linear regression for (c/6, s0) at fixed shift, outer bounded
-    search over the shift, trimming smallest-l points per the policy.
+    Inner linear regression for (c/6, s0) at fixed shift, outer scan
+    over the shift, trimming smallest-l points per the policy.
     """
     ells = np.asarray(ells, dtype=float)
     y = np.asarray(re_entropy, dtype=float)
@@ -253,7 +252,7 @@ def cc_fit_obc(
                 f"{len(e)} points left after trimming {k}; "
                 f"need >= {_CC_OBC_MIN_POINTS}"
             )
-        dl, _ = _best_shift(e, yy, float(L), bounds)
+        dl = _best_shift(e, yy, float(L), bounds)
         X = _shifted_cc_design(e, float(L), dl)
         out = _linear_fit(X, yy, ["c_over_6", "s0"], "cc_obc_shifted", k)
         out.coefficients["delta_ell"] = dl
@@ -385,7 +384,7 @@ def disorder_ensemble(
         raise ValueError(
             f"a standard error needs n_realizations >= 2, got {n_realizations}"
         )
-    ells = np.asarray(sorted(set(int(e) for e in ells)))
+    ells = _subsystem_sizes(ells, template.cells)
     run = partial(_one_realization, template, delta_bound, base_seed, ells,
                   prescription, tolerances, tol_zero)
     # more workers than realizations or CPUs only cost forks

@@ -27,6 +27,7 @@ every cell on its critical line and preserves global PT symmetry.
 from __future__ import annotations
 
 import enum
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +42,14 @@ TOL_CRIT = 1e-9
 #: gap-closing momentum a safe distance from the exceptional point where
 #: correlation eigenvalues diverge.
 CRITICAL_DETUNING = 1e-12
+
+
+def _require_integers(spec, *names: str) -> None:
+    """Sizes are integers (numpy's included); a bool is not a size."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class Boundary(enum.Enum):
@@ -103,6 +112,7 @@ class ChainSpec:
     detuning: float | None = field(default=None)
 
     def __post_init__(self):
+        _require_integers(self, "alpha", "cells")
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.cells < self.alpha + 1:
@@ -173,6 +183,7 @@ class InterfaceSpec:
     cells_right: int = 20
 
     def __post_init__(self):
+        _require_integers(self, "cells_left", "cells_right")
         if self.cells_left < 2 or self.cells_right < 2:
             raise SpecTooSmall("interface needs at least 2 cells per side")
         if self.u < 0:

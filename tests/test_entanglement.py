@@ -437,6 +437,14 @@ class TestEntropyProfile:
             with pytest.raises(ValueError, match="non-empty list in 1..16"):
                 pc.entropy_profile(spec, ells)
 
+    def test_sizes_must_be_integral(self):
+        spec = chain(v=2, w=1, u=1, cells=16)
+        with pytest.raises(ValueError, match=r"must be integers, got \[2\.7, 4\]"):
+            pc.entropy_profile(spec, [2.7, 4])
+        floats = pc.entropy_profile(spec, np.array([4.0, 2.0]))
+        np.testing.assert_array_equal(floats.ells, [2, 4])
+        np.testing.assert_array_equal(floats.values, pc.entropy_profile(spec, [2, 4]).values)
+
     def test_obc_needs_regularized(self):
         spec = chain(v=2, w=1, u=1, cells=64, boundary="obc")
         with pytest.raises((ResidualNeedsRegularized, UnpairedMode)):

@@ -87,6 +87,28 @@ class TestCCFitOBC:
         fit = pc.cc_fit_obc(ells, y, L, FixedCount(0))
         assert_allclose(fit.coefficients["delta_ell"], -2.1, atol=1e-6)
 
+    def test_far_shift_recovery(self):
+        # a bounded Brent search stops within about 1.5e-8 |dl| of the
+        # minimum (7e-6 here); the rescans of the scan bracket do not widen
+        L = 40000
+        ells = np.arange(10, 401, 10, dtype=float)
+        y = self.model(ells, L, -1 / 3, -0.8, 6000.0)
+        fit = pc.cc_fit_obc(ells, y, L, FixedCount(0))
+        assert abs(fit.coefficients["delta_ell"] - 6000.0) <= 1e-7
+
+    @pytest.mark.parametrize("L, ells", [(20, np.arange(1.0, 11.0)),
+                                         (200, np.arange(4.0, 101.0))])
+    def test_shift_at_the_feasibility_bound(self, L, ells):
+        # the planted shift lies just below the lowest feasible one,
+        # -min(l)/2 + 1e-6, so the SSE falls all the way to that bound
+        lo, hi = -ells.min() / 2 + 1e-6, L / 4
+        y = self.model(ells, L, -1 / 3, -0.8, -ells.min() / 2 + 1e-7)
+        fit = pc.cc_fit_obc(ells, y, L, FixedCount(0))
+        dl = fit.coefficients["delta_ell"]
+        assert lo <= dl <= hi
+        at_fit, at_bound = _shift_grid_sse(ells, y, float(L), np.array([dl, lo]))
+        assert at_fit <= at_bound
+
     def test_rmse_trim_stops_at_threshold(self):
         L = 200
         ells = np.arange(1, 101, dtype=float)
@@ -298,6 +320,12 @@ class TestDisorderEnsemble:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             pc.disorder_ensemble(self.template(), 1.5, 2, 0, [4])
+
+    def test_sizes_must_be_integral(self, monkeypatch):
+        # refused before any realization runs, not truncated to 2
+        monkeypatch.setattr(pc.fits, "entropy_profile", None)
+        with pytest.raises(ValueError, match="must be integers"):
+            pc.disorder_ensemble(self.template(), 0.9, 2, 0, [2.7, 4])
 
     @pytest.mark.parametrize("n_realizations", [0, 1])
     def test_standard_error_needs_two_realizations(self, n_realizations):

@@ -171,6 +171,16 @@ class TestBuildRealSpace:
         with pytest.raises(SpecTooSmall):
             pc.ChainSpec(alpha=3, v=1, w=1, u=0, cells=3)
 
+    @pytest.mark.parametrize("field, value", [("alpha", 1.5), ("cells", 6.0),
+                                              ("cells", True), ("alpha", "2")])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            pc.ChainSpec(**{"v": 1, "w": 2, "u": 1, "cells": 6, field: value})
+
+    def test_numpy_integer_sizes_build(self):
+        spec = pc.ChainSpec(alpha=np.int64(2), v=1, w=2, u=1, cells=np.int32(6))
+        assert pc.build_real_space(spec).shape == (12, 12)
+
     def test_disorder_bound_enforced(self):
         with pytest.raises(ValueError):
             pc.ChainSpec(v=1, w=2, u=1, cells=4,
@@ -195,6 +205,13 @@ class TestBuildInterface:
         # single joining bond between the blocks
         cross = h[: 8, 8:]
         assert np.count_nonzero(cross) == 1
+
+    @pytest.mark.parametrize("field, value", [("cells_left", 10.5),
+                                              ("cells_right", 8.0),
+                                              ("cells_left", False)])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            pc.InterfaceSpec(v1=1.5, v2=0.5, w=1.0, u=0.5, **{field: value})
 
     def test_infinite_mass_is_valid(self):
         spec = pc.InterfaceSpec(v1=100.0, v2=0.5, w=1.0, u=0.5)

@@ -4,11 +4,15 @@ The numpy and scipy wheels each bundle their own OpenBLAS with its own
 thread pool, and a pool left idle after a call keeps a core busy for a
 while. Every dense factorization and large product in ``ptchain`` therefore
 runs on scipy's LAPACK and BLAS; ``numpy.linalg`` contributes only its
-``LinAlgError``.
+``LinAlgError``. Of scipy only ``scipy.linalg`` and ``scipy.special`` are
+imported, which keeps every CLI process's start-up short.
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +32,18 @@ def test_source_uses_no_numpy_linalg():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # a fresh interpreter: this process has imported scipy modules of its own
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = "import sys, ptchain.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"ptchain.cli", "scipy.linalg", "scipy.special"} <= loaded
+    assert "scipy.optimize" not in loaded
 
 
 @pytest.fixture
