@@ -488,6 +488,9 @@ def _run_disorder(spec, ells, delta_bound, n_realizations, seed, **opts):
         "base_seed": stats.base_seed,
         "im_min": float(stats.im_values.min()),
         "im_max": float(stats.im_values.max()),
+        # every realization is a disordered chain: the dense route
+        "route": "dense",
+        "workers": stats.workers,
     }
 
 

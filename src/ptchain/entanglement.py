@@ -229,9 +229,7 @@ def correlation_matrix(
 
     Only the leading 2 ell rows of C = sum_n s_n conj(L_n) R_n^T are formed.
     """
-    n_cells = sys.n // 2
-    if not 1 <= ell <= n_cells:
-        raise ValueError(f"subsystem of {ell} cells out of range 1..{n_cells}")
+    ell = _subsystem_cells(ell, sys.n // 2)
     n = 2 * ell
     C = _gemm(sys.left_vectors[:n].conj() * occ.weights, sys.right_vectors[:n].T)
     return CorrelationMatrix(C, ell, Provenance.REAL_SPACE)
@@ -258,8 +256,7 @@ def correlation_k_space(spec: ChainSpec, ell: int) -> CorrelationMatrix:
     spec.require_translation_invariant("correlation_k_space")
     if spec.boundary is not Boundary.PBC:
         raise ValueError("correlation_k_space requires periodic boundaries")
-    if not 1 <= ell <= spec.cells:
-        raise ValueError(f"subsystem of {ell} cells out of range 1..{spec.cells}")
+    ell = _subsystem_cells(ell, spec.cells)
     M, _ = _subsystem_correlation(spec, ell)
     return CorrelationMatrix(_ungauge(M), ell, Provenance.K_SPACE)
 
@@ -683,16 +680,29 @@ def _subsystem_eigvals(block: np.ndarray, route: str) -> np.ndarray:
     return scipy.linalg.eigvals(block)
 
 
-def _subsystem_sizes(ells, cells: int) -> np.ndarray:
-    """The distinct sizes in 1..cells, sorted; an integral float is a size,
-    2.7 is refused rather than truncated."""
-    given = list(ells)
+def _integers(values, what: str) -> list[int]:
+    """The values as ints; an integral float or a numpy integer is one, 2.7
+    is refused rather than truncated."""
+    given = list(values)
     if not all(float(e).is_integer() for e in given):
-        raise ValueError(f"subsystem sizes must be integers, got {given}")
-    sizes = np.asarray(sorted(set(int(e) for e in given)))
+        raise ValueError(f"{what} must be integers, got {given}")
+    return [int(e) for e in given]
+
+
+def _subsystem_sizes(ells, cells: int) -> np.ndarray:
+    """The distinct sizes in 1..cells, sorted (see :func:`_integers`)."""
+    sizes = np.asarray(sorted(set(_integers(ells, "subsystem sizes"))))
     if not len(sizes) or np.any(sizes < 1) or np.any(sizes > cells):
         raise ValueError(f"subsystem sizes must be a non-empty list in 1..{cells}")
     return sizes
+
+
+def _subsystem_cells(ell, cells: int) -> int:
+    """One subsystem size as an int in 1..cells (see :func:`_integers`)."""
+    [n] = _integers([ell], "subsystem sizes")
+    if not 1 <= n <= cells:
+        raise ValueError(f"subsystem of {n} cells out of range 1..{cells}")
+    return n
 
 
 def entropy_profile(

@@ -32,12 +32,13 @@ from .entanglement import (
     DEFAULT_TOLERANCES,
     Prescription,
     ToleranceSet,
+    _integers,
     _subsystem_sizes,
     entropy_profile,
 )
 from .lattice import ChainSpec, DisorderProfile
 from .rng import disorder_offsets
-from .spectral import TOL_ZERO, ground_state_energy
+from .spectral import TOL_ZERO, _set_blas_threads, ground_state_energy
 
 
 #: Fewest points each fit takes, after trimming.
@@ -96,6 +97,7 @@ class EnsembleStats:
     im_values: np.ndarray
     n_realizations: int
     base_seed: int
+    workers: int = 1  # processes that ran the realizations; 1 is serial
 
     @property
     def mean_re(self) -> np.ndarray:
@@ -320,8 +322,11 @@ def casimir_fit(
 def casimir_energy_table(
     spec: ChainSpec, sizes, imag_tol: float = 1e-9, tol_zero: float = TOL_ZERO
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re E0 over system sizes, asserting Im E0 vanishes at half filling."""
-    sizes = np.asarray(sorted(int(s) for s in sizes))
+    """Re E0 over system sizes, asserting Im E0 vanishes at half filling.
+
+    A size must be integral: 8.7 is refused, not computed as L = 8.
+    """
+    sizes = np.asarray(sorted(_integers(sizes, "system sizes")))
     energies = []
     for L in sizes:
         e0 = ground_state_energy(replace(spec, cells=int(L)), tol_zero)
@@ -362,17 +367,25 @@ def disorder_ensemble(
     base_seed: int,
     ells,
     prescription: Prescription = Prescription.REGULARIZED,
-    jobs: int = 1,
+    jobs: int | None = None,
     tolerances: ToleranceSet = DEFAULT_TOLERANCES,
     tol_zero: float = TOL_ZERO,
 ) -> EnsembleStats:
     """Seeded disorder ensemble of entropy profiles.
 
     Realization r draws its per-cell offsets from a SplitMix64 stream with
-    seed ``base_seed + r``; aggregation is by realization index, so the
-    statistics are identical for any worker count or completion order.
-    ``jobs`` caps the worker processes, which are further capped at the
-    realization count and the CPU count.
+    seed ``base_seed + r``; aggregation is by realization index.
+    ``jobs`` caps the worker processes (``None``: every CPU this process
+    may use), which are further capped at the realization count and the
+    CPU count; one worker runs serially, without a pool.
+
+    A realization is one dense eigensolve, which a second BLAS thread does
+    not speed up, so every realization runs on one BLAS thread, in a worker
+    or in the serial loop, and the cores go to processes instead. The
+    statistics are then bit-identical for any worker count or completion
+    order; where scipy's BLAS offers no thread control, they are identical
+    only at equal BLAS thread counts. The serial loop restores the caller's
+    thread count when it ends.
     """
     if template.disorder is not None:
         raise ValueError("template must be disorder-free; offsets are drawn per realization")
@@ -384,17 +397,26 @@ def disorder_ensemble(
         raise ValueError(
             f"a standard error needs n_realizations >= 2, got {n_realizations}"
         )
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1 or None, got {jobs}")
     ells = _subsystem_sizes(ells, template.cells)
     run = partial(_one_realization, template, delta_bound, base_seed, ells,
                   prescription, tolerances, tol_zero)
     # more workers than realizations or CPUs only cost forks
-    workers = min(jobs, n_realizations, os.cpu_count() or 1)
+    cpus = _usable_cpus()
+    workers = min(cpus if jobs is None else jobs, n_realizations, cpus)
     with ExitStack() as stack:
-        mapper = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_set_blas_threads, initargs=(1,))
+            mapper = stack.enter_context(pool).map
+        else:
+            mapper = map
+            previous = _set_blas_threads(1)
+            if previous is not None:
+                stack.callback(_set_blas_threads, previous)
         values = np.array(list(mapper(run, range(n_realizations))), dtype=complex)
     return EnsembleStats(
         ells=ells,
@@ -402,4 +424,13 @@ def disorder_ensemble(
         im_values=values.imag.copy(),
         n_realizations=n_realizations,
         base_seed=base_seed,
+        workers=workers,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -25,6 +25,7 @@ modes on the imaginary axis come out at Re E = 0 exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,6 +237,36 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fa, fb = a.flags.f_contiguous, b.flags.f_contiguous
     return gemm(1.0, a if fa else a.T, b if fb else b.T,
                 trans_a=0 if fa else 1, trans_b=0 if fb else 1)
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) thread-count functions of scipy's bundled OpenBLAS, or
+    None where scipy's BLAS does not export both.
+
+    Looked up on the handle of scipy's BLAS extension, whose dependencies
+    dlsym searches, so the pool reached is the one :func:`_gemm` and every
+    dense factorization run on.
+    """
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+        return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (AttributeError, OSError):
+        return None
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Run scipy's BLAS on n threads; the previous count, or None (and
+    nothing pinned) where scipy's BLAS has no thread control."""
+    control = _blas_thread_control()
+    if control is None:
+        return None
+    get, set_ = control
+    previous = int(get())
+    set_(n)
+    return previous
 
 
 def _half_filled_energies(a: np.ndarray, u: float, tol_zero: float) -> np.ndarray:

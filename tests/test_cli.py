@@ -215,6 +215,29 @@ def test_python_m_validate(tmp_path, module):
         assert proc.returncode == code, proc.stderr
 
 
+def test_python_m_run_disorder_csv_independent_of_jobs(tmp_path):
+    # one BLAS thread per realization, serial or in workers: the default
+    # worker count writes the bytes that --jobs 1 writes
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cfg = base_config(tmp_path, name="disorder", ells=[2, 4, 8],
+                      n_realizations=4, delta_bound=0.9)
+    cfg["model"].update(cells=24, detuning=1e-10)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    written = []
+    for flags in (["--jobs", "1"], []):
+        out = tmp_path / f"out{len(written)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptchain", "run", str(path), "--out", str(out),
+             *flags],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "disorder_disorder.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def spy(monkeypatch, name):
     """Record the arguments of every call to ptchain.cli.<name> by parameter
     name, however they were passed, then call it."""
@@ -396,6 +419,22 @@ class TestRun:
         assert main(["run", str(path)]) == 0
         second = (tmp_path / "a" / "disorder_disorder.csv").read_bytes()
         assert first == second
+
+    def test_disorder_summary_names_route_and_workers(self, tmp_path):
+        cfg = base_config(tmp_path, name="disorder", ells=[4, 8],
+                          n_realizations=3, delta_bound=0.9)
+        cfg["model"].update(cells=16, detuning=1e-10)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for flags, workers in ((["--jobs", "1"], 1),
+                               ([], min(3, pc.fits._usable_cpus()))):
+            assert main(["run", str(path), *flags]) == 0
+            summary = json.loads((tmp_path / "disorder_summary.json").read_text())
+            assert list(summary) == ["task", "n_realizations", "base_seed",
+                                     "im_min", "im_max", "route", "workers"]
+            assert summary["route"] == "dense"
+            assert type(summary["workers"]) is int
+            assert summary["workers"] == workers
 
     def test_csv_roundtrip_17_digits(self, tmp_path):
         cfg = base_config(

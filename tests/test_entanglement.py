@@ -100,6 +100,26 @@ class TestCorrelationKSpace:
         assert_allclose(np.sort(nu.real), [0.0] * 12 + [1.0] * 12, atol=1e-9)
         assert np.max(np.abs(nu.imag)) < 1e-9
 
+    @pytest.mark.parametrize("ell", [4.5, 0, 17])
+    def test_subsystem_size_checked_by_both_builders(self, ell):
+        # one check: a ValueError naming the size, not a foreign TypeError
+        spec = chain(v=2, w=1, u=1, cells=16)
+        sys_, occ = diag_system(spec)
+        for build in (lambda: pc.correlation_k_space(spec, ell),
+                      lambda: pc.correlation_matrix(sys_, occ, ell)):
+            with pytest.raises(ValueError, match=str(ell)):
+                build()
+
+    def test_integral_float_subsystem_size_accepted(self):
+        spec = chain(v=2, w=1, u=1, cells=16)
+        sys_, occ = diag_system(spec)
+        for size in (4.0, np.int64(4)):
+            fast = pc.correlation_k_space(spec, size)
+            dense = pc.correlation_matrix(sys_, occ, size)
+            assert fast.subsystem_cells == dense.subsystem_cells == 4
+            assert type(fast.subsystem_cells) is type(dense.subsystem_cells) is int
+            np.testing.assert_array_equal(fast.matrix, pc.correlation_k_space(spec, 4).matrix)
+
     def test_rejects_obc_and_disorder(self):
         with pytest.raises(ValueError):
             pc.correlation_k_space(chain(v=1, w=2, u=0.5, boundary="obc"), 2)

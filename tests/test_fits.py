@@ -1,12 +1,18 @@
+import contextlib
+import ctypes
+import multiprocessing
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ptchain as pc
+from ptchain import spectral
 from ptchain.errors import InsufficientPoints, NoConvergence
 from ptchain.fits import (FixedCount, UntilRMSE, UntilSSE, _linear_fit,
                           _shift_grid_sse, _shifted_cc_design)
@@ -228,6 +234,20 @@ class TestCasimirFit:
         assert len(sizes) == 3
         assert energies.dtype == np.float64
 
+    def test_energy_table_refuses_non_integral_sizes(self, monkeypatch):
+        # refused before any energy is computed, not truncated to L = 8
+        monkeypatch.setattr(pc.fits, "ground_state_energy", None)
+        spec = pc.ChainSpec(v=1, w=2, u=1, cells=8, boundary=pc.Boundary.OBC)
+        with pytest.raises(ValueError, match=r"must be integers, got \[8\.7, 10"):
+            pc.casimir_energy_table(spec, [8.7, 10, 12, 14])
+
+    def test_energy_table_takes_integral_floats_and_numpy_integers(self):
+        spec = pc.ChainSpec(v=1, w=2, u=1, cells=8, boundary=pc.Boundary.OBC)
+        sizes, energies = pc.casimir_energy_table(spec, [12.0, np.int64(8), 10])
+        np.testing.assert_array_equal(sizes, [8, 10, 12])
+        ref_sizes, ref = pc.casimir_energy_table(spec, [8, 10, 12])
+        np.testing.assert_array_equal(energies, ref)
+
     def test_energy_table_passes_tol_zero(self, monkeypatch):
         seen = []
 
@@ -258,6 +278,10 @@ class TestSplitMix64:
         assert abs(np.mean(a)) < 0.05
 
 
+openblas = pytest.mark.skipif(spectral._blas_thread_control() is None,
+                              reason="scipy's BLAS exports no thread control")
+
+
 class TestDisorderEnsemble:
     @staticmethod
     def template(cells=40):
@@ -280,25 +304,30 @@ class TestDisorderEnsemble:
         assert_allclose(stats.sem_re, manual, atol=0)
 
     def test_worker_count_invariance(self):
+        # every realization runs on one BLAS thread, in a worker or not
         kw = dict(delta_bound=0.9, n_realizations=4, base_seed=5, ells=[4, 8])
         serial = pc.disorder_ensemble(self.template(), **kw, jobs=1)
-        parallel = pc.disorder_ensemble(self.template(), **kw, jobs=2)
-        assert np.array_equal(serial.re_values, parallel.re_values)
-        assert np.array_equal(serial.im_values, parallel.im_values)
+        for jobs in (2, None):
+            other = pc.disorder_ensemble(self.template(), **kw, jobs=jobs)
+            assert np.array_equal(serial.re_values, other.re_values)
+            assert np.array_equal(serial.im_values, other.im_values)
 
     @pytest.mark.parametrize("n_realizations, cpus, workers",
                              [(3, 4, 3), (8, 4, 4), (8, 1, None)])
     def test_worker_count_is_capped(self, monkeypatch, n_realizations, cpus,
                                     workers):
         # jobs = 64 asks for 64 forks; the pool gets min(jobs, realizations,
-        # CPUs) and one worker runs serially, without a pool
+        # CPUs), jobs = None min(CPUs, realizations), and one worker runs
+        # serially, without a pool
         import concurrent.futures
 
         pools = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 pools.append(max_workers)
+                assert initializer is spectral._set_blas_threads
+                assert initargs == (1,)
 
             def __enter__(self):
                 return self
@@ -309,13 +338,66 @@ class TestDisorderEnsemble:
             map = staticmethod(map)  # in this process: no worker starts
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         kw = dict(delta_bound=0.9, n_realizations=n_realizations, base_seed=5,
                   ells=[4])
-        capped = pc.disorder_ensemble(self.template(cells=8), **kw, jobs=64)
-        assert pools == ([] if workers is None else [workers])
         serial = pc.disorder_ensemble(self.template(cells=8), **kw, jobs=1)
-        assert np.array_equal(capped.re_values, serial.re_values)
+        for jobs in (64, None):
+            pools.clear()
+            capped = pc.disorder_ensemble(self.template(cells=8), **kw, jobs=jobs)
+            assert pools == ([] if workers is None else [workers])
+            assert capped.workers == (1 if workers is None else workers)
+            assert np.array_equal(capped.re_values, serial.re_values)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            pc.disorder_ensemble(self.template(), 0.9, 2, 0, [4], jobs=jobs)
+
+    @staticmethod
+    def thread_count_profile(*args, **kwargs):
+        """A stand-in profile whose one value is the BLAS thread count of
+        the process that ran the realization."""
+        threads = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_get_num_threads()
+        return SimpleNamespace(values=np.array([threads], dtype=complex))
+
+    @openblas
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_realizations_run_on_one_blas_thread(self, monkeypatch, jobs):
+        monkeypatch.setattr(pc.fits, "entropy_profile", self.thread_count_profile)
+        stats = pc.disorder_ensemble(self.template(), 0.9, 4, 0, [4], jobs=jobs)
+        assert stats.workers == min(jobs, pc.fits._usable_cpus())
+        assert np.all(stats.re_values == 1.0)
+
+    @openblas
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_serial_run_restores_caller_thread_count(self, monkeypatch, fails):
+        def failing_profile(*args, **kwargs):
+            raise NoConvergence("no convergence")
+
+        if fails:
+            monkeypatch.setattr(pc.fits, "entropy_profile", failing_profile)
+        before = spectral._set_blas_threads(3)
+        try:
+            with pytest.raises(NoConvergence) if fails else contextlib.nullcontext():
+                pc.disorder_ensemble(self.template(), 0.9, 2, 0, [4], jobs=1)
+            assert spectral._set_blas_threads(before) == 3
+        finally:
+            spectral._set_blas_threads(before)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runs_without_blas_thread_control(self, monkeypatch, jobs):
+        # a scipy whose BLAS exports no thread control: nothing is pinned,
+        # nothing raises, and the ensemble is the same physics
+        monkeypatch.setattr(spectral, "_blas_thread_control", lambda: None)
+        assert spectral._set_blas_threads(1) is None
+        stats = pc.disorder_ensemble(self.template(), 0.9, 3, 11, [4, 8], jobs=jobs)
+        assert np.max(np.abs(stats.im_values + np.pi)) < 1e-6
+
+    def test_no_worker_process_outlives_the_call(self):
+        pc.disorder_ensemble(self.template(), 0.9, 4, 0, [4], jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -365,7 +447,8 @@ class TestDisorderEnsemble:
 
         real = pc.fits.entropy_profile
         monkeypatch.setattr(pc.fits, "entropy_profile", recording_profile)
-        pc.disorder_ensemble(self.template(), 0.9, 2, 40, [4], tol_zero=1e-7)
+        # the spy records in this process: the serial path
+        pc.disorder_ensemble(self.template(), 0.9, 2, 40, [4], jobs=1, tol_zero=1e-7)
         assert seen == [1e-7, 1e-7]
 
 
