@@ -42,6 +42,7 @@ from .errors import (
     NoConvergence,
     NoLocalizedMode,
     NoRootInDisk,
+    PTChainError,
 )
 from .lattice import InterfaceSpec, build_interface
 from .spectral import DensityProfile, biorthogonal_diagonalize
@@ -99,6 +100,11 @@ def interface_continuum(m1: float, u: float) -> BoundState:
     if m1 == 0:
         raise NoBoundState("m1 = 0: the mode merges into the bulk on both sides")
     a = float(np.sqrt(-m1 / (2.0 * u - m1)))
+    if a == 1.0:
+        raise NoBoundState(
+            f"u = {u} vanishes against m1 = {m1}: the mode merges into the "
+            "bulk of the gain/loss side"
+        )
     E = 1j * a * u
     kappa2 = -a * u
     kappa1 = -float(np.sqrt(m1 * m1 + a * a * u * u))
@@ -157,34 +163,41 @@ def interface_lattice_solve(
     seed = interface_continuum(spec.w - spec.v1, spec.u)
     e0 = seed.E
     e1 = e0 * (1.0 + 1e-4) + 1e-8j
-    f0, _ = _matching_residual(e0, spec)
-    f1, sides = _matching_residual(e1, spec)
-    max_step = 0.25 * max(spec.u, abs(e0))
-    for _ in range(max_iter):
-        if abs(f1) < tol:
-            break
-        denom = f1 - f0
-        if denom == 0:
-            raise NoConvergence("secant stalled on a flat residual")
-        step = -f1 * (e1 - e0) / denom
-        if abs(step) > max_step:
-            step *= max_step / abs(step)
-        e0, f0 = e1, f1
-        e1 = e1 + step
+    try:
+        f0, _ = _matching_residual(e0, spec)
         f1, sides = _matching_residual(e1, spec)
-    residual = abs(f1)
-    if residual > 1e-10:
-        raise NoConvergence(
-            f"matching residual {residual:.2e} after {max_iter} iterations"
-        )
-    beta_l, beta_r, _, ratio_r = sides
+        max_step = 0.25 * max(spec.u, abs(e0))
+        for _ in range(max_iter):
+            if abs(f1) < tol:
+                break
+            denom = f1 - f0
+            if denom == 0:
+                raise NoConvergence("secant stalled on a flat residual")
+            step = -f1 * (e1 - e0) / denom
+            if abs(step) > max_step:
+                step *= max_step / abs(step)
+            e0, f0 = e1, f1
+            e1 = e1 + step
+            f1, sides = _matching_residual(e1, spec)
+        residual = abs(f1)
+        if not residual <= 1e-10:  # a NaN residual has not converged either
+            raise NoConvergence(
+                f"matching residual {residual:.2e} after {max_iter} iterations"
+            )
+        beta_l, beta_r, _, ratio_r = sides
+        ratio = complex(1.0 / ratio_r)
+        profile = _exponential_profile(spec, e1, *sides)
+    except ZeroDivisionError as exc:
+        # a vanishing sublattice ratio or coupling (w -> 0, say) leaves the
+        # matching equations without a solution of this ansatz
+        raise NoConvergence(f"matching equations divide by zero near E = {e1:.4g}") from exc
     return BoundState(
         E=complex(e1),
         a=float(e1.imag / spec.u),
         beta_l=beta_l,
         beta_r=beta_r,
-        sublattice_ratio=complex(1.0 / ratio_r),
-        profile=_exponential_profile(spec, e1, *sides),
+        sublattice_ratio=ratio,
+        profile=profile,
         residual=residual,
     )
 
@@ -227,7 +240,7 @@ def interface_density(
     system = biorthogonal_diagonalize(H)
     try:
         predicted = interface_lattice_solve(spec).E
-    except Exception:
+    except PTChainError:
         predicted = interface_continuum(spec.w - spec.v1, spec.u).E
     threshold = ipr_threshold if ipr_threshold is not None else 4.0 / spec.n_sites
     order = np.argsort(np.abs(system.energies - predicted))

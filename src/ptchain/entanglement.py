@@ -92,10 +92,10 @@ from .spectral import (
     OccupationSet,
     _gemm,
     _half_filled_energies,
+    _real_gauge_system,
     _sublattice_gauge,
-    biorthogonal_diagonalize,
     build_real_space,
-    select_half_filling,
+    half_filling_weights,
 )
 
 
@@ -310,7 +310,9 @@ def _subsystem_correlation(
         (:func:`_singular_mode_block`, the same block with v_k -> s);
     ``"dense"``
         disordered chains: biorthogonal diagonalization of the 2L x 2L
-        Hamiltonian, in the real sublattice gauge.
+        Hamiltonian in the real sublattice gauge, where the block is one
+        real product over the filled conjugate pairs
+        (:meth:`spectral._PackedSystem.gauged_block`).
 
     Each route fills the spectrum with the kernel of its ground-state
     energy: both clean routes take e_k, or 0 for a half-filled pair, from
@@ -329,10 +331,9 @@ def _subsystem_correlation(
         return _toeplitz_correlation(g, cells, L), "k_space"
     if spec.is_translation_invariant:
         return _singular_mode_block(spec, cells, tol_zero), "singular_mode"
-    sys = biorthogonal_diagonalize(build_real_space(spec))
-    C = correlation_matrix(sys, select_half_filling(sys, tol_zero), cells).matrix
-    C[np.diag_indices_from(C)] -= 0.5
-    return 2.0 * _gauge_real(_sublattice_gauge(C)), "dense"
+    sys = _real_gauge_system(_sublattice_gauge(build_real_space(spec)))
+    weights = half_filling_weights(sys.energies, tol_zero)
+    return sys.gauged_block(weights, 2 * cells), "dense"
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +619,13 @@ class EntropyProfile:
 
 
 def _gauge_real(M: np.ndarray) -> np.ndarray:
-    """Real part of a gauge-transformed correlation matrix.
+    """Real part of a gauge-transformed correlation matrix, the inverse FFT
+    of the k-space route (the dense route's block is real by construction).
 
     The imaginary part vanishes up to rounding for every state of the
     family; a residue above TOL_BIORTH (relative to max |M|, at least 1)
-    means the biorthogonal basis it was built from is unreliable. The floor
-    matters where M vanishes up to rounding: C = 1/2 when every mode is half
+    means the blocks it was built from are unreliable. The floor matters
+    where M vanishes up to rounding: C = 1/2 when every mode is half
     filled, as in the fully PT-broken phase.
     """
     if not np.iscomplexobj(M):

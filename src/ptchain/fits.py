@@ -6,7 +6,9 @@ Three fit families:
 * open-chain regularized entropy against the boundary-shifted form
   (c/6) log sin(pi (l + 2 dl) / (L + 2 dl)) + s0, which keeps its extremum
   at half chain; dl is the least-SSE point of a 512-point scan of the
-  feasible bounds, refined by eight 33-point rescans of the best bracket;
+  feasible bounds, refined by up to eight 33-point rescans of the best
+  bracket, which stop once the SSE over a rescan has more than one
+  minimum, the sign that it has reached its rounding floor;
 * ground-state-energy Casimir fits, E0 = eps L + A / L (periodic) and
   E0 = eps L + b + A / (L + Delta_L) (open) with an integer extrapolation
   length Delta_L, either given or scanned over [-4, 4].
@@ -220,13 +222,21 @@ def _best_shift(ells: np.ndarray, y: np.ndarray, L: float,
     sses = _shift_grid_sse(ells, y, L, grid)
     if not np.any(np.isfinite(sses)):
         raise NoConvergence("shifted fit infeasible on the whole search range")
-    # eight 16-fold narrowings end under 1e-12 of the bounds; a fixed count,
-    # since two ulps of a large shift are wider than any absolute target
+    # at most eight 16-fold narrowings, which end under 1e-12 of the bounds.
+    # The SSE has one minimum in a bracket until it reaches its rounding
+    # floor, where it rises and falls at random and a rescan only picks
+    # another point of that flat band: the first rescan whose SSE is not
+    # unimodal ends the search, at the best point of the rescan before.
+    b = int(np.argmin(sses))
+    shift = grid[b]
     for _ in range(8):
-        b = int(np.argmin(sses))
         grid = np.linspace(grid[max(b - 1, 0)], grid[min(b + 1, len(grid) - 1)], 33)
         sses = _shift_grid_sse(ells, y, L, grid)
-    return float(grid[np.argmin(sses)])
+        b = int(np.argmin(sses))
+        if not (np.all(np.diff(sses[: b + 1]) <= 0) and np.all(np.diff(sses[b:]) >= 0)):
+            break
+        shift = grid[b]
+    return float(shift)
 
 
 def cc_fit_obc(

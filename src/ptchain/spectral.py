@@ -21,6 +21,13 @@ eigensolves run there, in real arithmetic (LAPACK dgeev rather than
 zgeev), and map back with E = i lambda and eigenvectors S v. The pairing
 E <-> -E^* is then the exact conjugate pairing of a real spectrum, and
 modes on the imaginary axis come out at Re E = 0 exactly.
+
+The dense route of the correlation block stays real end to end: the
+eigenvectors stay in LAPACK's packed form (a conjugate pair as real and
+imaginary parts in adjacent columns), they are normalized and checked
+from real dot products and one real Gram product, and the gauged block
+is one real product over the filled pairs (:class:`_PackedSystem`).
+Only :func:`biorthogonal_diagonalize` converts them to complex.
 """
 
 from __future__ import annotations
@@ -118,7 +125,11 @@ def biorthogonal_diagonalize(
     """Diagonalize a dense complex matrix into a biorthonormal system.
 
     The eigensolve runs on -i S^-1 H S in the sublattice gauge, real for
-    every chain of the family; S is unitary, so overlaps are unchanged.
+    every chain of the family, in :func:`_real_gauge_system`; S is unitary,
+    so overlaps are unchanged. Its packed real vectors become complex here
+    and nowhere else. A matrix outside the family, whose gauge is complex,
+    takes scipy's complex eigensolve and is normalized mode by mode.
+
     Eigenvalues are ordered deterministically by (Re, Im, input index).
     Nearly degenerate eigenvalues are re-biorthogonalized block-wise via the
     overlap matrix of the unit left and right vectors. Its smallest singular
@@ -128,14 +139,16 @@ def biorthogonal_diagonalize(
     H = np.asarray(H, dtype=complex)
     if not np.all(np.isfinite(H)):
         raise ValueError("Hamiltonian has non-finite entries")
-    lam, vl, vr = scipy.linalg.eig(_sublattice_gauge(H), left=True, right=True)
+    A = _sublattice_gauge(H)
+    if not np.iscomplexobj(A):
+        return _real_gauge_system(A, tol_biorth).unpacked()
+    lam, vl, vr = scipy.linalg.eig(A, left=True, right=True)
     w = 1j * lam
     order = np.lexsort((np.arange(len(w)), w.imag, w.real))
     E = w[order]
-    # back from the gauge: R = S vr, L = S vl. The vectors are float64 when
-    # every lambda is real (every E on the imaginary axis), hence the cast.
-    R = vr[:, order].astype(complex)
-    L = vl[:, order].astype(complex)
+    # back from the gauge: R = S vr, L = S vl
+    R = vr[:, order]
+    L = vl[:, order]
     R[1::2] *= 1j
     L[1::2] *= 1j
 
@@ -146,20 +159,221 @@ def biorthogonal_diagonalize(
             kappa = min(kappa, _require_off_exceptional_point(abs(d)))
             L[:, lo] /= np.conj(d)
         else:
-            M = L[:, lo:hi].conj().T @ R[:, lo:hi]
-            sv_min = scipy.linalg.svdvals(M)[-1]
+            block, sv_min = _rebiorthogonalize(L[:, lo:hi], R[:, lo:hi])
             kappa = min(kappa, _require_off_exceptional_point(sv_min))
-            # L_blk <- L_blk @ inv(M)^dag  so that  L_blk^dag R_blk = I
-            L[:, lo:hi] = L[:, lo:hi] @ scipy.linalg.inv(M).conj().T
+            L[:, lo:hi] = block
     gram = _gemm(L.conj().T, R)
     residual = float(np.max(np.abs(gram - np.eye(len(E)))))
+    _require_biorthogonal(residual, kappa, tol_biorth)
+    return BiorthogonalSystem(E, R, L, residual)
+
+
+def _rebiorthogonalize(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """L inv(M)^dag with M = L^dag R, so that L^dag R = I on a cluster of
+    nearly degenerate modes, and kappa, the smallest singular value of M;
+    None in place of the block where kappa is below ``_KAPPA_EP``."""
+    M = L.conj().T @ R
+    sv_min = float(scipy.linalg.svdvals(M)[-1])
+    if not sv_min >= _KAPPA_EP:
+        return None, sv_min
+    return L @ scipy.linalg.inv(M).conj().T, sv_min
+
+
+def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float) -> None:
     if residual > tol_biorth:
         raise DefectiveMatrix(
             f"biorthogonality residual {residual:.2e} exceeds {tol_biorth:.1e} "
             f"at a distance kappa = {kappa:.1e} from an exceptional point; "
             "increase the detuning"
         )
-    return BiorthogonalSystem(E, R, L, residual)
+
+
+@dataclass(frozen=True)
+class _PackedSystem:
+    """Biorthonormal eigensystem of a real gauge matrix A = -i S^-1 H S, in
+    LAPACK's packed real form.
+
+    Column j of ``vl`` and ``vr`` holds the real eigenvectors of a real
+    eigenvalue lam[j]. A conjugate pair lam[j] = conj(lam[j + 1]), Im > 0
+    first, keeps its vectors as real and imaginary parts in columns j and
+    j + 1: l = vl[:, j] + i vl[:, j + 1], r likewise, and the partner's
+    vectors are their conjugates. ``vl`` is normalized so that the complex
+    vectors satisfy L^dag R = I to within ``residual``. ``order`` sorts the
+    energies E = i lam by (Re, Im, index).
+    """
+
+    lam: np.ndarray
+    vl: np.ndarray
+    vr: np.ndarray
+    pairs: np.ndarray  # first column j of every conjugate pair
+    order: np.ndarray
+    residual: float
+
+    @property
+    def energies(self) -> np.ndarray:
+        """E = i lam in (Re, Im, index) order."""
+        return (1j * self.lam)[self.order]
+
+    def unpacked(self) -> BiorthogonalSystem:
+        """The complex system in the order of :attr:`energies`, with the
+        vectors back from the gauge: R = S r, L = S l."""
+        L, R = (self._complex(v)[:, self.order] for v in (self.vl, self.vr))
+        R[1::2] *= 1j
+        L[1::2] *= 1j
+        return BiorthogonalSystem(self.energies, R, L, self.residual)
+
+    def _complex(self, v: np.ndarray) -> np.ndarray:
+        out = v.astype(complex)
+        out[:, self.pairs] += 1j * v[:, self.pairs + 1]
+        out[:, self.pairs + 1] = out[:, self.pairs].conj()
+        return out
+
+    def gauged_block(self, weights: np.ndarray, rows: int) -> np.ndarray:
+        """Leading rows x rows block of M = -2i S^-1 (C - 1/2) S, real, for
+        the occupancies ``weights`` of :attr:`energies`.
+
+        C - 1/2 = sum_n (s_n - 1/2) conj(L_n) R_n^T and S^2 = sigma =
+        diag(1, -1, 1, -1, ...). A real lam is a mode on the imaginary axis,
+        and a pair with |Im lam| <= tol_zero two of them: each has s = 1/2
+        and drops out. Every other pair has its Im lam > 0 member (Re E < 0)
+        filled and its partner empty, and adds i Im(conj(l) r^T) =
+        i (a y^T - b x^T) for l = a + ib, r = x + iy. So
+
+            M = 2 sigma [sum over filled pairs of (a y^T - b x^T)] sigma,
+
+        one real product over the filled pairs.
+        """
+        s = np.empty(len(weights))
+        s[self.order] = weights
+        filled = self.pairs[s[self.pairs] == 1.0]
+        sigma = np.ones((rows, 1))
+        sigma[1::2] = -1.0
+        a, b = self.vl[:rows, filled], self.vl[:rows, filled + 1]
+        x, y = self.vr[:rows, filled], self.vr[:rows, filled + 1]
+        left = np.concatenate([a, -b], axis=1) * (2.0 * sigma)
+        right = np.concatenate([y, x], axis=1) * sigma
+        return _gemm(left, right.T)
+
+
+def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _PackedSystem:
+    """Biorthonormal eigensystem of a real gauge matrix, kept in LAPACK's
+    packed real form (:class:`_PackedSystem`); the normalization of
+    :func:`biorthogonal_diagonalize` in real arithmetic.
+
+    One ``dgeev`` with both vector sets. Every mode of a singleton cluster,
+    pair or real, is normalized at once from column dot products. A pair
+    takes [a b] <- [a b] K with K^T [[a.x, a.y], [b.x, b.y]] = I / 2, that
+    is l^dag r = 1 and l^dag conj(r) = 0. For exact eigenvectors the second
+    holds already and K is l <- l d / |d|^2, d = l^dag r =
+    (a.x + b.y) + i (a.y - b.x); kappa = |d| of LAPACK's unit vectors.
+    Enforcing the second too keeps the partner overlap, of size
+    eps |l| |r|, out of the residual: near an exceptional point it alone
+    reached 1.16e-9 (v = 2, w = 1, u = 1, 40 periodic cells, default
+    detuning), where every other entry stays at 6.4e-10.
+
+    A cluster converts its own columns to complex, is re-biorthogonalized
+    as a block and is written back packed by its members with Im lam >= 0;
+    the others are their conjugates. Every kappa is taken from LAPACK's
+    vectors before any is normalized, and the first below ``_KAPPA_EP`` in
+    (Re, Im) order raises. The residual covers every entry of the complex
+    Gram matrix, from one real product T = vl^T vr
+    (:func:`_packed_gram_residual`).
+    """
+    n = len(A)
+    work, _ = scipy.linalg.lapack.dgeev_lwork(n)
+    wr, wi, vl, vr, info = scipy.linalg.lapack.dgeev(A, lwork=int(work))
+    if info > 0:
+        raise scipy.linalg.LinAlgError(
+            "eig algorithm (geev) did not converge (only eigenvalues "
+            f"with order >= {info} have converged)"
+        )
+    lam = wr + 1j * wi
+    E = 1j * lam
+    order = np.lexsort((np.arange(n), E.imag, E.real))
+    pairs = np.flatnonzero(wi > 0)
+    # complex column c = vl[:, re_col[c]] + i sign[c] vl[:, im_col[c]]
+    re_col, im_col = np.arange(n), np.arange(n)
+    re_col[pairs + 1] = pairs
+    im_col[pairs] = pairs + 1
+    sign = np.sign(wi)
+
+    def complex_columns(v, cols):
+        return v[:, re_col[cols]] + 1j * (sign[cols] * v[:, im_col[cols]])
+
+    # per column c, vl[:, c] . vr[:, c]; per pair, the cross products a.y, b.x
+    dot = np.einsum("ij,ij->j", vl, vr)
+    xy = np.einsum("ij,ij->j", vl[:, pairs], vr[:, pairs + 1])
+    yx = np.einsum("ij,ij->j", vl[:, pairs + 1], vr[:, pairs])
+    kappa_of = np.abs(dot)  # a pair's two columns share kappa = |d|
+    kappa_of[pairs] = kappa_of[pairs + 1] = np.hypot(dot[pairs] + dot[pairs + 1], xy - yx)
+
+    blocks = _cluster_blocks(E[order], _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
+    kappas = np.empty(len(blocks))
+    single = np.zeros(n, dtype=bool)
+    rewritten = []
+    for i, (lo, hi) in enumerate(blocks):
+        cols = order[lo:hi]
+        if hi - lo == 1:
+            single[cols] = True
+            kappas[i] = kappa_of[cols[0]]
+            continue
+        block, kappas[i] = _rebiorthogonalize(complex_columns(vl, cols),
+                                              complex_columns(vr, cols))
+        rewritten.append((cols, block))
+    bad = np.flatnonzero(~(kappas >= _KAPPA_EP))
+    if len(bad):
+        _require_off_exceptional_point(kappas[bad[0]])
+    kappa = min(1.0, float(np.min(kappas)))
+
+    real = np.flatnonzero(single & (sign == 0))
+    vl[:, real] /= dot[real]
+    own = single[pairs]
+    p = pairs[own]
+    # [a b] <- [a b] K with K^T [[a.x, a.y], [b.x, b.y]] = I / 2
+    txx, tyy, txy, tyx = dot[p], dot[p + 1], xy[own], yx[own]
+    det2 = 2.0 * (txx * tyy - txy * tyx)
+    a, b = vl[:, p], vl[:, p + 1]
+    vl[:, p], vl[:, p + 1] = (a * tyy - b * txy) / det2, (b * txx - a * tyx) / det2
+    for cols, block in rewritten:
+        keep = sign[cols] >= 0
+        vl[:, cols[keep]] = block[:, keep].real
+        up = sign[cols] > 0
+        vl[:, cols[up] + 1] = block[:, up].imag
+
+    residual = _packed_gram_residual(_gemm(vl.T, vr), pairs)
+    _require_biorthogonal(residual, kappa, tol_biorth)
+    return _PackedSystem(lam, vl, vr, pairs, order, residual)
+
+
+def _packed_gram_residual(T: np.ndarray, pairs: np.ndarray) -> float:
+    """max |L^dag R - I| over every entry of the complex Gram matrix, from
+    T = vl^T vr of the packed vectors (``pairs``: first column of each pair).
+
+    Each entry is a +- combination of four entries of T: for pair rows
+    j, j + 1 (l = a + ib) and pair columns k, k + 1 (r = x + iy),
+    l_j^dag r_k = (a.x + b.y) + i (a.y - b.x) and
+    l_j^dag r_(k+1) = (a.x - b.y) - i (a.y + b.x). Row j + 1 is row j
+    conjugated with every pair's two columns swapped, so it has the same
+    moduli and is skipped.
+    """
+    keep = np.ones(len(T), dtype=bool)
+    keep[pairs + 1] = False
+    rows = np.flatnonzero(keep)
+    # rows of U^dag T, where U maps packed columns to complex ones
+    xr = T[rows]
+    xi = np.zeros_like(xr)
+    xi[np.searchsorted(rows, pairs)] = -T[pairs + 1]
+    gr, gi = xr.copy(), xi.copy()
+    p, q = pairs, pairs + 1
+    gr[:, p] = xr[:, p] - xi[:, q]
+    gi[:, p] = xi[:, p] + xr[:, q]
+    gr[:, q] = xr[:, p] + xi[:, q]
+    gi[:, q] = xi[:, p] - xr[:, q]
+    gr[np.arange(len(rows)), rows] -= 1.0
+    gr *= gr
+    gi *= gi
+    gr += gi
+    return float(np.sqrt(np.max(gr)))
 
 
 def _require_off_exceptional_point(kappa: float) -> float:
@@ -176,13 +390,9 @@ def _require_off_exceptional_point(kappa: float) -> float:
 
 def _cluster_blocks(E: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """Consecutive index ranges of (Re, Im)-sorted eigenvalues closer than tol."""
-    blocks = []
-    lo = 0
-    for i in range(1, len(E) + 1):
-        if i == len(E) or abs(E[i] - E[i - 1]) > tol:
-            blocks.append((lo, i))
-            lo = i
-    return blocks
+    cuts = (np.flatnonzero(np.abs(np.diff(E)) > tol) + 1).tolist()
+    edges = [0, *cuts, len(E)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def half_filling_weights(energies: np.ndarray, tol_zero: float = TOL_ZERO) -> np.ndarray:
@@ -298,12 +508,11 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     sum the filled levels of :func:`_half_filled_energies` over their mode
     amplitudes: |v_k| per momentum on a periodic chain, the singular values
     of the L x L hopping block on an open one. Disordered chains go through
-    :func:`biorthogonal_diagonalize` and :func:`select_half_filling`.
+    :func:`_real_gauge_system` and :func:`half_filling_weights`.
     """
     if not spec.is_translation_invariant:
-        sys = biorthogonal_diagonalize(build_real_space(spec))
-        occ = select_half_filling(sys, tol_zero)
-        return complex(np.sum(occ.weights * sys.energies))
+        E = _real_gauge_system(_sublattice_gauge(build_real_space(spec))).energies
+        return complex(np.sum(half_filling_weights(E, tol_zero) * E))
     if spec.boundary is Boundary.PBC:
         a = np.abs(vk(spec, _momenta(spec.cells)))
     else:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import svdvals
-from scipy.special import roots_legendre
+from scipy.linalg import eigh_tridiagonal, svdvals
 
 from .errors import GaplessWinding, GridTooCoarse, OddDimension
 from .lattice import ChainSpec, PTClass, classify_pt, vk
@@ -128,8 +127,30 @@ def _zak_symmetric(spec: ChainSpec, n_k: int, tol: float) -> complex:
         prev, n = cur, 2 * n
 
 
-#: Gauss-Legendre nodes and weights per order, computed once
-_legendre_rule = cache(roots_legendre)
+@cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of one order, computed once.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Legendre Jacobi
+    matrix, zero diagonal and off-diagonal k / sqrt(4 k^2 - 1). One Newton
+    step on P_n polishes them, and the weights are 2 / ((1 - x^2) P_n'(x)^2),
+    both from the three-term recurrence.
+    """
+
+    def legendre(x):
+        """P_n(x) and P_n'(x)."""
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, order + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, order * (x * p1 - p0) / (x * x - 1.0)
+
+    k = np.arange(1.0, order)
+    x = eigh_tridiagonal(np.zeros(order), k / np.sqrt(4.0 * k * k - 1.0),
+                         eigvals_only=True)
+    p, dp = legendre(x)
+    x = x - p / dp
+    _, dp = legendre(x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def _gauss_cheb_segment(f, a: float, b: float, order: int) -> float:

@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ptchain as pc
+import ptchain.edge as edge
 from ptchain.errors import (
     DegenerateW,
     ExtraneousRoot,
     NoBoundState,
+    NoConvergence,
     NoLocalizedMode,
 )
 
@@ -64,6 +66,11 @@ class TestInterfaceContinuum:
     def test_no_bound_state_at_zero_mass(self):
         with pytest.raises(NoBoundState):
             pc.interface_continuum(0.0, 0.5)
+
+    def test_vanishing_u_has_no_bound_state(self):
+        # a rounds to 1 and the sublattice ratio would divide by zero
+        with pytest.raises(NoBoundState, match="vanishes"):
+            pc.interface_continuum(-1.0, 1e-20)
 
     def test_dispersion_residuals(self):
         # m1^2 - kappa1^2 = E^2 and m2^2 - kappa2^2 = E^2 + u^2 at m2 = u
@@ -132,7 +139,38 @@ class TestInterfaceLatticeSolve:
         assert amp[0] < 1e-4 and amp[-1] < 1e-4
 
 
+    @pytest.mark.parametrize("v1, v2, w, u", [
+        (0.3, 1e-8, 1e-8, 0.3),   # v2 - w / beta_R vanishes
+        (1e-8, 0.0, 0.0, 1e-8),   # w = 0: the profile divides by w
+        (1.0, 0.3, 1e-8, 1e-8),   # the right sublattice ratio vanishes
+        (1.0, 0.3, 0.0, 1.0),     # w = 0: the residual is NaN
+    ])
+    def test_degenerate_couplings_raise_no_convergence(self, v1, v2, w, u):
+        # valid specs on which the secant meets a zero denominator or a NaN
+        spec = pc.InterfaceSpec(v1=v1, v2=v2, w=w, u=u, cells_left=4, cells_right=4)
+        with (np.errstate(divide="ignore", invalid="ignore"), pytest.warns(UserWarning),
+              pytest.raises(NoConvergence)):
+            pc.interface_lattice_solve(spec)
+
+
 class TestInterfaceDensity:
+    SPEC = pc.InterfaceSpec(v1=1.5, v2=0.5, w=1.0, u=0.5)
+
+    def test_solver_failure_falls_back_to_continuum(self, monkeypatch):
+        def no_convergence(spec):
+            raise NoConvergence("patched")
+
+        expected = pc.interface_density(self.SPEC)[1].E
+        monkeypatch.setattr(edge, "interface_lattice_solve", no_convergence)
+        assert pc.interface_density(self.SPEC)[1].E == expected
+
+    def test_foreign_solver_error_propagates(self, monkeypatch):
+        def broken(spec):
+            raise TypeError("patched")
+
+        monkeypatch.setattr(edge, "interface_lattice_solve", broken)
+        with pytest.raises(TypeError, match="patched"):
+            pc.interface_density(self.SPEC)
     def test_negative_b_sublattice_signature(self):
         spec = pc.InterfaceSpec(v1=1.5, v2=0.5, w=1.0, u=0.5)
         density, state = pc.interface_density(spec)

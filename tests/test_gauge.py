@@ -452,9 +452,12 @@ def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense biorthogonal solve on a clean open chain")
 
+    # the dense kernel, under each binding, and both LAPACK eigensolvers
+    monkeypatch.setattr(spectral, "biorthogonal_diagonalize", forbidden)
     for module in (spectral, entanglement):
-        monkeypatch.setattr(module, "biorthogonal_diagonalize", forbidden)
+        monkeypatch.setattr(module, "_real_gauge_system", forbidden)
     monkeypatch.setattr(spectral.scipy.linalg, "eig", forbidden)
+    monkeypatch.setattr(spectral.scipy.linalg.lapack, "dgeev", forbidden)
     sizes = []
     real_eigvals = entanglement.scipy.linalg.eigvals
 
@@ -490,3 +493,99 @@ def test_subsystem_eigensolve_sizes_by_route(monkeypatch):
         sizes.clear()
         pc.entropy_profile(spec, ells, REG)
         assert sizes == [(n, n) for n in dims]
+
+
+# ---------------------------------------------------------------------------
+# Packed real kernel of the dense route
+# ---------------------------------------------------------------------------
+
+
+def packed_cases():
+    """Disordered chains at detuning 1e-3, and their zero-offset twins: the
+    critical line (complex pairs, and the real +-iu edge modes of open
+    chains), a partly broken spectrum (mixed) and a fully broken one (every
+    mode real in the gauge). The twins put clusters into the solve: the
+    degenerate k, -k pairs of periodic chains and the alpha = 2 edge blocks."""
+    for alpha in (1, 2):
+        for boundary in (pc.Boundary.PBC, pc.Boundary.OBC):
+            for u, phase in ((1.0, "critical"), (2.0, "mixed"), (4.0, "broken")):
+                for twin in (False, True):
+                    offsets = np.zeros(30) if twin else (
+                        0.6 * min(1.0, u) * np.sin(1.7 * np.arange(30) + alpha))
+                    spec = pc.ChainSpec(alpha=alpha, v=1.0, w=2.0, u=u, cells=30,
+                                        boundary=boundary, detuning=1e-3,
+                                        disorder=pc.DisorderProfile(offsets))
+                    yield pytest.param(spec, id=f"{alpha}-{boundary.value}-{phase}"
+                                       + ("-twin" if twin else ""))
+
+
+PACKED_CASES = list(packed_cases())
+
+
+@pytest.mark.parametrize("spec", PACKED_CASES)
+def test_packed_block_matches_complex_correlation(spec):
+    M, route = _subsystem_correlation(spec, 12)
+    assert route == "dense" and M.dtype == np.float64
+    system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
+    C = pc.correlation_matrix(system, pc.select_half_filling(system), 12).matrix
+    assert np.max(np.abs(entanglement._ungauge(M) - C)) <= 1e-12 * np.max(np.abs(C))
+
+
+@pytest.mark.parametrize("spec", PACKED_CASES)
+def test_packed_residual_is_the_complex_gram_residual(spec):
+    # the complex Gram of the returned vectors, evaluated in long double: a
+    # double complex product errs by up to 1.8e-15 on these chains
+    system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
+    (lr, li), (rr, ri) = ((v.real.astype(np.longdouble), v.imag.astype(np.longdouble))
+                          for v in (system.left_vectors, system.right_vectors))
+    re = lr.T @ rr + li.T @ ri - np.eye(system.n, dtype=np.longdouble)
+    im = lr.T @ ri - li.T @ rr
+    exact = float(np.sqrt(np.max(re * re + im * im)))
+    assert abs(system.biorth_residual - exact) <= 1e-15
+
+
+def test_packed_cases_hold_clusters_and_real_modes():
+    sizes, real = set(), 0
+    for param in PACKED_CASES:
+        E = pc.biorthogonal_diagonalize(pc.build_real_space(param.values[0])).energies
+        blocks = _cluster_blocks(E, _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
+        sizes |= {hi - lo for lo, hi in blocks}
+        real += int(np.count_nonzero(E.real == 0.0))
+    assert max(sizes) >= 2 and real > 0
+
+
+@pytest.mark.parametrize("cells", [200, 400])
+def test_dense_block_budget_on_zero_offset_twins(cells):
+    # the closed-form k-space block is the reference. At detuning 1e-12
+    # (kappa 1.4e-6) the Gram check raises; the blocks would differ by
+    # 7.9e-4 (L = 200) and 1.2e-3 (L = 400) relative to max |C|. Measured:
+    # 5.7e-6 / 8.7e-6 at 1e-10, 3.5e-8 / 1.6e-7 at 1e-8.
+    def specs(detuning):
+        clean = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=cells, detuning=detuning)
+        return clean, replace(clean, disorder=pc.DisorderProfile(np.zeros(cells)))
+
+    with pytest.raises(DefectiveMatrix, match="increase the detuning"):
+        _subsystem_correlation(specs(1e-12)[1], 40)
+    for detuning, bound in ((1e-10, 1e-5), (1e-8, 1e-7 if cells == 200 else 2e-7)):
+        clean, twin = specs(detuning)
+        fast, route = _subsystem_correlation(clean, 40)
+        assert route == "k_space"
+        reference = entanglement._ungauge(fast)
+        dense = entanglement._ungauge(_subsystem_correlation(twin, 40)[0])
+        error = np.max(np.abs(dense - reference)) / np.max(np.abs(reference))
+        assert error <= bound
+
+
+def test_complex_gauge_takes_the_complex_solve(monkeypatch):
+    # a complex hopping lies outside the family: its gauge matrix is complex
+    def forbidden(*args, **kwargs):
+        raise AssertionError("packed real kernel on a complex gauge matrix")
+
+    monkeypatch.setattr(spectral, "_real_gauge_system", forbidden)
+    h = pc.build_real_space(pc.ChainSpec(v=1.0, w=2.0, u=0.5, cells=6))
+    h[0, 1] *= np.exp(0.3j)
+    h[1, 0] = np.conj(h[0, 1])
+    system = pc.biorthogonal_diagonalize(h)
+    assert system.biorth_residual < 1e-12
+    np.testing.assert_allclose(h @ system.right_vectors,
+                               system.right_vectors * system.energies, atol=1e-12)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import ptchain as pc
 from ptchain.errors import GaplessWinding, OddDimension
+from ptchain.topology import _legendre_rule
 
 
 def chain(alpha=1, v=1.0, w=1.0, u=0.0, cells=None, boundary="pbc", **kw):
@@ -125,3 +126,16 @@ class TestSymmetryClosure:
     def test_odd_dimension_rejected(self):
         with pytest.raises(OddDimension):
             pc.symmetry_closure(np.eye(5))
+
+
+@pytest.mark.parametrize("order", [200, 400])
+def test_legendre_rule_integrates_polynomials_exactly(order):
+    # n nodes integrate every monomial of degree <= 2n - 1; the odd ones
+    # vanish by the symmetry of the nodes. roots_legendre errs by 1.6e-14
+    # (order 200) and 5.0e-14 (order 400) on the even ones
+    x, w = _legendre_rule(order)
+    assert np.all(np.diff(x) > 0)
+    assert np.max(np.abs(x + x[::-1])) <= 2e-16
+    m = np.arange(order)
+    moments = (w[:, None] * x[:, None] ** (2 * m)).sum(axis=0)
+    assert np.max(np.abs(moments - 2.0 / (2 * m + 1))) <= 2e-15
