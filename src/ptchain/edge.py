@@ -115,7 +115,7 @@ def interface_continuum(m1: float, u: float) -> BoundState:
 
 
 def _root_in_disk(A: float, B: complex) -> complex:
-    """Root of A b^2 - B b + A = 0 with |b| < 1 (roots multiply to 1)."""
+    """Root of A b^2 - B b + A = 0, A != 0, with |b| < 1 (roots multiply to 1)."""
     disc = np.sqrt(B * B - 4.0 * A * A + 0j)
     r1 = (B + disc) / (2.0 * A)
     r2 = (B - disc) / (2.0 * A)
@@ -151,8 +151,13 @@ def interface_lattice_solve(
 
     Seeded from the continuum solution with m1 = w - v1 (the Hermitian-side
     gap parameter in the continuum convention); the seed only starts the
-    iteration, so its O(1) error is harmless.
+    iteration, so its O(1) error is harmless. A vanishing leading
+    coefficient v1 w or v2 w of a dispersion quadratic raises before the
+    secant starts: :class:`DegenerateW` at once for w = 0,
+    :class:`NoRootInDisk` after the seed for v1 = 0 or v2 = 0.
     """
+    if spec.w == 0:
+        raise DegenerateW("w = 0 decouples the cells; the interface ansatz degenerates")
     if abs(spec.u - (spec.w - spec.v2)) > qcp_tol * max(1.0, abs(spec.w)):
         warnings.warn(
             f"right side is off its critical line (u = {spec.u}, "
@@ -161,6 +166,9 @@ def interface_lattice_solve(
             stacklevel=2,
         )
     seed = interface_continuum(spec.w - spec.v1, spec.u)
+    if spec.v1 * spec.w == 0 or spec.v2 * spec.w == 0:
+        raise NoRootInDisk(f"v1 w = {spec.v1 * spec.w}, v2 w = {spec.v2 * spec.w}: a "
+                           "dispersion root sits at 0 and its partner at infinity")
     e0 = seed.E
     e1 = e0 * (1.0 + 1e-4) + 1e-8j
     try:
@@ -209,21 +217,15 @@ def _exponential_profile(
     """Per-site amplitudes of the exponential interface ansatz, anchored at
     the last Hermitian cell with psi_A = 1."""
     v1, w = spec.v1, spec.w
-    L1, L2 = spec.cells_left, spec.cells_right
-    psi = np.zeros(2 * (L1 + L2), dtype=complex)
     a_if = 1.0  # psi_A at interface cell (last left cell)
     b_if = ratio_l * a_if
     # first right cell from the interface equation -w psi^A_{i+1} = [E - v1 (A/B)_L] psi^B_i
     a_right = -(E - v1 / ratio_l) * b_if / w
     b_right = ratio_r * a_right
-    for n in range(L1):
-        amp = beta_l ** (L1 - 1 - n)
-        psi[2 * n] = amp * a_if
-        psi[2 * n + 1] = amp * b_if
-    for n in range(L2):
-        amp = beta_r**n
-        psi[2 * (L1 + n)] = amp * a_right
-        psi[2 * (L1 + n) + 1] = amp * b_right
+    # cell amplitudes beta_L^(L1 - 1 - n) on the left, beta_R^n on the right
+    left = np.outer(beta_l ** np.arange(spec.cells_left - 1, -1, -1), [a_if, b_if])
+    right = np.outer(beta_r ** np.arange(spec.cells_right), [a_right, b_right])
+    psi = np.concatenate([left, right]).ravel()
     return psi / np.max(np.abs(psi))
 
 

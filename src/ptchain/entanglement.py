@@ -84,7 +84,8 @@ from .errors import (
     ResidualNeedsRegularized,
     UnpairedMode,
 )
-from .lattice import Boundary, ChainSpec, _hopping_block, _momenta, vk
+from .lattice import (Boundary, ChainSpec, _gauge_matrix, _hopping_block, _momenta,
+                      _to_sites, vk)
 from .spectral import (
     TOL_BIORTH,
     TOL_ZERO,
@@ -93,8 +94,6 @@ from .spectral import (
     _gemm,
     _half_filled_energies,
     _real_gauge_system,
-    _sublattice_gauge,
-    build_real_space,
     half_filling_weights,
 )
 
@@ -248,11 +247,9 @@ def _toeplitz_correlation(g: np.ndarray, ell: int, L: int) -> np.ndarray:
 
 
 def correlation_k_space(spec: ChainSpec, ell: int) -> CorrelationMatrix:
-    """Momentum-space fast path for clean periodic chains.
-
-    Fourier transform of the per-k occupied band blocks; agrees with the
-    real-space construction entrywise to ~1e-10.
-    """
+    """Momentum-space fast path for clean periodic chains, at rounding level
+    down to detuning 1e-12; the dense route is the one whose error grows, as
+    eps ||A|| / kappa^2 (README, "Numerical tolerances")."""
     spec.require_translation_invariant("correlation_k_space")
     if spec.boundary is not Boundary.PBC:
         raise ValueError("correlation_k_space requires periodic boundaries")
@@ -263,9 +260,8 @@ def correlation_k_space(spec: ChainSpec, ell: int) -> CorrelationMatrix:
 
 def _ungauge(M: np.ndarray) -> np.ndarray:
     """C = 1/2 + (i/2) S M S^-1, the inverse of M = -2i S^-1 (C - 1/2) S."""
-    g = np.ones(len(M), dtype=complex)
-    g[1::2] = 1j
-    C = 0.5j * (g[:, None] * M * g.conj())
+    s = _to_sites(np.ones(len(M), dtype=complex))
+    C = 0.5j * (s[:, None] * M * s.conj())
     C[np.diag_indices_from(C)] += 0.5
     return C
 
@@ -309,9 +305,9 @@ def _subsystem_correlation(
         clean open chains: per singular triple of the hopping block
         (:func:`_singular_mode_block`, the same block with v_k -> s);
     ``"dense"``
-        disordered chains: biorthogonal diagonalization of the 2L x 2L
-        Hamiltonian in the real sublattice gauge, where the block is one
-        real product over the filled conjugate pairs
+        disordered chains: biorthogonal diagonalization of the real
+        2L x 2L gauge matrix from ``lattice._gauge_matrix``, where the
+        block is one real product over the filled conjugate pairs
         (:meth:`spectral._PackedSystem.gauged_block`).
 
     Each route fills the spectrum with the kernel of its ground-state
@@ -331,7 +327,7 @@ def _subsystem_correlation(
         return _toeplitz_correlation(g, cells, L), "k_space"
     if spec.is_translation_invariant:
         return _singular_mode_block(spec, cells, tol_zero), "singular_mode"
-    sys = _real_gauge_system(_sublattice_gauge(build_real_space(spec)))
+    sys = _real_gauge_system(_gauge_matrix(spec))
     weights = half_filling_weights(sys.energies, tol_zero)
     return sys.gauged_block(weights, 2 * cells), "dense"
 

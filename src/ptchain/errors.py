@@ -73,8 +73,8 @@ class NoBoundState(PTChainError):
 
 
 class NoRootInDisk(PTChainError):
-    """Neither root of a bulk dispersion quadratic lies strictly inside the
-    unit disk; the trial energy belongs to an extended state."""
+    """No root of a bulk dispersion quadratic lies strictly inside the unit
+    disk (an extended state), or its leading coefficient v w vanishes."""
 
 
 class NoLocalizedMode(PTChainError):

@@ -22,6 +22,10 @@ Real-space conventions, fixed here once and consumed by every other module:
 Disorder follows the single validated channel: one offset per cell with
 ``v(x) = v + delta(x)`` and ``u(x) = u - delta(x) - detuning``, which keeps
 every cell on its critical line and preserves global PT symmetry.
+
+Both geometries are built once, as the real gauge matrix G = -i S^-1 H S
+(:func:`_gauge_matrix`), with S = diag(1, i, 1, i, ...) defined in
+:func:`_to_sites`; dense eigensolves take G, the public builders H.
 """
 
 from __future__ import annotations
@@ -262,42 +266,68 @@ def classify_pt(spec: ChainSpec, tol_crit: float = TOL_CRIT) -> PTClass:
     return PTClass.CRITICAL
 
 
-def _cell_couplings(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (v(x), u(x)) after the disorder rule and detuning."""
+def _cell_couplings(spec: ChainSpec | InterfaceSpec):
+    """(first, u(x), legs, periodic): u(x) on the cells from ``first`` on,
+    legs (offset, amplitude per cell) coupling A(i) to B(i + offset); the
+    interface's u sits on the right cells, its -w leg on B(i) <-> A(i+1)."""
     L = spec.cells
-    if spec.disorder is None:
-        return (np.full(L, spec.v), np.full(L, spec.u_eff))
-    d = spec.disorder.offsets
-    return (spec.v + d, spec.u - d - spec.detuning)
+    if isinstance(spec, InterfaceSpec):
+        v_x = np.where(np.arange(L) < spec.cells_left, spec.v1, spec.v2)
+        u_x = np.full(spec.cells_right, spec.u, dtype=float)
+        return spec.cells_left, u_x, ((0, v_x), (-1, np.full(L, -spec.w))), False
+    d = np.zeros(L) if spec.disorder is None else spec.disorder.offsets
+    legs = ((spec.alpha - 1, spec.v + d), (spec.alpha, np.full(L, -spec.w)))
+    return 0, spec.u - d - spec.detuning, legs, spec.boundary is Boundary.PBC
 
 
-def _hopping_block(spec: ChainSpec) -> np.ndarray:
-    """Real L x L block V of the A -> B hoppings, V[i, j] = H[A(i), B(j)].
-
-    With the sites ordered by sublattice, H = [[i u, V], [V^T, -i u]].
-    """
-    L = spec.cells
-    v_x, _ = _cell_couplings(spec)
-    i = np.arange(L)
-    V = np.zeros((L, L))
-    for off, amp in ((spec.alpha - 1, v_x), (spec.alpha, np.full(L, -spec.w))):
-        j = i + off
-        keep = slice(None) if spec.boundary is Boundary.PBC else j < L
-        np.add.at(V, (i[keep], j[keep] % L), amp[keep])
+def _hopping_block(spec: ChainSpec | InterfaceSpec) -> np.ndarray:
+    """Real L x L block V of the A -> B hoppings, V[i, j] = H[A(i), B(j)];
+    open ends drop the legs that leave the chain."""
+    _, _, legs, periodic = _cell_couplings(spec)
+    i = np.arange(spec.cells)
+    V = np.zeros((spec.cells, spec.cells))
+    for off, amp in legs:
+        keep = periodic | ((i + off >= 0) & (i + off < spec.cells))
+        np.add.at(V, (i[keep], (i[keep] + off) % spec.cells), amp[keep])
     return V
+
+
+def _gauge_matrix(spec: ChainSpec | InterfaceSpec) -> np.ndarray:
+    """Real G = -i S^-1 H S, cell-major; by sublattice [[U, V], [-V^T, -U]]
+    with U = diag(u(x)). Its zeros are +0.0, as in the gauge of the complex
+    H (dgeev's bits follow them), but -U is -0.0 where u(x) = 0: that tells
+    :func:`_hamiltonian` such a cell from one without a potential."""
+    first, u_x, _, _ = _cell_couplings(spec)
+    V = _hopping_block(spec)
+    G = np.zeros((2 * spec.cells, 2 * spec.cells))
+    d = 2 * np.arange(first, spec.cells)
+    G[d, d], G[d + 1, d + 1] = u_x, -u_x
+    G[0::2, 1::2] = V
+    G[1::2, 0::2] -= V.T
+    return G
+
+
+def _to_sites(X: np.ndarray) -> np.ndarray:
+    """S X in place on the rows of X, S = diag(1, i, 1, i, ...) the
+    sublattice gauge; returns X. The package's one definition of S."""
+    X[1::2] *= 1j
+    return X
+
+
+def _hamiltonian(G: np.ndarray) -> np.ndarray:
+    """H = i S G S^-1: i G on the A-A and B-B blocks, G on A -> B, -G on
+    B -> A, formed so that the gauge of H is G bit for bit where u(x) != 0."""
+    H = np.zeros(G.shape, dtype=complex)
+    H[0::2, 0::2] = 1j * G[0::2, 0::2]
+    H[1::2, 1::2] = -1j * -G[1::2, 1::2]
+    H.real[0::2, 1::2] = G[0::2, 1::2]
+    H.real[1::2, 0::2] -= G[1::2, 0::2]
+    return H
 
 
 def build_real_space(spec: ChainSpec) -> np.ndarray:
     """Dense 2L x 2L Hamiltonian in the fixed site convention."""
-    L = spec.cells
-    _, u_x = _cell_couplings(spec)
-    V = _hopping_block(spec)
-    H = np.zeros((2 * L, 2 * L), dtype=complex)
-    H[0::2, 0::2][np.diag_indices(L)] = 1j * u_x
-    H[1::2, 1::2][np.diag_indices(L)] = -1j * u_x
-    H[0::2, 1::2] = V
-    H[1::2, 0::2] = V.T
-    return H
+    return _hamiltonian(_gauge_matrix(spec))
 
 
 def build_interface(spec: InterfaceSpec) -> np.ndarray:
@@ -308,17 +338,4 @@ def build_interface(spec: InterfaceSpec) -> np.ndarray:
     the bulk-chain convention of :func:`build_real_space` is its mirror
     image and would flip the sign of the bound-state energy.
     """
-    L = spec.cells
-    H = np.zeros((2 * L, 2 * L), dtype=complex)
-    for i in range(L):
-        on_right = i >= spec.cells_left
-        vi = spec.v2 if on_right else spec.v1
-        H[2 * i, 2 * i + 1] += vi
-        H[2 * i + 1, 2 * i] += vi
-        if on_right:
-            H[2 * i, 2 * i] = 1j * spec.u
-            H[2 * i + 1, 2 * i + 1] = -1j * spec.u
-        if i + 1 < L:
-            H[2 * i + 1, 2 * i + 2] += -spec.w
-            H[2 * i + 2, 2 * i + 1] += -spec.w
-    return H
+    return _hamiltonian(_gauge_matrix(spec))

@@ -15,12 +15,12 @@ the convention pinned down by the exact Fock-space oracle in the test
 suite.
 
 Every chain of the family is bipartite with real hoppings and a purely
-imaginary sublattice potential, so in the sublattice gauge
-S = diag(1, i, 1, i, ...) the matrix -i S^-1 H S is real. Dense
-eigensolves run there, in real arithmetic (LAPACK dgeev rather than
-zgeev), and map back with E = i lambda and eigenvectors S v. The pairing
-E <-> -E^* is then the exact conjugate pairing of a real spectrum, and
-modes on the imaginary axis come out at Re E = 0 exactly.
+imaginary sublattice potential, so in the sublattice gauge S (defined in
+``lattice._to_sites``) G = -i S^-1 H S is real, and ``lattice._gauge_matrix``
+builds it. Dense eigensolves run on G, in real arithmetic (dgeev rather
+than zgeev), and map back with E = i lambda and eigenvectors S v. The
+pairing E <-> -E^* is then the exact conjugate pairing of a real
+spectrum, and modes on the imaginary axis come out at Re E = 0 exactly.
 
 The dense route of the correlation block stays real end to end: the
 eigenvectors stay in LAPACK's packed form (a conjugate pair as real and
@@ -41,7 +41,8 @@ import scipy.linalg
 from scipy.linalg.blas import get_blas_funcs
 
 from .errors import AmbiguousFilling, DefectiveMatrix
-from .lattice import Boundary, ChainSpec, _hopping_block, _momenta, build_real_space, vk
+from .lattice import (Boundary, ChainSpec, _gauge_matrix, _hopping_block, _momenta,
+                      _to_sites, vk)
 
 #: Post-normalization bound on max |<L_m|R_n> - delta_mn|.
 TOL_BIORTH = 1e-9
@@ -107,15 +108,12 @@ class DensityProfile:
 
 
 def _sublattice_gauge(X: np.ndarray) -> np.ndarray:
-    """-i S^-1 X S with S = diag(1, i, 1, i, ...), on the last two axes.
-
-    The similarity only multiplies entries by +-1 and +-i, so it is exact in
-    floating point. The result is float64 when it is exactly real, which it
-    is for every Hamiltonian of the family, and complex otherwise.
+    """-i S^-1 X S of a matrix handed to :func:`biorthogonal_diagonalize`
+    (the package's routes build G directly), exact: entries only change by
+    +-1 and +-i. Float64 when exactly real, as on the family, else complex.
     """
-    g = np.ones(X.shape[-1], dtype=complex)
-    g[1::2] = 1j
-    Y = -1j * (g.conj()[:, None] * X * g)
+    s = _to_sites(np.ones(X.shape[-1], dtype=complex))
+    Y = -1j * (s.conj()[:, None] * X * s)
     return Y if np.any(Y.imag) else Y.real
 
 
@@ -126,9 +124,8 @@ def biorthogonal_diagonalize(
 
     The eigensolve runs on -i S^-1 H S in the sublattice gauge, real for
     every chain of the family, in :func:`_real_gauge_system`; S is unitary,
-    so overlaps are unchanged. Its packed real vectors become complex here
-    and nowhere else. A matrix outside the family, whose gauge is complex,
-    takes scipy's complex eigensolve and is normalized mode by mode.
+    so overlaps are unchanged. A matrix outside the family, whose gauge is
+    complex, takes scipy's complex eigensolve of H itself.
 
     Eigenvalues are ordered deterministically by (Re, Im, input index).
     Nearly degenerate eigenvalues are re-biorthogonalized block-wise via the
@@ -142,26 +139,15 @@ def biorthogonal_diagonalize(
     A = _sublattice_gauge(H)
     if not np.iscomplexobj(A):
         return _real_gauge_system(A, tol_biorth).unpacked()
-    lam, vl, vr = scipy.linalg.eig(A, left=True, right=True)
-    w = 1j * lam
-    order = np.lexsort((np.arange(len(w)), w.imag, w.real))
-    E = w[order]
-    # back from the gauge: R = S vr, L = S vl
-    R = vr[:, order]
-    L = vl[:, order]
-    R[1::2] *= 1j
-    L[1::2] *= 1j
+    E, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    order = np.lexsort((np.arange(len(E)), E.imag, E.real))
+    E, R, L = E[order], vr[:, order], vl[:, order]
 
     kappa = 1.0
     for lo, hi in _cluster_blocks(E, _CLUSTER_REL * max(np.max(np.abs(E)), 1.0)):
-        if hi - lo == 1:
-            d = np.vdot(L[:, lo], R[:, lo])
-            kappa = min(kappa, _require_off_exceptional_point(abs(d)))
-            L[:, lo] /= np.conj(d)
-        else:
-            block, sv_min = _rebiorthogonalize(L[:, lo:hi], R[:, lo:hi])
-            kappa = min(kappa, _require_off_exceptional_point(sv_min))
-            L[:, lo:hi] = block
+        block, sv_min = _rebiorthogonalize(L[:, lo:hi], R[:, lo:hi])
+        kappa = min(kappa, _require_off_exceptional_point(sv_min))
+        L[:, lo:hi] = block
     gram = _gemm(L.conj().T, R)
     residual = float(np.max(np.abs(gram - np.eye(len(E)))))
     _require_biorthogonal(residual, kappa, tol_biorth)
@@ -169,9 +155,9 @@ def biorthogonal_diagonalize(
 
 
 def _rebiorthogonalize(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """L inv(M)^dag with M = L^dag R, so that L^dag R = I on a cluster of
-    nearly degenerate modes, and kappa, the smallest singular value of M;
-    None in place of the block where kappa is below ``_KAPPA_EP``."""
+    """L inv(M)^dag with M = L^dag R, so that L^dag R = I on a cluster (one
+    mode, or nearly degenerate ones), and kappa, the smallest singular value
+    of M; None in place of the block where kappa is below ``_KAPPA_EP``."""
     M = L.conj().T @ R
     sv_min = float(scipy.linalg.svdvals(M)[-1])
     if not sv_min >= _KAPPA_EP:
@@ -217,9 +203,7 @@ class _PackedSystem:
     def unpacked(self) -> BiorthogonalSystem:
         """The complex system in the order of :attr:`energies`, with the
         vectors back from the gauge: R = S r, L = S l."""
-        L, R = (self._complex(v)[:, self.order] for v in (self.vl, self.vr))
-        R[1::2] *= 1j
-        L[1::2] *= 1j
+        L, R = (_to_sites(self._complex(v)[:, self.order]) for v in (self.vl, self.vr))
         return BiorthogonalSystem(self.energies, R, L, self.residual)
 
     def _complex(self, v: np.ndarray) -> np.ndarray:
@@ -511,7 +495,7 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     :func:`_real_gauge_system` and :func:`half_filling_weights`.
     """
     if not spec.is_translation_invariant:
-        E = _real_gauge_system(_sublattice_gauge(build_real_space(spec))).energies
+        E = _real_gauge_system(_gauge_matrix(spec)).energies
         return complex(np.sum(half_filling_weights(E, tol_zero) * E))
     if spec.boundary is Boundary.PBC:
         a = np.abs(vk(spec, _momenta(spec.cells)))

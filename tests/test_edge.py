@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from ptchain.errors import (
     NoBoundState,
     NoConvergence,
     NoLocalizedMode,
+    NoRootInDisk,
 )
 
 
@@ -141,16 +144,33 @@ class TestInterfaceLatticeSolve:
 
     @pytest.mark.parametrize("v1, v2, w, u", [
         (0.3, 1e-8, 1e-8, 0.3),   # v2 - w / beta_R vanishes
-        (1e-8, 0.0, 0.0, 1e-8),   # w = 0: the profile divides by w
         (1.0, 0.3, 1e-8, 1e-8),   # the right sublattice ratio vanishes
-        (1.0, 0.3, 0.0, 1.0),     # w = 0: the residual is NaN
     ])
     def test_degenerate_couplings_raise_no_convergence(self, v1, v2, w, u):
-        # valid specs on which the secant meets a zero denominator or a NaN
+        # valid specs on which the secant meets a zero denominator
         spec = pc.InterfaceSpec(v1=v1, v2=v2, w=w, u=u, cells_left=4, cells_right=4)
         with (np.errstate(divide="ignore", invalid="ignore"), pytest.warns(UserWarning),
               pytest.raises(NoConvergence)):
             pc.interface_lattice_solve(spec)
+
+    @pytest.mark.parametrize("v1, v2, w, u, error", [
+        pytest.param(1.0, 0.3, 0.0, 1.0, DegenerateW, id="w0"),
+        pytest.param(1e-8, 0.0, 0.0, 1e-8, DegenerateW, id="v2-w0"),
+        pytest.param(1.0, 0.0, 0.5, 0.5, NoRootInDisk, id="v2"),
+    ])
+    def test_vanishing_coupling_raises_at_once(self, monkeypatch, v1, v2, w, u, error):
+        # v w = 0 zeroes a dispersion quadratic's leading coefficient; the
+        # secant used to run all its iterations on NaN roots, with
+        # RuntimeWarnings, before NoConvergence
+        def forbidden(*args):
+            raise AssertionError("the secant started")
+
+        monkeypatch.setattr(edge, "_matching_residual", forbidden)
+        spec = pc.InterfaceSpec(v1=v1, v2=v2, w=w, u=u, cells_left=4, cells_right=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                pc.interface_lattice_solve(spec)
 
 
 class TestInterfaceDensity:

@@ -593,3 +593,61 @@ class TestReflectionHalving:
         # measured: 7.4e-13 and 2.5e-12
         assert err_full < 1e-11
         assert err_halved < 2e-11
+
+
+class TestCleanRoutePrecision:
+    """The clean routes' blocks against 40-digit references: both sit at
+    rounding level (README, "Numerical tolerances"), while the dense route's
+    error grows as eps ||A|| / kappa^2."""
+
+    @pytest.mark.parametrize("detuning", [1e-12, 1e-10, 1e-8])
+    def test_k_space_block_against_mpmath_dft(self, detuning):
+        # fig2b couplings: the gap closes at k = 0, where v - w is exact
+        spec = chain(v=1, w=2, u=1, cells=200, detuning=detuning)
+        L, ell = spec.cells, 20
+        M, route = _subsystem_correlation(spec, ell)
+        assert route == "k_space"
+        with mpmath.workdps(40):
+            u = mpmath.mpf(spec.u_eff)
+            phase = [mpmath.expjpi(mpmath.mpf(2 * j) / L) for j in range(L)]  # e^{i k_j}
+            v_k = [spec.v - spec.w * phase[-j % L] for j in range(L)]
+            inv_e = [1 / mpmath.sqrt(abs(x) ** 2 - u * u) for x in v_k]
+            entries = ([-u * x for x in inv_e],
+                       [-x.conjugate() * y for x, y in zip(v_k, inv_e)],
+                       [x * y for x, y in zip(v_k, inv_e)], [u * x for x in inv_e])
+
+            def inverse_dft(c, r):
+                return float(mpmath.fsum(c[j] * phase[j * r % L] for j in range(L)).real / L)
+
+            g = {r: [inverse_dft(c, r) for c in entries] for r in range(1 - ell, ell)}
+        ref = np.array([[g[i // 2 - j // 2][2 * (i % 2) + j % 2] for j in range(2 * ell)]
+                        for i in range(2 * ell)])
+        # measured: 3.9e-16, 4.8e-16 and 7.7e-16
+        assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_singular_mode_block_against_mpmath_svd(self):
+        # a finite open chain's gap, not the detuning, sets its kappa, so one
+        # detuning serves; of (alpha, v, w) = (1, 2, 1), (1, 1, 2), (2, 1, 2)
+        # this coupling set erred most
+        spec = chain(v=2, w=1, u=1, cells=40, boundary="obc", detuning=1e-12)
+        ell = 10
+        M, route = _subsystem_correlation(spec, ell)
+        assert route == "singular_mode"
+        V = np.diag(np.full(40, spec.v)) + np.diag(np.full(39, -spec.w), 1)
+        with mpmath.workdps(40):
+            u = mpmath.mpf(spec.u_eff)
+            a, s, bt = mpmath.svd_r(mpmath.matrix(V.tolist()))
+            ref = mpmath.zeros(2 * ell)
+            for k in range(len(s)):
+                if s[k] < u:
+                    continue  # a half-filled pair on the imaginary axis drops out
+                e = mpmath.sqrt(s[k] ** 2 - u * u)
+                for i in range(ell):
+                    for j in range(ell):
+                        ref[2 * i, 2 * j] -= u * a[i, k] * a[j, k] / e
+                        ref[2 * i + 1, 2 * j + 1] += u * bt[k, i] * bt[k, j] / e
+                        ref[2 * i + 1, 2 * j] += s[k] * bt[k, i] * a[j, k] / e
+                        ref[2 * i, 2 * j + 1] -= s[k] * a[i, k] * bt[k, j] / e
+            ref = np.array(ref.tolist(), dtype=float)
+        # measured: 1.8e-14
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))

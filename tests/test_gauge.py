@@ -13,6 +13,9 @@ subsystem correlation block, with the singular values of the L x L
 hopping block as mode amplitudes on open chains and |v_k| on periodic
 ones; both must agree with the dense route in value and in the error they
 raise.
+
+Both public builders and the real gauge matrix are pinned byte for byte
+against the complex builders kept in ``reference_builders``.
 """
 
 from dataclasses import replace
@@ -27,6 +30,7 @@ import ptchain.entanglement as entanglement
 import ptchain.spectral as spectral
 from ptchain.entanglement import _gauge_real, _subsystem_correlation
 from ptchain.errors import AmbiguousFilling, DefectiveMatrix
+from ptchain.lattice import _gauge_matrix
 from ptchain.spectral import (
     _CLUSTER_REL,
     TOL_BIORTH,
@@ -40,6 +44,7 @@ from fock_oracle import (
     entropy_from_rho,
     reduced_density_matrix,
 )
+import reference_builders
 
 BC = pc.Prescription.BRANCH_CUT
 REG = pc.Prescription.REGULARIZED
@@ -589,3 +594,56 @@ def test_complex_gauge_takes_the_complex_solve(monkeypatch):
     assert system.biorth_residual < 1e-12
     np.testing.assert_allclose(h @ system.right_vectors,
                                system.right_vectors * system.energies, atol=1e-12)
+    np.testing.assert_allclose(h.conj().T @ system.left_vectors,
+                               system.left_vectors * system.energies.conj(), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# One builder: the real gauge matrix
+# ---------------------------------------------------------------------------
+
+
+def reference_gauge(spec):
+    """-i S^-1 H S of the reference complex builder, as a C-ordered array."""
+    return np.ascontiguousarray(_sublattice_gauge(reference_builders.build_real_space(spec)))
+
+
+@settings(max_examples=200)
+@given(chains())
+def test_builders_match_the_complex_builders(spec):
+    # byte for byte, signed zeros included: dgeev's bits follow them
+    assert pc.build_real_space(spec).tobytes() == \
+        reference_builders.build_real_space(spec).tobytes()
+    G = _gauge_matrix(spec)
+    assert G.dtype == np.float64
+    assert G.tobytes() == reference_gauge(spec).tobytes()
+
+
+def test_interface_builder_matches_the_cell_loop():
+    for v1 in (1.5, 100.0, 0.0, 1):
+        for v2, w, u in ((0.5, 1.0, 0.5), (0.5, 1.0, 0.0), (2, -1.0, 0), (0.0, 0.0, 1.0)):
+            for cells in ((2, 2), (3, 5), (20, 20)):
+                spec = pc.InterfaceSpec(v1, v2, w, u, *cells)
+                assert pc.build_interface(spec).tobytes() == \
+                    reference_builders.build_interface(spec).tobytes(), spec
+
+
+@pytest.mark.parametrize("alpha, boundary", [(1, pc.Boundary.PBC), (2, pc.Boundary.OBC)])
+def test_dense_route_takes_the_gauge_matrix(monkeypatch, alpha, boundary):
+    # the dense block and the disordered E0 hand the builder's G to the
+    # kernel, never a gauged complex H
+    offsets = pc.rng.disorder_offsets(1, 0.6, 60)
+    spec = pc.ChainSpec(alpha=alpha, v=1.0, w=2.0, u=1.0, cells=60, boundary=boundary,
+                        detuning=1e-10, disorder=pc.DisorderProfile(offsets))
+    reference = reference_gauge(spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense route gauged a complex Hamiltonian")
+
+    monkeypatch.setattr(spectral, "_sublattice_gauge", forbidden)
+    calls = [record_calls(monkeypatch, module, "_real_gauge_system")
+             for module in (entanglement, spectral)]
+    _subsystem_correlation(spec, 12)
+    pc.ground_state_energy(spec)
+    for [(args, _)] in calls:
+        assert args[0].tobytes() == reference.tobytes()
