@@ -15,10 +15,11 @@ The manifest is written on failure as well.
 
 The tasks are one table, ``TASKS`` (section "Task table"): each entry
 states the model kinds the task accepts, its optional and required task
-keys, and its runner. One pass, ``_resolve``, turns a config into a run:
-``validate_config`` and ``execute`` both take it, so a config validates
-exactly when it runs. The model kinds and their keys are the table
-``_MODELS``; the spec classes check their own ranges.
+keys, and its runner; each task key has one rule in the table ``_RULES``,
+and each number or enum one type in ``_TYPES``. One pass, ``_resolve``,
+turns a config into a run: ``validate_config`` and ``execute`` both take
+it, so a config validates exactly when it runs. The model kinds and their
+keys are the table ``_MODELS``; the spec classes check their own ranges.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (module
 error name recorded in the manifest), 4 I/O error; ``_EXITS`` maps each
@@ -32,10 +33,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 import time
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,9 +54,8 @@ from .entanglement import (
 )
 from .errors import ConfigError, PTChainError
 from .fits import (
-    _CASIMIR_MIN_SIZES,
-    _CC_OBC_MIN_POINTS,
-    _CC_PBC_MIN_POINTS,
+    _CASIMIR_RULE,
+    _CC_RULES,
     FixedCount,
     UntilRMSE,
     UntilSSE,
@@ -63,8 +65,8 @@ from .fits import (
     cc_fit_pbc,
     disorder_ensemble,
 )
-from .lattice import Boundary, ChainSpec, InterfaceSpec, build_real_space, classify_pt
-from .spectral import biorthogonal_diagonalize, density_profile, select_half_filling
+from .lattice import Boundary, ChainSpec, InterfaceSpec, classify_pt
+from .spectral import _levels, _mode_amplitudes
 from .edge import interface_continuum, interface_density, interface_lattice_solve
 from .topology import characterize, symmetry_closure, winding_number
 
@@ -80,31 +82,6 @@ _TOLERANCE_KEYS = {*_CLASSIFICATION_KEYS, "tol_zero", "tol_sym", "tol_zak"}
 #: model kind -> the tolerance keys any task reads on it; an interface
 #: selects no half filling
 _MODEL_TOLERANCES = {"chain": _TOLERANCE_KEYS, "interface": set()}
-
-#: trim policy -> (its policy class, its keys besides ``policy``); boundary
-#: -> the policies its fit takes, the default first (cc_fit_pbc trims by
-#: SSE, cc_fit_obc by RMSE).
-_TRIMS = {"fixed": (FixedCount, {"n"}), "until_sse": (UntilSSE, {"threshold"}),
-          "until_rmse": (UntilRMSE, {"threshold"})}
-_TRIM_POLICIES = {Boundary.PBC: ("until_sse", "fixed"),
-                  Boundary.OBC: ("until_rmse", "fixed")}
-#: boundary -> the fewest points its cc fit takes after trimming
-_CC_MIN_POINTS = {Boundary.PBC: _CC_PBC_MIN_POINTS, Boundary.OBC: _CC_OBC_MIN_POINTS}
-_SPACINGS = {"log": np.geomspace, "linear": np.linspace}
-
-#: numeric keys -> _number options, the same in whichever block they occur.
-#: The model's ranges are its spec class's own, so its keys get a type only.
-_NUMBERS = {
-    **dict.fromkeys(("alpha", "cells", "cells_left", "cells_right"), {"kind": int}),
-    **dict.fromkeys(("ell", "num", "lo", "hi", "jobs"), {"kind": int, "low": 1}),
-    **dict.fromkeys(("seed", "n"), {"kind": int, "low": 0}),
-    "n_k": {"kind": int, "low": 8},
-    # a standard error needs two realizations
-    "n_realizations": {"kind": int, "low": 2},
-    "delta_L": {"kind": int, "nullable": True},
-    **dict.fromkeys(("v", "w", "v1", "v2", "u", "detuning"), {}),
-    **dict.fromkeys(("delta_bound", "threshold", *_TOLERANCE_KEYS), {"positive": True}),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -136,31 +113,47 @@ def _number(val, where: str, kind=float, low=None, positive=False, nullable=Fals
     return kind(val)
 
 
+def _choice(choices: dict, val, where: str):
+    """choices[val]: an enum's member by value, or an entry of a table."""
+    if not isinstance(val, str) or val not in choices:
+        raise ConfigError(f"{where} must be one of {list(choices)}, got {val!r}")
+    return choices[val]
+
+
+#: trim policy -> (its policy class, its keys besides ``policy``)
+_TRIMS = {"until_sse": (UntilSSE, {"threshold"}), "until_rmse": (UntilRMSE, {"threshold"}),
+          "fixed": (FixedCount, {"n"})}
+
+#: key -> its type, the same in whichever block it occurs. The model's
+#: ranges are its spec class's own, so its keys get a type only.
+_INT = partial(_number, kind=int)
+_TYPES = {
+    **dict.fromkeys(("alpha", "cells", "cells_left", "cells_right"), _INT),
+    **dict.fromkeys(("ell", "num", "lo", "hi", "jobs"), partial(_INT, low=1)),
+    **dict.fromkeys(("seed", "n"), partial(_INT, low=0)),
+    "n_k": partial(_INT, low=8),
+    # a standard error needs two realizations
+    "n_realizations": partial(_INT, low=2),
+    "delta_L": partial(_INT, nullable=True),
+    **dict.fromkeys(("v", "w", "v1", "v2", "u", "detuning"), _number),
+    **dict.fromkeys(("delta_bound", "threshold", *_TOLERANCE_KEYS),
+                    partial(_number, positive=True)),
+    **{key: partial(_choice, {m.value: m for m in enum})
+       for key, enum in (("boundary", Boundary), ("prescription", Prescription))},
+    "spacing": partial(_choice, {"log": np.geomspace, "linear": np.linspace}),
+}
+
+
 def _values(block: dict, where: str) -> dict:
-    """The block with every number checked and converted per ``_NUMBERS``."""
-    return {key: _number(val, f"{where}.{key}", **_NUMBERS[key]) if key in _NUMBERS
-            else val for key, val in block.items()}
+    """The block with every key of ``_TYPES`` typed."""
+    return {key: _TYPES[key](val, f"{where}.{key}") if key in _TYPES else val
+            for key, val in block.items()}
 
 
 def _object(block: dict, key: str, where: str) -> dict:
     if not isinstance(block[key], dict):
         raise ConfigError(f"{where}.{key} must be an object")
     return block[key]
-
-
-def _ints(block: dict, key: str, low: int) -> list[int]:
-    """A non-empty list of integers >= low."""
-    if not isinstance(block[key], list) or not block[key]:
-        raise ConfigError(f"task.{key} must be a non-empty list of integers")
-    return [_number(x, f"task.{key} entries", int, low) for x in block[key]]
-
-
-def _member(enum_class, val, where: str):
-    try:
-        return enum_class(val)
-    except ValueError:
-        choices = [m.value for m in enum_class]
-        raise ConfigError(f"{where} must be one of {choices}, got {val!r}") from None
 
 
 def _build_model(model: dict) -> ChainSpec | InterfaceSpec:
@@ -172,8 +165,6 @@ def _build_model(model: dict) -> ChainSpec | InterfaceSpec:
     _require_keys(model, {"kind", *required, *optional}, {"kind", *required}, "model")
     fields = _values(model, "model")
     del fields["kind"]
-    if "boundary" in fields:
-        fields["boundary"] = _member(Boundary, fields["boundary"], "model.boundary")
     try:
         spec = spec_class(**fields)
     except (ValueError, PTChainError) as exc:
@@ -185,49 +176,100 @@ def _build_model(model: dict) -> ChainSpec | InterfaceSpec:
     return spec
 
 
-def _resolve_ells(task: dict, cells: int) -> list[int]:
-    """Explicit ``ells`` must all fit in ``cells``; an ``ell_grid`` is
-    clipped to it."""
-    if "ells" in task:
-        ells = sorted(set(_ints(task, "ells", 1)))
-        beyond = [e for e in ells if e > cells]
-        if beyond:
-            raise ConfigError(f"task.ells {beyond} exceed the largest subsystem, "
-                              f"{cells} cells")
-    elif "ell_grid" in task:
-        grid = _values(_object(task, "ell_grid", "task"), "task.ell_grid")
-        _require_keys(grid, {"num", "lo", "hi", "spacing"}, {"num", "lo", "hi"},
-                      "task.ell_grid")
-        spacing = grid.get("spacing", "log")
-        if spacing not in tuple(_SPACINGS):
-            raise ConfigError(f"task.ell_grid.spacing must be one of {list(_SPACINGS)}")
-        raw = _SPACINGS[spacing](grid["lo"], min(grid["hi"], cells), grid["num"])
-        ells = sorted({int(round(x)) for x in raw})
-    else:
+def _bounded(where: str, op: str, name: str, limit: Callable):
+    """The rule value ``op`` limit(spec), a bound the spec sets."""
+    holds = {"<=": operator.le, "<": operator.lt}[op]
+
+    def rule(value, spec, task):
+        if not holds(value, limit(spec)):
+            raise ConfigError(f"{where} must be {op} {name} = {limit(spec)}, got {value!r}")
+        return value
+    return rule
+
+
+def _int_list(where: str, low: Callable, fewest: int = 1):
+    """The rule of a list of at least ``fewest`` integers >= low(spec)."""
+    def rule(values, spec, task):
+        if not isinstance(values, list) or len(values) < fewest:
+            raise ConfigError(f"{where} must be a list of >= {fewest} integers, got {values!r}")
+        return [_number(x, f"{where} entries", int, low(spec)) for x in values]
+    return rule
+
+
+def _ells(ells, spec, task):
+    """Explicit ``ells``, each within the largest subsystem (half the chain
+    for a cc fit), else an ``ell_grid`` clipped to it."""
+    cells = spec.cells // (2 if task["name"] == "cc-fit" else 1)
+    if ells is not None:
+        ells = sorted(set(_int_list("task.ells", lambda spec: 1)(ells, spec, task)))
+        if ells[-1] > cells:
+            raise ConfigError(f"task.ells {[e for e in ells if e > cells]} exceed the "
+                              f"largest subsystem, {cells} cells")
+        return ells
+    if task.get("ell_grid") is None:
         raise ConfigError(f"task {task['name']} needs 'ells' or 'ell_grid'")
-    ells = [e for e in ells if 1 <= e <= cells]
+    grid = _values(_object(task, "ell_grid", "task"), "task.ell_grid")
+    _require_keys(grid, {"num", "lo", "hi", "spacing"}, {"num", "lo", "hi"}, "task.ell_grid")
+    raw = grid.get("spacing", np.geomspace)(grid["lo"], min(grid["hi"], cells), grid["num"])
+    ells = sorted({int(round(x)) for x in raw} & set(range(1, cells + 1)))
     if not ells:
         raise ConfigError(f"no subsystem sizes in 1..{cells} after resolution")
     return ells
 
 
-def _resolve_trim(trim, boundary: Boundary):
-    policies = _TRIM_POLICIES[boundary]
-    if not isinstance(trim, dict) or trim.get("policy") not in policies:
-        raise ConfigError(
-            f"task.trim on a {boundary.value} chain must be "
-            f"{{'policy': {'|'.join(map(repr, policies))}, ...}}")
-    policy_class, keys = _TRIMS[trim["policy"]]
-    _require_keys(trim, {"policy", *keys}, {"policy"}, "task.trim")
-    return policy_class(**{k: v for k, v in _values(trim, "task.trim").items()
-                           if k != "policy"})
+def _trim(trim, spec, task):
+    """A policy the chain's cc fit takes (``_CC_RULES``): by default until_sse
+    on a periodic chain (cc_fit_pbc's is FixedCount(0)), cc_fit_obc's on an
+    open one. The ells must leave the fit its fewest points after it."""
+    rule = _CC_RULES[spec.boundary]
+    names = [name for name, (policy, _) in _TRIMS.items() if policy in rule.trims]
+    if trim is None and spec.boundary is Boundary.PBC:
+        trim = {"policy": "until_sse"}
+    if trim is not None:
+        if not isinstance(trim, dict) or trim.get("policy") not in names:
+            raise ConfigError(f"task.trim on a {spec.boundary.value} chain must be "
+                              f"{{'policy': {'|'.join(map(repr, names))}, ...}}")
+        policy, keys = _TRIMS[trim["policy"]]
+        _require_keys(trim, {"policy", *keys}, {"policy"}, "task.trim")
+        trim = policy(**{k: v for k, v in _values(trim, "task.trim").items()
+                         if k != "policy"})
+    trimmed = getattr(trim, "n", 0)
+    if len(task["ells"]) < rule.min_points + trimmed:
+        raise ConfigError(f"the cc fit of a {spec.boundary.value} chain needs >= "
+                          f"{rule.min_points + trimmed} subsystem sizes ({trimmed} "
+                          f"trimmed), got {task['ells']}")
+    return trim
+
+
+def _delta_L(delta_L, spec, task):
+    if delta_L is not None and spec.boundary is Boundary.PBC:
+        raise ConfigError("task.delta_L applies to open chains; the periodic "
+                          "Casimir fit has no extrapolation length")
+    return delta_L
+
+
+#: task key -> its rule: (value as typed, spec, task block) -> the runner's
+#: argument, None for the library's default; ConfigError where the task
+#: cannot run. A block resolves in this order, so a rule sees the keys above
+#: it resolved. ``seed`` and ``jobs`` are top-level keys (``_Task.config``).
+_RULES = {
+    # as typed
+    **dict.fromkeys(("ell_grid", "prescription", "n_k", "n_realizations", "seed", "jobs"),
+                    lambda value, spec, task: value),
+    "ells": _ells,
+    "trim": _trim,
+    "sizes": _int_list("task.sizes", lambda spec: max(4, spec.alpha + 1),
+                       _CASIMIR_RULE.min_points),
+    "delta_L": _delta_L,
+    "ell": _bounded("task.ell", "<=", "model.cells", lambda spec: spec.cells),
+    "delta_bound": _bounded("task.delta_bound", "<", "min(v, u)",
+                            lambda spec: min(spec.v, spec.u)),
+}
 
 
 class _Run(NamedTuple):
     """A resolved config: the task, its spec, its runner's keyword arguments
-    (the library's own defaults stand for every key left out, except the
-    ``cc-fit`` trim of a periodic chain: ``UntilSSE()`` where ``cc_fit_pbc``
-    defaults to ``FixedCount(0)``) and the output directory and path prefix."""
+    (``_RULES``) and the output directory and path prefix."""
 
     name: str
     spec: ChainSpec | InterfaceSpec
@@ -262,42 +304,12 @@ def _resolve(config, out_dir: str | None = None, jobs: int | None = None) -> _Ru
             f"task {name} needs a model of kind {' or '.join(entry.kinds)}, got {kind!r}")
     _require_keys(task, {"name", *entry.optional, *entry.required},
                   {"name", *entry.required}, "task")
-    args = _values(task, "task")
-    del args["name"]
-    if "ells" in entry.optional:
-        args.pop("ell_grid", None)
-        # a cc fit runs over half the chain
-        args["ells"] = _resolve_ells(task, spec.cells // (2 if name == "cc-fit" else 1))
-    if "prescription" in args:
-        args["prescription"] = _member(Prescription, args["prescription"],
-                                       "task.prescription")
-    if "trim" in entry.optional:
-        default = {"policy": _TRIM_POLICIES[spec.boundary][0]}
-        args["trim"] = _resolve_trim(task.get("trim", default), spec.boundary)
-        trimmed = args["trim"].n if isinstance(args["trim"], FixedCount) else 0
-        need = _CC_MIN_POINTS[spec.boundary] + trimmed
-        if len(args["ells"]) < need:
-            raise ConfigError(
-                f"the cc fit of a {spec.boundary.value} chain needs >= {need} "
-                f"subsystem sizes ({trimmed} trimmed), got {args['ells']}")
-    if "sizes" in args:
-        args["sizes"] = _ints(task, "sizes", max(4, spec.alpha + 1))
-        if len(args["sizes"]) < _CASIMIR_MIN_SIZES:
-            raise ConfigError(f"the Casimir fit needs >= {_CASIMIR_MIN_SIZES} "
-                              f"sizes, got {args['sizes']}")
-    if args.get("delta_L") is not None and spec.boundary is Boundary.PBC:
-        raise ConfigError("task.delta_L applies to open chains; the periodic "
-                          "Casimir fit has no extrapolation length")
-    if args.get("ell", 0) > spec.cells:
-        raise ConfigError(f"task.ell must be <= model.cells = {spec.cells}, "
-                          f"got {args['ell']!r}")
-    if "delta_bound" in args and not args["delta_bound"] < min(spec.v, spec.u):
-        raise ConfigError(f"task.delta_bound must lie in (0, min(v, u)) = "
-                          f"(0, {min(spec.v, spec.u)}), got {args['delta_bound']!r}")
-    if name == "disorder":  # the one task that draws realizations
-        args["seed"] = top.get("seed", 0)
-        if "jobs" in top:
-            args["jobs"] = top["jobs"]
+    keys = entry.optional | entry.required | entry.config
+    block = {**_values(task, "task"), **{key: top[key] for key in entry.config & top.keys()}}
+    for key in sorted(keys, key=list(_RULES).index):
+        block[key] = _RULES[key](block.get(key), spec, block)
+    # the ells hold the grid's sizes
+    args = {key: block[key] for key in keys - {"ell_grid"} if block[key] is not None}
 
     if "tolerances" in config:
         tol = _values(_object(config, "tolerances", "config"), "tolerances")
@@ -329,10 +341,6 @@ def validate_config(config) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ptchain-", suffix=".tmp")
@@ -346,10 +354,16 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
+def _write_csv(path: str, columns: dict) -> None:
+    """Equal-length columns, a complex column x as re_x and im_x."""
+    split = {}
+    for name, col in columns.items():
+        col = np.asarray(col)
+        split.update({f"re_{name}": col.real, f"im_{name}": col.imag}
+                     if np.iscomplexobj(col) else {name: col})
+    lines = [",".join(split)]
+    for row in zip(*(col.tolist() for col in split.values())):
+        lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -360,12 +374,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return _jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
     return obj
@@ -380,51 +390,48 @@ def config_hash(config: dict) -> str:
 # Task table
 #
 # A runner maps a spec and the keyword arguments ``_resolve`` gives it to
-# (csv, summary fields), where csv is (stem, header, rows) or None. Runners
+# (csv, summary fields), where csv is (stem, columns) or None. Runners
 # reach the library through this module's globals, so patching
 # ptchain.cli.<function> reaches them.
 # ---------------------------------------------------------------------------
 
 
 def _run_spectrum(spec):
-    system = biorthogonal_diagonalize(build_real_space(spec))
-    rows = [[i, float(e.real), float(e.imag)] for i, e in enumerate(system.energies)]
-    return ("spectrum", ["index", "re_E", "im_E"], rows), {
-        "n_modes": system.n,
-        "biorth_residual": system.biorth_residual,
-        "pt_class": classify_pt(spec).value if spec.is_translation_invariant else None,
+    # every CLI chain is clean: E = -+e per mode amplitude, in (Re, Im,
+    # index) order by a stable sort; + 0.0 writes no signed zero
+    e = _levels(_mode_amplitudes(spec), spec.u_eff)
+    energies = sorted((np.concatenate([-e, e]) + 0.0).tolist(), key=lambda z: (z.real, z.imag))
+    return ("spectrum", {"index": range(len(energies)), "E": energies}), {
+        "n_modes": len(energies),
+        # no eigenvector is formed, so no biorthogonality to report
+        "biorth_residual": None,
+        "pt_class": classify_pt(spec).value,
+        "route": "k_space" if spec.boundary is Boundary.PBC else "singular_mode",
     }
 
 
 def _run_entropy_scan(spec, ells, **opts):
     prof = entropy_profile(spec, ells, **opts)
-    rows = [
-        [int(ell), float(val.real), float(val.imag), int(ne), int(nq), int(nr)]
-        for ell, val, ne, nq, nr in zip(
-            prof.ells, prof.values, prof.n_edge_pairs, prof.n_quartets, prof.n_residual
-        )
-    ]
-    header = ["ell", "re_S", "im_S", "n_edge_pairs", "n_quartets", "n_residual"]
-    return ("entropy", header, rows), {
-        "prescription": prof.prescription.value, "n_points": len(rows),
+    return ("entropy", {"ell": prof.ells, "S": prof.values, "n_edge_pairs": prof.n_edge_pairs,
+                        "n_quartets": prof.n_quartets, "n_residual": prof.n_residual}), {
+        "prescription": prof.prescription.value, "n_points": len(prof.ells),
         "route": prof.route,
     }
 
 
-def _run_cc_fit(spec, ells, trim, **opts):
+def _run_cc_fit(spec, ells, trim=None, **opts):
     csv, fields = _run_entropy_scan(spec, ells, **opts)
     fit = cc_fit_pbc if spec.boundary is Boundary.PBC else cc_fit_obc
-    ells, re_s = [row[0] for row in csv[2]], [row[1] for row in csv[2]]
+    columns, policy = csv[1], {} if trim is None else {"trim": trim}
     return csv, {"prescription": fields["prescription"],
-                 "fit": fit(ells, re_s, spec.cells, trim),
+                 "fit": fit(columns["ell"], columns["S"].real, spec.cells, **policy),
                  "route": fields["route"]}
 
 
 def _run_casimir(spec, sizes, delta_L=None, **tol):
     sizes, energies = casimir_energy_table(spec, sizes, **tol)
     fit = casimir_fit(sizes, energies, spec.boundary.value, delta_L)
-    rows = [[int(L), float(e)] for L, e in zip(sizes, energies)]
-    return ("casimir", ["L", "re_E0"], rows), {"fit": fit}
+    return ("casimir", {"L": sizes, "re_E0": energies}), {"fit": fit}
 
 
 def _run_winding(spec, **opts):
@@ -461,29 +468,20 @@ def _run_interface(spec):
 def _run_density(spec, **tol):
     if isinstance(spec, InterfaceSpec):
         profile, state = interface_density(spec)
-        fields = {"mode_E": state.E}
+        site, fields = profile.site, {"mode_E": state.E, "route": "dense"}
     else:
-        system = biorthogonal_diagonalize(build_real_space(spec))
-        profile = density_profile(system, select_half_filling(system, **tol))
-        fields = {}
-    rows = [
-        [i + 1, a.real, a.imag, b.real, b.imag, c.real, c.imag]
-        for i, (a, b, c) in enumerate(zip(profile.site_a, profile.site_b, profile.cell))
-    ]
-    header = ["cell", "re_n_A", "im_n_A", "re_n_B", "im_n_B", "re_n_cell", "im_n_cell"]
-    return ("density", header, rows), fields
+        # C_ii = 1/2 + (i/2) M_ii of the chain's correlation block
+        M, route = _subsystem_correlation(spec, spec.cells, **tol)
+        site, fields = 0.5 + 0.5j * np.diagonal(M), {"route": route}
+    return ("density", {"cell": range(1, spec.cells + 1), "n_A": site[0::2],
+                        "n_B": site[1::2], "n_cell": site[0::2] + site[1::2]}), fields
 
 
-def _run_disorder(spec, ells, delta_bound, n_realizations, seed, **opts):
+def _run_disorder(spec, ells, delta_bound, n_realizations, seed=0, **opts):
     stats = disorder_ensemble(spec, delta_bound, n_realizations, seed, ells, **opts)
-    rows = [
-        [int(e), float(mr), float(sr), float(mi), float(si)]
-        for e, mr, sr, mi, si in zip(
-            stats.ells, stats.mean_re, stats.sem_re, stats.mean_im, stats.sem_im
-        )
-    ]
-    header = ["ell", "mean_re_S", "sem_re_S", "mean_im_S", "sem_im_S"]
-    return ("disorder", header, rows), {
+    return ("disorder", {"ell": stats.ells, "mean_re_S": stats.mean_re,
+                         "sem_re_S": stats.sem_re, "mean_im_S": stats.mean_im,
+                         "sem_im_S": stats.sem_im}), {
         "n_realizations": stats.n_realizations,
         "base_seed": stats.base_seed,
         "im_min": float(stats.im_values.min()),
@@ -510,13 +508,15 @@ def _run_symmetry_check(spec, ell, **tol):
 
 class _Task(NamedTuple):
     """Model kinds a task accepts, its task keys besides ``name``, the
-    tolerance keys its runner reads, its runner."""
+    tolerance keys its runner reads, its runner, the top-level keys it
+    reads. Each task key and top-level key has its rule in ``_RULES``."""
 
     kinds: tuple[str, ...]
     optional: set[str]
     required: set[str]
     tolerances: set[str]
     run: Callable[..., tuple[tuple | None, dict]]
+    config: set[str] = set()
 
 
 _CHAIN = ("chain",)
@@ -534,7 +534,7 @@ TASKS: dict[str, _Task] = {
     "zak": _Task(_CHAIN, {"n_k"}, set(), {"tol_zak"}, _run_zak),
     "interface": _Task(("interface",), set(), set(), set(), _run_interface),
     "disorder": _Task(_CHAIN, _ENTROPY_KEYS, {"n_realizations", "delta_bound"},
-                      _ENTROPY_TOLERANCES, _run_disorder),
+                      _ENTROPY_TOLERANCES, _run_disorder, {"seed", "jobs"}),
     "density": _Task(("chain", "interface"), set(), set(), {"tol_zero"},
                      _run_density),
     "symmetry-check": _Task(_CHAIN, set(), {"ell"}, {"tol_zero", "tol_sym"},
@@ -550,9 +550,8 @@ def execute(config: dict, out_dir: str | None = None, jobs: int | None = None) -
 
     outputs: list[str] = []
     if csv is not None:
-        stem, header, rows = csv
-        _write_csv(f"{run.base}_{stem}.csv", header, rows)
-        outputs.append(f"{run.base}_{stem}.csv")
+        outputs.append(f"{run.base}_{csv[0]}.csv")
+        _write_csv(outputs[0], csv[1])
     summary = _jsonable({"task": run.name, **fields})
     _atomic_write(f"{run.base}_summary.json", json.dumps(summary, indent=2) + "\n")
     outputs.append(f"{run.base}_summary.json")

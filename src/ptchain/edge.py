@@ -235,8 +235,11 @@ def interface_density(
     """Biorthogonal density of the interface mode from dense diagonalization.
 
     The mode is the eigenvalue nearest the lattice (fallback: continuum)
-    prediction whose right eigenvector has inverse participation ratio
-    above the threshold (default 4 / n_sites).
+    prediction, among those with 0 < Im E < u, whose right eigenvector has
+    inverse participation ratio above the threshold (default 4 / n_sites).
+    On too few cells per side no mode qualifies (about 14 are needed at
+    v1 = 1.1, v2 = 0.5, w = 1, u = 0.5), and :class:`NoLocalizedMode` is
+    raised.
     """
     H = build_interface(spec)
     system = biorthogonal_diagonalize(H)
@@ -245,7 +248,9 @@ def interface_density(
     except PTChainError:
         predicted = interface_continuum(spec.w - spec.v1, spec.u).E
     threshold = ipr_threshold if ipr_threshold is not None else 4.0 / spec.n_sites
-    order = np.argsort(np.abs(system.energies - predicted))
+    E = system.energies
+    inside = np.flatnonzero((E.imag > 0) & (E.imag < spec.u))
+    order = inside[np.argsort(np.abs(E[inside] - predicted))]
     for idx in order[:8]:
         psi = system.right_vectors[:, idx]
         weight = np.abs(psi) ** 2
@@ -260,5 +265,6 @@ def interface_density(
             )
             return density, state
     raise NoLocalizedMode(
-        f"no candidate near E = {predicted:.4f} has IPR above {threshold:.3e}"
+        f"no mode with 0 < Im E < u = {spec.u} near E = {predicted:.4f} has IPR above "
+        f"{threshold:.3e} on {spec.cells_left} + {spec.cells_right} cells per side"
     )

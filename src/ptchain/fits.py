@@ -25,6 +25,7 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -38,15 +39,9 @@ from .entanglement import (
     _subsystem_sizes,
     entropy_profile,
 )
-from .lattice import ChainSpec, DisorderProfile
+from .lattice import Boundary, ChainSpec, DisorderProfile
 from .rng import disorder_offsets
 from .spectral import TOL_ZERO, _set_blas_threads, ground_state_energy
-
-
-#: Fewest points each fit takes, after trimming.
-_CC_PBC_MIN_POINTS = 4
-_CC_OBC_MIN_POINTS = 5
-_CASIMIR_MIN_SIZES = 4
 
 
 @dataclass(frozen=True)
@@ -77,6 +72,21 @@ class UntilRMSE:
 
 
 TrimPolicy = FixedCount | UntilSSE | UntilRMSE
+
+
+class _FitRule(NamedTuple):
+    """The trim policies a fit takes and the fewest points it fits after
+    trimming; each fit checks its arguments against its rule, and the
+    command line checks a config against the same rule before it runs."""
+
+    trims: tuple[type, ...]
+    min_points: int
+
+
+#: boundary -> the rule of its cc fit (cc_fit_pbc, cc_fit_obc)
+_CC_RULES = {Boundary.PBC: _FitRule((UntilSSE, FixedCount), 4),
+             Boundary.OBC: _FitRule((UntilRMSE, FixedCount), 5)}
+_CASIMIR_RULE = _FitRule((), 4)
 
 
 @dataclass(frozen=True)
@@ -148,16 +158,19 @@ def cc_fit_pbc(
     ells, re_entropy, L: int, trim: TrimPolicy = FixedCount(0)
 ) -> FitResult:
     """Linear fit Re S = (c/3) log sin(pi l / L) + s0 for periodic chains."""
+    rule = _CC_RULES[Boundary.PBC]
+    if not isinstance(trim, rule.trims):
+        raise ValueError(f"unsupported trim policy for cc_fit_pbc: {trim}")
     ells = np.asarray(ells, dtype=float)
     y = np.asarray(re_entropy, dtype=float)
     order = np.argsort(ells)
     ells, y = ells[order], y[order]
 
     def fit_from(k: int) -> FitResult:
-        if len(ells) - k < _CC_PBC_MIN_POINTS:
+        if len(ells) - k < rule.min_points:
             raise InsufficientPoints(
                 f"{len(ells) - k} points left after trimming {k}; "
-                f"need >= {_CC_PBC_MIN_POINTS}"
+                f"need >= {rule.min_points}"
             )
         e = ells[k:]
         X = _shifted_cc_design(e, float(L), 0.0)
@@ -168,14 +181,12 @@ def cc_fit_pbc(
 
     if isinstance(trim, FixedCount):
         return fit_from(trim.n)
-    if isinstance(trim, UntilSSE):
-        k = 0
-        while True:
-            result = fit_from(k)
-            if result.sse <= trim.threshold:
-                return result
-            k += 1
-    raise ValueError(f"unsupported trim policy for cc_fit_pbc: {trim}")
+    k = 0
+    while True:
+        result = fit_from(k)
+        if result.sse <= trim.threshold:
+            return result
+        k += 1
 
 
 def _shifted_cc_design(ells: np.ndarray, L: float, dl: float) -> np.ndarray | None:
@@ -251,6 +262,9 @@ def cc_fit_obc(
     Inner linear regression for (c/6, s0) at fixed shift, outer scan
     over the shift, trimming smallest-l points per the policy.
     """
+    rule = _CC_RULES[Boundary.OBC]
+    if not isinstance(trim, rule.trims):
+        raise ValueError(f"unsupported trim policy for cc_fit_obc: {trim}")
     ells = np.asarray(ells, dtype=float)
     y = np.asarray(re_entropy, dtype=float)
     order = np.argsort(ells)
@@ -259,10 +273,10 @@ def cc_fit_obc(
 
     def fit_from(k: int) -> FitResult:
         e, yy = ells[k:], y[k:]
-        if len(e) < _CC_OBC_MIN_POINTS:
+        if len(e) < rule.min_points:
             raise InsufficientPoints(
                 f"{len(e)} points left after trimming {k}; "
-                f"need >= {_CC_OBC_MIN_POINTS}"
+                f"need >= {rule.min_points}"
             )
         dl = _best_shift(e, yy, float(L), bounds)
         X = _shifted_cc_design(e, float(L), dl)
@@ -272,8 +286,6 @@ def cc_fit_obc(
 
     if isinstance(trim, FixedCount):
         return fit_from(trim.n)
-    if not isinstance(trim, UntilRMSE):
-        raise ValueError(f"unsupported trim policy for cc_fit_obc: {trim}")
 
     prev: FitResult | None = None
     k = 0
@@ -309,8 +321,9 @@ def casimir_fit(
     """
     sizes = np.asarray(sizes, dtype=float)
     y = np.asarray(re_energy, dtype=float)
-    if len(sizes) < _CASIMIR_MIN_SIZES:
-        raise InsufficientPoints(f"{len(sizes)} sizes; need >= {_CASIMIR_MIN_SIZES}")
+    if len(sizes) < _CASIMIR_RULE.min_points:
+        raise InsufficientPoints(
+            f"{len(sizes)} sizes; need >= {_CASIMIR_RULE.min_points}")
     if boundary == "pbc":
         X = np.vstack([sizes, 1.0 / sizes]).T
         return _linear_fit(X, y, ["eps_bulk", "slope"], "casimir_pbc", 0)

@@ -463,6 +463,22 @@ def _set_blas_threads(n: int) -> int | None:
     return previous
 
 
+def _mode_amplitudes(spec: ChainSpec) -> np.ndarray:
+    """Amplitudes a of a clean chain's 2 x 2 mode problems
+    [[i u, a], [a, -i u]]: |v_k| per momentum on a periodic chain, the
+    singular values of the L x L hopping block on an open one."""
+    spec.require_translation_invariant("the per-mode kernel")
+    if spec.boundary is Boundary.PBC:
+        return np.abs(vk(spec, _momenta(spec.cells)))
+    return scipy.linalg.svdvals(_hopping_block(spec))
+
+
+def _levels(a: np.ndarray, u: float) -> np.ndarray:
+    """e = sqrt((a - u)(a + u)), the principal root, per mode amplitude a:
+    the mode's levels are E = -+e."""
+    return np.sqrt(((a - u) * (a + u)).astype(complex))
+
+
 def _half_filled_energies(a: np.ndarray, u: float, tol_zero: float) -> np.ndarray:
     """e per mode of a clean chain whose lower level alone is filled at half
     filling, 0 for a half-filled pair; E0 = -sum(e).
@@ -477,7 +493,7 @@ def _half_filled_energies(a: np.ndarray, u: float, tol_zero: float) -> np.ndarra
     defective); :func:`half_filling_weights` then fills the lower level
     alone where e is real and half of each level of an imaginary pair.
     """
-    e = np.sqrt(((a - u) * (a + u)).astype(complex))
+    e = _levels(a, u)
     if u > 0:
         _require_off_exceptional_point(float(np.min(np.abs(e) / np.maximum(a, u))))
     weights = half_filling_weights(np.concatenate([-e, e]), tol_zero)
@@ -497,10 +513,7 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
     if not spec.is_translation_invariant:
         E = _real_gauge_system(_gauge_matrix(spec)).energies
         return complex(np.sum(half_filling_weights(E, tol_zero) * E))
-    if spec.boundary is Boundary.PBC:
-        a = np.abs(vk(spec, _momenta(spec.cells)))
-    else:
-        a = scipy.linalg.svdvals(_hopping_block(spec))
+    a = _mode_amplitudes(spec)
     return complex(-np.sum(_half_filled_energies(a, spec.u_eff, tol_zero)))
 
 

@@ -238,6 +238,13 @@ def test_python_m_run_disorder_csv_independent_of_jobs(tmp_path):
     assert written[0] == written[1]
 
 
+def test_rules_cover_the_task_keys():
+    # every key a task reads has exactly one rule, and every rule a key
+    keys = [key for task in cli.TASKS.values()
+            for key in task.optional | task.required | task.config]
+    assert set(keys) == set(cli._RULES)
+
+
 def spy(monkeypatch, name):
     """Record the arguments of every call to ptchain.cli.<name> by parameter
     name, however they were passed, then call it."""
@@ -297,8 +304,9 @@ class TestToleranceOverrides:
         [bound] = calls
         assert bound["tol_zero"] == 1e-7
 
-    def test_tol_zero_reaches_half_filling(self, tmp_path, monkeypatch):
-        calls = spy(monkeypatch, "select_half_filling")
+    def test_tol_zero_reaches_chain_density(self, tmp_path, monkeypatch):
+        # a clean chain's densities are the diagonal of its correlation block
+        calls = spy(monkeypatch, "_subsystem_correlation")
         cfg = base_config(tmp_path, name="density")
         cfg["model"].update(cells=12, boundary="obc")
         cfg["tolerances"] = {"tol_zero": 1e-7}
@@ -363,6 +371,19 @@ class TestRun:
         _, fields = cli._run_entropy_scan(disordered, [2, 4],
                                           prescription=pc.Prescription.REGULARIZED)
         assert fields["route"] == "dense"
+
+    @pytest.mark.parametrize("task", ["spectrum", "density"])
+    def test_clean_critical_chain_leaves_the_dense_solve(self, tmp_path, task):
+        # 200 periodic cells at the default detuning: kappa = 1.4e-6, where
+        # a dense solve of the chain fails its biorthogonality check
+        cfg = base_config(tmp_path, name=task)
+        cfg["model"]["cells"] = 200
+        del cfg["model"]["detuning"]
+        assert run_config(tmp_path, cfg) == 0
+        summary = json.loads((tmp_path / f"{task}_summary.json").read_text())
+        assert summary["route"] == "k_space"
+        rows = (tmp_path / f"{task}_{task}.csv").read_text().splitlines()
+        assert len(rows) == 1 + (400 if task == "spectrum" else 200)
 
     def test_spectrum_csv_schema(self, tmp_path):
         cfg = base_config(tmp_path, name="spectrum")
@@ -524,8 +545,16 @@ class TestRun:
 class TestCookbook:
     def test_all_presets_validate(self):
         for name in figure_names():
-            cfg = figure_cookbook(name)
-            assert validate_config(cfg) is cfg
+            for cfg in (figure_cookbook(name), scale_config(figure_cookbook(name), 10)):
+                assert validate_config(cfg) is cfg
+
+    @pytest.mark.parametrize("name", ["sm-s6", "sm-s6a", "sm-s6b", "sm-s6d"])
+    def test_interface_presets_scaled_keep_the_mode_inside_the_gap(self, tmp_path, name):
+        # scaling leaves an interface at its 20 + 20 cells
+        assert main(["fig", name, "--scale", "10", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "density_summary.json").read_text())
+        assert 0 < summary["mode_E"]["im"] < figure_cookbook(name)["model"]["u"]
+        assert summary["route"] == "dense"
 
     def test_unknown_figure(self):
         with pytest.raises(UnknownFigure):

@@ -220,6 +220,16 @@ class TestInterfaceDensity:
 
         assert width(loose) > 1.5 * width(tight)
 
+    @pytest.mark.parametrize("cells", [2, 8])
+    def test_too_few_cells_find_no_mode_inside_the_gap(self, cells):
+        # on these couplings the dense spectrum holds the interface mode,
+        # 0 < Im E < u, only from about 14 cells per side; below that the
+        # nearest localized mode sits at -0.47i to -0.50i, outside the gap
+        spec = pc.InterfaceSpec(v1=1.1, v2=0.5, w=1.0, u=0.5, cells_left=cells,
+                                cells_right=cells)
+        with pytest.raises(NoLocalizedMode, match=f"{cells} \\+ {cells} cells"):
+            pc.interface_density(spec)
+
     def test_no_localized_mode_for_flat_chain(self):
         # both sides identical and Hermitian: nothing is pinned
         spec = pc.InterfaceSpec(v1=0.5, v2=0.5, w=1.0, u=0.5)
