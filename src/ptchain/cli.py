@@ -188,18 +188,24 @@ def _bounded(where: str, op: str, name: str, limit: Callable):
 
 
 def _int_list(where: str, low: Callable, fewest: int = 1):
-    """The rule of a list of at least ``fewest`` integers >= low(spec)."""
+    """The rule of a list of integers >= low(spec), at least ``fewest`` of
+    them distinct."""
     def rule(values, spec, task):
-        if not isinstance(values, list) or len(values) < fewest:
-            raise ConfigError(f"{where} must be a list of >= {fewest} integers, got {values!r}")
-        return [_number(x, f"{where} entries", int, low(spec)) for x in values]
+        ints = [_number(x, f"{where} entries", int, low(spec))
+                for x in (values if isinstance(values, list) else [])]
+        if len(set(ints)) < fewest:  # a value that is not a list holds none
+            raise ConfigError(f"{where} must be a list of >= {fewest} distinct "
+                              f"integers, got {values!r}")
+        return ints
     return rule
 
 
 def _ells(ells, spec, task):
     """Explicit ``ells``, each within the largest subsystem (half the chain
-    for a cc fit), else an ``ell_grid`` clipped to it."""
+    for a cc fit), or an ``ell_grid`` clipped to it; not both."""
     cells = spec.cells // (2 if task["name"] == "cc-fit" else 1)
+    if ells is not None and task.get("ell_grid") is not None:
+        raise ConfigError(f"task {task['name']} takes 'ells' or 'ell_grid', not both")
     if ells is not None:
         ells = sorted(set(_int_list("task.ells", lambda spec: 1)(ells, spec, task)))
         if ells[-1] > cells:

@@ -44,8 +44,8 @@ from .errors import (
     NoRootInDisk,
     PTChainError,
 )
-from .lattice import InterfaceSpec, build_interface
-from .spectral import DensityProfile, biorthogonal_diagonalize
+from .lattice import InterfaceSpec, _gauge_matrix
+from .spectral import DensityProfile, _real_gauge_system
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,9 @@ def _exponential_profile(
 def interface_density(
     spec: InterfaceSpec, ipr_threshold: float | None = None
 ) -> tuple[DensityProfile, BoundState]:
-    """Biorthogonal density of the interface mode from dense diagonalization.
+    """Biorthogonal density of the interface mode from dense diagonalization
+    of the real gauge matrix (``lattice._gauge_matrix``), in
+    ``spectral._real_gauge_system``; no complex Hamiltonian is formed.
 
     The mode is the eigenvalue nearest the lattice (fallback: continuum)
     prediction, among those with 0 < Im E < u, whose right eigenvector has
@@ -241,8 +243,7 @@ def interface_density(
     v1 = 1.1, v2 = 0.5, w = 1, u = 0.5), and :class:`NoLocalizedMode` is
     raised.
     """
-    H = build_interface(spec)
-    system = biorthogonal_diagonalize(H)
+    system = _real_gauge_system(_gauge_matrix(spec)).unpacked()
     try:
         predicted = interface_lattice_solve(spec).E
     except PTChainError:

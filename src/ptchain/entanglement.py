@@ -79,15 +79,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DefectiveMatrix,
     DegenerateEigenvalue,
     ResidualNeedsRegularized,
     UnpairedMode,
 )
-from .lattice import (Boundary, ChainSpec, _gauge_matrix, _hopping_block, _momenta,
-                      _to_sites, vk)
+from .lattice import (Boundary, ChainSpec, _gauge_matrix, _hopping_block, _integers,
+                      _momenta, _to_sites, vk)
 from .spectral import (
-    TOL_BIORTH,
     TOL_ZERO,
     BiorthogonalSystem,
     OccupationSet,
@@ -300,7 +298,10 @@ def _subsystem_correlation(
 
     ``"k_space"``
         clean periodic chains: inverse FFT of the per-momentum blocks
-        M_k = [[-u, -conj(v_k)], [v_k, u]] / e_k, as Toeplitz blocks;
+        M_k = [[-u, -conj(v_k)], [v_k, u]] / e_k, as Toeplitz blocks. The
+        grid holds k and -k as exact negatives, so M_-k = conj(M_k) and the
+        transform is real: a real inverse FFT (``irfft``) of the k >= 0
+        half of the FFT-ordered grid;
     ``"singular_mode"``
         clean open chains: per singular triple of the hopping block
         (:func:`_singular_mode_block`, the same block with v_k -> s);
@@ -323,7 +324,7 @@ def _subsystem_correlation(
         inv_e = np.divide(1.0, e, out=np.zeros(L), where=e > 0)
         uk = np.full(L, u)
         m = np.array([[-uk, -np.conj(v)], [v, uk]]) * inv_e  # M_k, k last
-        g = _gauge_real(np.fft.ifft(m))
+        g = np.fft.irfft(m[..., : L // 2 + 1], n=L)
         return _toeplitz_correlation(g, cells, L), "k_space"
     if spec.is_translation_invariant:
         return _singular_mode_block(spec, cells, tol_zero), "singular_mode"
@@ -614,29 +615,6 @@ class EntropyProfile:
         return np.array([s.value for s in self.entropies])
 
 
-def _gauge_real(M: np.ndarray) -> np.ndarray:
-    """Real part of a gauge-transformed correlation matrix, the inverse FFT
-    of the k-space route (the dense route's block is real by construction).
-
-    The imaginary part vanishes up to rounding for every state of the
-    family; a residue above TOL_BIORTH (relative to max |M|, at least 1)
-    means the blocks it was built from are unreliable. The floor matters
-    where M vanishes up to rounding: C = 1/2 when every mode is half
-    filled, as in the fully PT-broken phase.
-    """
-    if not np.iscomplexobj(M):
-        return M
-    residue = float(np.max(np.abs(M.imag)))
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    if residue > TOL_BIORTH * scale:
-        raise DefectiveMatrix(
-            "correlation matrix is not real in the sublattice gauge "
-            f"(relative residue {residue / scale:.1e}); the chain sits too "
-            "close to an exceptional point, increase the detuning"
-        )
-    return M.real
-
-
 #: Smallest min |mu| / (||P||_1 ||Q||_1) at which :func:`_subsystem_eigvals`
 #: keeps the halved solve. The product P Q and its eigensolve carry a
 #: backward error of up to about ell u ||P||_1 ||Q||_1 (u = 2.2e-16, from
@@ -678,17 +656,8 @@ def _subsystem_eigvals(block: np.ndarray, route: str) -> np.ndarray:
     return scipy.linalg.eigvals(block)
 
 
-def _integers(values, what: str) -> list[int]:
-    """The values as ints; an integral float or a numpy integer is one, 2.7
-    is refused rather than truncated."""
-    given = list(values)
-    if not all(float(e).is_integer() for e in given):
-        raise ValueError(f"{what} must be integers, got {given}")
-    return [int(e) for e in given]
-
-
 def _subsystem_sizes(ells, cells: int) -> np.ndarray:
-    """The distinct sizes in 1..cells, sorted (see :func:`_integers`)."""
+    """The distinct sizes in 1..cells, sorted (see :func:`lattice._integers`)."""
     sizes = np.asarray(sorted(set(_integers(ells, "subsystem sizes"))))
     if not len(sizes) or np.any(sizes < 1) or np.any(sizes > cells):
         raise ValueError(f"subsystem sizes must be a non-empty list in 1..{cells}")
@@ -696,7 +665,7 @@ def _subsystem_sizes(ells, cells: int) -> np.ndarray:
 
 
 def _subsystem_cells(ell, cells: int) -> int:
-    """One subsystem size as an int in 1..cells (see :func:`_integers`)."""
+    """One subsystem size as an int in 1..cells (see :func:`lattice._integers`)."""
     [n] = _integers([ell], "subsystem sizes")
     if not 1 <= n <= cells:
         raise ValueError(f"subsystem of {n} cells out of range 1..{cells}")

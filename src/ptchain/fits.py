@@ -35,11 +35,10 @@ from .entanglement import (
     DEFAULT_TOLERANCES,
     Prescription,
     ToleranceSet,
-    _integers,
     _subsystem_sizes,
     entropy_profile,
 )
-from .lattice import Boundary, ChainSpec, DisorderProfile
+from .lattice import Boundary, ChainSpec, DisorderProfile, _integers
 from .rng import disorder_offsets
 from .spectral import TOL_ZERO, _set_blas_threads, ground_state_energy
 
@@ -317,13 +316,15 @@ def casimir_fit(
     ``boundary`` is "pbc" (basis {L, 1/L}, no constant) or "obc" (basis
     {L, 1, 1/(L + Delta_L)}). For open chains ``delta_L`` is the integer
     extrapolation length; ``None`` scans ``scan_range`` and keeps the
-    minimal-SSE value.
+    minimal-SSE value. A repeated size adds no point: the fit needs four
+    distinct sizes.
     """
     sizes = np.asarray(sizes, dtype=float)
     y = np.asarray(re_energy, dtype=float)
-    if len(sizes) < _CASIMIR_RULE.min_points:
+    distinct = len(np.unique(sizes))
+    if distinct < _CASIMIR_RULE.min_points:
         raise InsufficientPoints(
-            f"{len(sizes)} sizes; need >= {_CASIMIR_RULE.min_points}")
+            f"{distinct} distinct sizes; need >= {_CASIMIR_RULE.min_points}")
     if boundary == "pbc":
         X = np.vstack([sizes, 1.0 / sizes]).T
         return _linear_fit(X, y, ["eps_bulk", "slope"], "casimir_pbc", 0)
@@ -345,11 +346,12 @@ def casimir_fit(
 def casimir_energy_table(
     spec: ChainSpec, sizes, imag_tol: float = 1e-9, tol_zero: float = TOL_ZERO
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re E0 over system sizes, asserting Im E0 vanishes at half filling.
+    """Re E0 over the distinct system sizes, sorted, asserting Im E0
+    vanishes at half filling.
 
     A size must be integral: 8.7 is refused, not computed as L = 8.
     """
-    sizes = np.asarray(sorted(_integers(sizes, "system sizes")))
+    sizes = np.asarray(sorted(set(_integers(sizes, "system sizes"))))
     energies = []
     for L in sizes:
         e0 = ground_state_energy(replace(spec, cells=int(L)), tol_zero)

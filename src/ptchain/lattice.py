@@ -49,11 +49,22 @@ CRITICAL_DETUNING = 1e-12
 
 
 def _require_integers(spec, *names: str) -> None:
-    """Sizes are integers (numpy's included); a bool is not a size."""
+    """A spec's sizes are integers (numpy's included); a bool is not a size."""
     for name in names:
         value = getattr(spec, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _integers(values, what: str) -> list[int]:
+    """Sizes and counts handed to a function, as ints: an integer (numpy's
+    included) or an integral float is one; a bool, a string and 2.7 are
+    refused rather than converted."""
+    given = list(values)
+    if not all(isinstance(e, numbers.Real) and not isinstance(e, bool)
+               and float(e).is_integer() for e in given):
+        raise ValueError(f"{what} must be integers, got {given}")
+    return [int(e) for e in given]
 
 
 class Boundary(enum.Enum):

@@ -24,10 +24,11 @@ spectrum, and modes on the imaginary axis come out at Re E = 0 exactly.
 
 The dense route of the correlation block stays real end to end: the
 eigenvectors stay in LAPACK's packed form (a conjugate pair as real and
-imaginary parts in adjacent columns), they are normalized and checked
-from real dot products and one real Gram product, and the gauged block
-is one real product over the filled pairs (:class:`_PackedSystem`).
-Only :func:`biorthogonal_diagonalize` converts them to complex.
+imaginary parts in adjacent columns), they are normalized by the real
+rule vl^T vr = D (:func:`_real_gauge_system`) and checked from one real
+Gram product, and the gauged block is one real product over the filled
+pairs (:class:`_PackedSystem`). Only :meth:`_PackedSystem.unpacked`
+converts them to complex.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class _PackedSystem:
     energies E = i lam by (Re, Im, index).
     """
 
-    lam: np.ndarray
+    wr: np.ndarray  # lam = wr + i wi
+    wi: np.ndarray
     vl: np.ndarray
     vr: np.ndarray
     pairs: np.ndarray  # first column j of every conjugate pair
@@ -198,7 +200,7 @@ class _PackedSystem:
     @property
     def energies(self) -> np.ndarray:
         """E = i lam in (Re, Im, index) order."""
-        return (1j * self.lam)[self.order]
+        return (1j * (self.wr + 1j * self.wi))[self.order]
 
     def unpacked(self) -> BiorthogonalSystem:
         """The complex system in the order of :attr:`energies`, with the
@@ -240,27 +242,29 @@ class _PackedSystem:
 
 
 def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _PackedSystem:
-    """Biorthonormal eigensystem of a real gauge matrix, kept in LAPACK's
-    packed real form (:class:`_PackedSystem`); the normalization of
-    :func:`biorthogonal_diagonalize` in real arithmetic.
+    """Biorthonormal eigensystem of a real gauge matrix in LAPACK's packed
+    real form (:class:`_PackedSystem`), normalized in real arithmetic.
 
-    One ``dgeev`` with both vector sets. Every mode of a singleton cluster,
-    pair or real, is normalized at once from column dot products. A pair
-    takes [a b] <- [a b] K with K^T [[a.x, a.y], [b.x, b.y]] = I / 2, that
-    is l^dag r = 1 and l^dag conj(r) = 0. For exact eigenvectors the second
-    holds already and K is l <- l d / |d|^2, d = l^dag r =
-    (a.x + b.y) + i (a.y - b.x); kappa = |d| of LAPACK's unit vectors.
-    Enforcing the second too keeps the partner overlap, of size
+    One ``dgeev`` with both vector sets. The complex vectors are the packed
+    ones times U = 1 on a real column and [[1, 1], [i, -i]] on a pair, and
+    U U^dag = 1 and 2 there: L^dag R = I is the real rule vl^T vr = D, D = 1
+    on a real column and 1/2 on each column of a pair. A mode's columns Q
+    take vl_Q <- vl_Q T_Q^-T D, T_Q = vl_Q^T vr_Q, and its kappa is
+    sigma_min(D^-1/2 T_Q D^-1/2) of LAPACK's unit vectors, that of the
+    complex overlap. A cluster of nearly degenerate modes takes as Q its
+    real columns and both columns of every pair it touches, shared with its
+    mirror E <-> -E^*. A single mode takes the closed forms: l <- l / (l.r)
+    and kappa = |l.r| on a real column; [a b] <- [a b] K with
+    K^T [[a.x, a.y], [b.x, b.y]] = I / 2 and kappa = |l^dag r| on a pair.
+    The pair's rule holds l^dag conj(r) = 0 too, which exact eigenvectors
+    meet already; enforcing it keeps the partner overlap, of size
     eps |l| |r|, out of the residual: near an exceptional point it alone
     reached 1.16e-9 (v = 2, w = 1, u = 1, 40 periodic cells, default
     detuning), where every other entry stays at 6.4e-10.
 
-    A cluster converts its own columns to complex, is re-biorthogonalized
-    as a block and is written back packed by its members with Im lam >= 0;
-    the others are their conjugates. Every kappa is taken from LAPACK's
-    vectors before any is normalized, and the first below ``_KAPPA_EP`` in
-    (Re, Im) order raises. The residual covers every entry of the complex
-    Gram matrix, from one real product T = vl^T vr
+    Every kappa is taken from LAPACK's vectors, and the first below
+    ``_KAPPA_EP`` in (Re, Im) order raises. The residual covers every entry
+    of the complex Gram matrix, from one real product T = vl^T vr
     (:func:`_packed_gram_residual`).
     """
     n = len(A)
@@ -271,45 +275,42 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
             "eig algorithm (geev) did not converge (only eigenvalues "
             f"with order >= {info} have converged)"
         )
-    lam = wr + 1j * wi
-    E = 1j * lam
-    order = np.lexsort((np.arange(n), E.imag, E.real))
+    # E = i lam = -wi + i wr, in (Re, Im, index) order
+    order = np.lexsort((np.arange(n), wr, -wi))
     pairs = np.flatnonzero(wi > 0)
-    # complex column c = vl[:, re_col[c]] + i sign[c] vl[:, im_col[c]]
-    re_col, im_col = np.arange(n), np.arange(n)
-    re_col[pairs + 1] = pairs
-    im_col[pairs] = pairs + 1
-    sign = np.sign(wi)
-
-    def complex_columns(v, cols):
-        return v[:, re_col[cols]] + 1j * (sign[cols] * v[:, im_col[cols]])
+    partner = np.arange(n) + np.sign(wi).astype(int)  # the other column of a pair
+    half = np.where(wi == 0, 1.0, 0.5)  # D of the rule vl^T vr = D
 
     # per column c, vl[:, c] . vr[:, c]; per pair, the cross products a.y, b.x
     dot = np.einsum("ij,ij->j", vl, vr)
     xy = np.einsum("ij,ij->j", vl[:, pairs], vr[:, pairs + 1])
     yx = np.einsum("ij,ij->j", vl[:, pairs + 1], vr[:, pairs])
-    kappa_of = np.abs(dot)  # a pair's two columns share kappa = |d|
-    kappa_of[pairs] = kappa_of[pairs + 1] = np.hypot(dot[pairs] + dot[pairs + 1], xy - yx)
+    kappas = np.abs(dot)  # per column; a pair's two columns share kappa = |d|
+    kappas[pairs] = kappas[pairs + 1] = np.hypot(dot[pairs] + dot[pairs + 1], xy - yx)
 
-    blocks = _cluster_blocks(E[order], _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
-    kappas = np.empty(len(blocks))
-    single = np.zeros(n, dtype=bool)
-    rewritten = []
-    for i, (lo, hi) in enumerate(blocks):
-        cols = order[lo:hi]
-        if hi - lo == 1:
-            single[cols] = True
-            kappas[i] = kappa_of[cols[0]]
-            continue
-        block, kappas[i] = _rebiorthogonalize(complex_columns(vl, cols),
-                                              complex_columns(vr, cols))
-        rewritten.append((cols, block))
-    bad = np.flatnonzero(~(kappas >= _KAPPA_EP))
+    tol = _CLUSTER_REL * max(float(np.max(np.hypot(wr, wi))), 1.0)
+    single = np.ones(n, dtype=bool)
+    column_sets: list[set] = []  # Q of each cluster, joined with its mirror's
+    for lo, hi in _cluster_blocks(np.stack([-wi[order], wr[order]]), tol):
+        if hi - lo > 1:
+            cols = order[lo:hi]
+            q = {*cols.tolist(), *partner[cols].tolist()}
+            column_sets = [s for s in column_sets if not s & q] + [
+                q.union(*(s for s in column_sets if s & q))]
+    for q in column_sets:  # kappa from LAPACK's vectors, then the rule on Q
+        Q = np.array(sorted(q))
+        T = _gemm(vl[:, Q].T, vr[:, Q])
+        w = 1.0 / np.sqrt(half[Q])
+        kappas[Q] = scipy.linalg.svdvals(w[:, None] * T * w)[-1]
+        single[Q] = False
+        if kappas[Q[0]] >= _KAPPA_EP:
+            vl[:, Q] = _gemm(vl[:, Q], scipy.linalg.inv(T).T * half[Q])
+    bad = np.flatnonzero(~(kappas[order] >= _KAPPA_EP))
     if len(bad):
-        _require_off_exceptional_point(kappas[bad[0]])
+        _require_off_exceptional_point(kappas[order[bad[0]]])
     kappa = min(1.0, float(np.min(kappas)))
 
-    real = np.flatnonzero(single & (sign == 0))
+    real = np.flatnonzero(single & (wi == 0))
     vl[:, real] /= dot[real]
     own = single[pairs]
     p = pairs[own]
@@ -318,15 +319,10 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     det2 = 2.0 * (txx * tyy - txy * tyx)
     a, b = vl[:, p], vl[:, p + 1]
     vl[:, p], vl[:, p + 1] = (a * tyy - b * txy) / det2, (b * txx - a * tyx) / det2
-    for cols, block in rewritten:
-        keep = sign[cols] >= 0
-        vl[:, cols[keep]] = block[:, keep].real
-        up = sign[cols] > 0
-        vl[:, cols[up] + 1] = block[:, up].imag
 
     residual = _packed_gram_residual(_gemm(vl.T, vr), pairs)
     _require_biorthogonal(residual, kappa, tol_biorth)
-    return _PackedSystem(lam, vl, vr, pairs, order, residual)
+    return _PackedSystem(wr, wi, vl, vr, pairs, order, residual)
 
 
 def _packed_gram_residual(T: np.ndarray, pairs: np.ndarray) -> float:
@@ -373,9 +369,12 @@ def _require_off_exceptional_point(kappa: float) -> float:
 
 
 def _cluster_blocks(E: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Consecutive index ranges of (Re, Im)-sorted eigenvalues closer than tol."""
-    cuts = (np.flatnonzero(np.abs(np.diff(E)) > tol) + 1).tolist()
-    edges = [0, *cuts, len(E)]
+    """Consecutive index ranges of (Re, Im)-sorted eigenvalues closer than
+    tol; E complex, or its (Re, Im) rows as a real array."""
+    step = np.diff(E)
+    gaps = np.abs(step) if np.iscomplexobj(step) else np.hypot(*step)
+    cuts = (np.flatnonzero(gaps > tol) + 1).tolist()
+    edges = [0, *cuts, E.shape[-1]]
     return list(zip(edges[:-1], edges[1:]))
 
 

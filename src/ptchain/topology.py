@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, svdvals
 
 from .errors import GaplessWinding, GridTooCoarse, OddDimension
-from .lattice import ChainSpec, PTClass, classify_pt, vk
+from .lattice import ChainSpec, PTClass, _integers, classify_pt, vk
 
 TOL_ZAK = 1e-6
 TOL_SYM = 1e-8
@@ -73,6 +73,7 @@ def winding_number(spec: ChainSpec, n_k: int = 4096) -> int:
     2 pi to within 1% or the grid is rejected.
     """
     spec.require_translation_invariant("winding_number")
+    [n_k] = _integers([n_k], "the momentum count n_k")
     if n_k < 8:
         raise ValueError("n_k too small")
     k = -np.pi + 2.0 * np.pi * np.arange(n_k + 1) / n_k
@@ -207,6 +208,7 @@ def _zak_broken(spec: ChainSpec, tol: float) -> complex:
 def zak_phase(spec: ChainSpec, n_k: int = 4096, tol_zak: float = TOL_ZAK) -> complex:
     """Complex Zak phase of the lower band over the Brillouin zone."""
     spec.require_translation_invariant("zak_phase")
+    [n_k] = _integers([n_k], "the momentum count n_k")
     if classify_pt(spec) is PTClass.BROKEN:
         return _zak_broken(spec, tol_zak)
     return _zak_symmetric(spec, n_k, tol_zak)

@@ -108,6 +108,14 @@ MALFORMED = {
     "interface-model-chain-task": ({"name": "spectrum"}, interface_model),
     "chain-model-interface-task": ({"name": "interface"}, None),
     "sizes-not-a-list": ({"name": "casimir", "sizes": 64}, None),
+    # one size four times is one point of the fit
+    "sizes-not-distinct": ({"name": "casimir", "sizes": [16, 16, 16, 16]}, None),
+    # a grid beside explicit ells, malformed or not, is refused
+    "ells-and-ell-grid": ({"name": "entropy-scan", "ells": [2], "ell_grid": "garbage"},
+                          None),
+    "ells-and-valid-ell-grid": (
+        {"name": "entropy-scan", "ells": [2], "ell_grid": {"num": 4, "lo": 1, "hi": 8}},
+        None),
     "trim-n-string": ({**_CC_FIT, "trim": {"policy": "fixed", "n": "2"}}, None),
     "trim-n-negative": ({**_CC_FIT, "trim": {"policy": "fixed", "n": -1}}, None),
     "trim-threshold-string": (

@@ -191,6 +191,27 @@ class TestInterfaceDensity:
         monkeypatch.setattr(edge, "interface_lattice_solve", broken)
         with pytest.raises(TypeError, match="patched"):
             pc.interface_density(self.SPEC)
+
+    def test_takes_the_real_gauge_matrix(self, monkeypatch):
+        # the density comes from the builder's real G: no complex H is built,
+        # gauged back or diagonalized, and the bits are the complex route's
+        system = pc.biorthogonal_diagonalize(pc.build_interface(self.SPEC))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex Hamiltonian route")
+
+        for module, name in ((pc.lattice, "build_interface"),
+                             (pc.spectral, "_sublattice_gauge"),
+                             (pc.spectral, "biorthogonal_diagonalize")):
+            monkeypatch.setattr(module, name, forbidden)
+        for name in ("build_interface", "biorthogonal_diagonalize"):  # edge's own binding
+            monkeypatch.setattr(edge, name, forbidden, raising=False)
+        density, state = pc.interface_density(self.SPEC)
+        idx = int(np.flatnonzero(system.energies == state.E)[0])
+        expected = system.left_vectors[:, idx].conj() * system.right_vectors[:, idx]
+        np.testing.assert_array_equal(density.site, expected)
+        np.testing.assert_array_equal(state.profile, system.right_vectors[:, idx])
+
     def test_negative_b_sublattice_signature(self):
         spec = pc.InterfaceSpec(v1=1.5, v2=0.5, w=1.0, u=0.5)
         density, state = pc.interface_density(spec)

@@ -120,6 +120,15 @@ class TestCorrelationKSpace:
             assert type(fast.subsystem_cells) is type(dense.subsystem_cells) is int
             np.testing.assert_array_equal(fast.matrix, pc.correlation_k_space(spec, 4).matrix)
 
+    @pytest.mark.parametrize("ells", [[True, 3, 4.0], ["3", 4], [np.bool_(False), 2]])
+    def test_subsystem_sizes_refuse_bools_and_strings(self, ells):
+        # True is not the size 1, nor '3' the size 3
+        spec = chain(v=2, w=1, u=1, cells=16)
+        with pytest.raises(ValueError, match="must be integers"):
+            pc.entropy_profile(spec, ells)
+        with pytest.raises(ValueError, match="must be integers"):
+            pc.correlation_k_space(spec, ells[0])
+
     def test_rejects_obc_and_disorder(self):
         with pytest.raises(ValueError):
             pc.correlation_k_space(chain(v=1, w=2, u=0.5, boundary="obc"), 2)

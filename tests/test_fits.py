@@ -248,6 +248,26 @@ class TestCasimirFit:
         ref_sizes, ref = pc.casimir_energy_table(spec, [8, 10, 12])
         np.testing.assert_array_equal(energies, ref)
 
+    def test_repeated_sizes_count_once(self):
+        # four copies of one size are one point: the table keeps it once,
+        # and neither it nor four copies make a Casimir fit
+        spec = pc.ChainSpec(v=1, w=2, u=1, cells=8, boundary=pc.Boundary.OBC)
+        sizes, energies = pc.casimir_energy_table(spec, [16, 16, 16, 16])
+        np.testing.assert_array_equal(sizes, [16])
+        assert len(energies) == 1
+        for boundary in ("pbc", "obc"):
+            with pytest.raises(InsufficientPoints, match="1 distinct sizes"):
+                pc.casimir_fit([16] * 4, [energies[0]] * 4, boundary)
+        with pytest.raises(InsufficientPoints, match="3 distinct sizes"):
+            pc.casimir_fit([16, 16, 24, 32], [1.0, 1.0, 2.0, 3.0], "pbc")
+
+    @pytest.mark.parametrize("bad", [True, "12", np.bool_(True)])
+    def test_energy_table_refuses_bools_and_strings(self, monkeypatch, bad):
+        monkeypatch.setattr(pc.fits, "ground_state_energy", None)
+        spec = pc.ChainSpec(v=1, w=2, u=1, cells=8, boundary=pc.Boundary.OBC)
+        with pytest.raises(ValueError, match="must be integers"):
+            pc.casimir_energy_table(spec, [bad, 10, 14, 16])
+
     def test_energy_table_passes_tol_zero(self, monkeypatch):
         seen = []
 

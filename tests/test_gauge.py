@@ -31,7 +31,7 @@ import ptchain as pc
 import ptchain.cli as cli
 import ptchain.entanglement as entanglement
 import ptchain.spectral as spectral
-from ptchain.entanglement import _gauge_real, _subsystem_correlation
+from ptchain.entanglement import _subsystem_correlation
 from ptchain.errors import AmbiguousFilling, DefectiveMatrix
 from ptchain.lattice import _gauge_matrix
 from ptchain.spectral import (
@@ -107,8 +107,13 @@ def dense_correlation(spec, tol_zero=pc.spectral.TOL_ZERO):
 
 
 def gauge_block(C):
-    """M = -2i S^-1 (C - 1/2) S, real, so that nu = 1/2 + (i/2) eig(M)."""
-    return 2.0 * _gauge_real(_sublattice_gauge(C - 0.5 * np.eye(len(C))))
+    """M = -2i S^-1 (C - 1/2) S, real, so that nu = 1/2 + (i/2) eig(M). Its
+    imaginary part vanishes up to rounding for every state of the family,
+    relative to max |M| and at least 1 (C = 1/2 where every mode is half
+    filled)."""
+    M = 2.0 * _sublattice_gauge(C - 0.5 * np.eye(len(C)))
+    assert np.max(np.abs(M.imag)) <= TOL_BIORTH * max(float(np.max(np.abs(M))), 1.0)
+    return M.real
 
 
 def match_distance(a, b):
@@ -129,20 +134,6 @@ def test_gauge_eigenvalues_match_complex_solve(spec):
         complex_route = np.linalg.eigvals(C[:n, :n])
         assert match_distance(real_route, complex_route) <= 1e-8 * scale
         assert match_distance(complex_route, real_route) <= 1e-8 * scale
-
-
-def test_gauge_residue_beyond_tolerance_is_defective():
-    M = np.array([[1.0, 2.0 + 1e-12j], [-2.0, -1.0]])
-    assert _gauge_real(M).dtype == np.float64
-    M[0, 1] += 1e-6j
-    with pytest.raises(DefectiveMatrix, match="increase the detuning"):
-        _gauge_real(M)
-
-
-def test_vanishing_gauge_block_is_not_defective():
-    # C = 1/2 up to rounding: the residue is measured against 1, not max |M|
-    M = np.array([[1e-17 + 1e-17j, 0.0], [0.0, -1e-17j]])
-    assert _gauge_real(M).dtype == np.float64
 
 
 @pytest.mark.parametrize("boundary", [pc.Boundary.OBC, pc.Boundary.PBC])
@@ -380,10 +371,7 @@ def test_exceptional_point_is_defective(alpha, v, w, u):
     # decides the filling, even where LAPACK splits the Jordan blocks into
     # distinct E ~ 0, and so it does at detuning 1e-15 (kappa ~ 4.5e-8,
     # where |E| is still above tol_zero). At the default detuning of 1e-12
-    # (kappa ~ 1.4e-6) no route raises, the blocks included: the k-space
-    # block passes the gauge reality bound, a check independent of kappa,
-    # only because the momentum grid holds k and -k as exact negatives
-    # (|v_k| rounding of 1e-16 against a - u = 1e-12 broke it before).
+    # (kappa ~ 1.4e-6) no route raises, the blocks included.
     for detuning in (0.0, 1e-15, 1e-12):
         spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=8,
                             boundary=pc.Boundary.OBC, detuning=detuning)
@@ -584,6 +572,50 @@ def test_dense_block_budget_on_zero_offset_twins(cells):
         dense = entanglement._ungauge(_subsystem_correlation(twin, 40)[0])
         error = np.max(np.abs(dense - reference)) / np.max(np.abs(reference))
         assert error <= bound
+
+
+def forbid(monkeypatch, module, *names):
+    """Make each module.<name> raise when called."""
+    for name in names:
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"{module.__name__}.{_name} called")
+        monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("cells", [63, 64])
+def test_k_space_block_takes_the_real_inverse_fft(monkeypatch, cells):
+    # M_-k = conj(M_k) on the grid, so the block is a real transform of the
+    # k >= 0 half; odd and even L (the latter with its k = -pi term)
+    spec = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=cells, detuning=1e-3)
+    twin = replace(spec, disorder=pc.DisorderProfile(np.zeros(cells)))
+    dense, _ = _subsystem_correlation(twin, 20)
+    forbid(monkeypatch, np.fft, "ifft", "fft")
+    M, route = _subsystem_correlation(spec, 20)
+    assert route == "k_space" and M.dtype == np.float64
+    assert np.max(np.abs(M - dense)) <= 1e-10 * np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("alpha, boundary", [(1, pc.Boundary.PBC), (2, pc.Boundary.OBC)])
+def test_packed_clusters_stay_real(monkeypatch, alpha, boundary):
+    # the zero-offset twins hold clusters: the degenerate k, -k pairs of a
+    # periodic chain, the alpha = 2 edge blocks at +-i u of an open one. The
+    # rule vl^T vr = D normalizes them with no complex re-biorthogonalization
+    spec = pc.ChainSpec(alpha=alpha, v=1.0, w=2.0, u=1.0, cells=30, boundary=boundary,
+                        detuning=1e-3)
+    twin = replace(spec, disorder=pc.DisorderProfile(np.zeros(30)))
+    forbid(monkeypatch, spectral, "_rebiorthogonalize")
+    packed = spectral._real_gauge_system(_gauge_matrix(twin))
+    system = packed.unpacked()
+    E = system.energies
+    blocks = _cluster_blocks(E, _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
+    assert max(hi - lo for lo, hi in blocks) >= 2
+    assert packed.residual < TOL_BIORTH
+    gram = system.left_vectors.conj().T @ system.right_vectors
+    assert np.max(np.abs(gram - np.eye(system.n))) < TOL_BIORTH
+    dense, route = _subsystem_correlation(twin, 12)
+    clean, _ = _subsystem_correlation(spec, 12)
+    assert route == "dense"
+    assert np.max(np.abs(dense - clean)) <= 1e-10 * np.max(np.abs(clean))
 
 
 def test_complex_gauge_takes_the_complex_solve(monkeypatch):

@@ -62,6 +62,18 @@ class TestWinding:
         with pytest.raises(GaplessWinding):
             pc.winding_number(chain(v=1, w=1, u=1.5))
 
+    @pytest.mark.parametrize("n_k", [100.5, True, "512", np.bool_(True)])
+    def test_n_k_must_be_an_integer(self, n_k):
+        # refused by the winding and by the Zak phase, not truncated or
+        # read as 1; an integral float or a numpy integer is a count
+        spec = chain(v=1, w=2, u=0.5)
+        for call in (pc.winding_number, pc.zak_phase):
+            with pytest.raises(ValueError, match="n_k must be integers"):
+                call(spec, n_k)
+        for good in (512.0, np.int64(512)):
+            assert pc.winding_number(spec, good) == pc.winding_number(spec, 512)
+            assert pc.zak_phase(spec, good) == pc.zak_phase(spec, 512)
+
     def test_u_independence_in_symmetric_class(self):
         for u in (0.0, 0.3, 0.8):
             assert pc.winding_number(chain(v=1, w=2, u=u)) == 1
