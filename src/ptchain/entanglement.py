@@ -76,7 +76,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateEigenvalue,
@@ -92,6 +91,7 @@ from .spectral import (
     _gemm,
     _half_filled_energies,
     _real_gauge_system,
+    _scipy_linalg,
     half_filling_weights,
 )
 
@@ -275,15 +275,15 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
     (s < u); :func:`_half_filled_energies` gives e or 0.
     """
     u = spec.u_eff
-    a, sv, bt = scipy.linalg.svd(_hopping_block(spec))
+    a, sv, bt = np.linalg.svd(_hopping_block(spec))
     e = _half_filled_energies(sv, u, tol_zero)
     inv_e = np.divide(1.0, e, out=np.zeros_like(e), where=e > 0)
     a, b = a[:cells], bt[:, :cells].T  # rows of the leading cells
     M = np.empty((2 * cells, 2 * cells))
-    M[0::2, 0::2] = _gemm(a * (-u * inv_e), a.T)
-    M[1::2, 0::2] = _gemm(b * (sv * inv_e), a.T)
+    M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
+    M[1::2, 0::2] = (b * (sv * inv_e)) @ a.T
     M[0::2, 1::2] = -M[1::2, 0::2].T
-    M[1::2, 1::2] = _gemm(b * (u * inv_e), b.T)
+    M[1::2, 1::2] = (b * (u * inv_e)) @ b.T
     return M
 
 
@@ -644,16 +644,24 @@ def _subsystem_eigvals(block: np.ndarray, route: str) -> np.ndarray:
     half-filled modes across ``tol_real``; a block with min |mu| below
     ``_MU_FLOOR`` ||P||_1 ||Q||_1 takes the 2 ell solve instead, as do the
     blocks of the other routes, which have no such reflection.
+
+    The clean routes solve on ``numpy.linalg``, whose ``eigvals`` returns
+    float64 when every eigenvalue is real; the result is cast to complex,
+    since sqrt of a negative float64 mu is NaN. The dense route solves on
+    scipy, the library of the rest of its solve, so that a dense run keeps
+    to one BLAS pool (:func:`spectral._scipy_linalg`).
     """
+    if route == "dense":
+        return _scipy_linalg().eigvals(block)
     if route == "k_space":
         aa, ab_j = block[0::2, 0::2], block[0::2, 1::2][:, ::-1]
         p, q = aa - ab_j, aa + ab_j
-        mu = scipy.linalg.eigvals(_gemm(p, q))
-        floor = _MU_FLOOR * scipy.linalg.norm(p, 1) * scipy.linalg.norm(q, 1)
+        mu = np.linalg.eigvals(p @ q).astype(complex, copy=False)
+        floor = _MU_FLOOR * np.linalg.norm(p, 1) * np.linalg.norm(q, 1)
         if np.min(np.abs(mu)) >= floor:
             root = np.sqrt(mu)
             return np.concatenate([root, -root])
-    return scipy.linalg.eigvals(block)
+    return np.linalg.eigvals(block).astype(complex, copy=False)
 
 
 def _subsystem_sizes(ells, cells: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InsufficientPoints, NoConvergence, PTChainError
 from .entanglement import (
@@ -40,7 +39,7 @@ from .entanglement import (
 )
 from .lattice import Boundary, ChainSpec, DisorderProfile, _integers
 from .rng import disorder_offsets
-from .spectral import TOL_ZERO, _set_blas_threads, ground_state_energy
+from .spectral import TOL_ZERO, _scipy_linalg, _set_blas_threads, ground_state_energy
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,9 @@ class EnsembleStats:
 
 def _linear_fit(X: np.ndarray, y: np.ndarray, names: list[str], model: str,
                 trim_count: int) -> FitResult:
-    coef, *_ = scipy.linalg.lstsq(X, y)
+    # singular values below eps times the largest count as zero (numpy's
+    # default cutoff is eps max(n, p))
+    coef, *_ = np.linalg.lstsq(X, y, rcond=np.finfo(float).eps)
     res = y - X @ coef
     sse = float(res @ res)
     n, p = X.shape
@@ -137,7 +138,7 @@ def _linear_fit(X: np.ndarray, y: np.ndarray, names: list[str], model: str,
     stderr = {}
     if n > p:
         try:
-            cov = scipy.linalg.inv(X.T @ X) * sse / (n - p)
+            cov = np.linalg.inv(X.T @ X) * sse / (n - p)
             stderr = {nm: float(np.sqrt(max(cov[i, i], 0.0)))
                       for i, nm in enumerate(names)}
         except np.linalg.LinAlgError:
@@ -430,6 +431,9 @@ def disorder_ensemble(
     # more workers than realizations or CPUs only cost forks
     cpus = _usable_cpus()
     workers = min(cpus if jobs is None else jobs, n_realizations, cpus)
+    # every realization solves on scipy: import it here, before the pool
+    # forks, rather than once in every worker
+    _scipy_linalg()
     with ExitStack() as stack:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor

@@ -56,6 +56,15 @@ def _require_integers(spec, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_finite(spec, *names: str) -> None:
+    """A spec's couplings are finite: NaN or inf would reach LAPACK, whose
+    failure then reads as a defective matrix."""
+    for name in names:
+        value = getattr(spec, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _integers(values, what: str) -> list[int]:
     """Sizes and counts handed to a function, as ints: an integer (numpy's
     included) or an integral float is one; a bool, a string and 2.7 are
@@ -128,6 +137,7 @@ class ChainSpec:
 
     def __post_init__(self):
         _require_integers(self, "alpha", "cells")
+        _require_finite(self, "v", "w", "u")
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.cells < self.alpha + 1:
@@ -139,6 +149,7 @@ class ChainSpec:
             raise ValueError(f"u must be >= 0, got {self.u}")
         if self.detuning is None:
             object.__setattr__(self, "detuning", self._auto_detuning())
+        _require_finite(self, "detuning")
         if self.detuning < 0:
             raise ValueError(f"detuning must be >= 0, got {self.detuning}")
         if self.u - self.detuning < 0:
@@ -149,6 +160,12 @@ class ChainSpec:
             if len(self.disorder) != self.cells:
                 raise ValueError(
                     f"disorder has {len(self.disorder)} offsets for {self.cells} cells"
+                )
+            bad = np.flatnonzero(~np.isfinite(self.disorder.offsets))
+            if len(bad):
+                raise ValueError(
+                    f"disorder offsets must be finite, got "
+                    f"{self.disorder.offsets[bad[0]]} in cell {bad[0]}"
                 )
             bound = min(self.v, self.u)
             if np.max(np.abs(self.disorder.offsets)) >= bound:
@@ -199,6 +216,7 @@ class InterfaceSpec:
 
     def __post_init__(self):
         _require_integers(self, "cells_left", "cells_right")
+        _require_finite(self, "v1", "v2", "w", "u")
         if self.cells_left < 2 or self.cells_right < 2:
             raise SpecTooSmall("interface needs at least 2 cells per side")
         if self.u < 0:

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import get_blas_funcs
 
 from .errors import AmbiguousFilling, DefectiveMatrix
 from .lattice import (Boundary, ChainSpec, _gauge_matrix, _hopping_block, _momenta,
@@ -140,7 +138,7 @@ def biorthogonal_diagonalize(
     A = _sublattice_gauge(H)
     if not np.iscomplexobj(A):
         return _real_gauge_system(A, tol_biorth).unpacked()
-    E, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    E, vl, vr = _scipy_linalg().eig(H, left=True, right=True)
     order = np.lexsort((np.arange(len(E)), E.imag, E.real))
     E, R, L = E[order], vr[:, order], vl[:, order]
 
@@ -159,11 +157,12 @@ def _rebiorthogonalize(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray | None,
     """L inv(M)^dag with M = L^dag R, so that L^dag R = I on a cluster (one
     mode, or nearly degenerate ones), and kappa, the smallest singular value
     of M; None in place of the block where kappa is below ``_KAPPA_EP``."""
+    sla = _scipy_linalg()
     M = L.conj().T @ R
-    sv_min = float(scipy.linalg.svdvals(M)[-1])
+    sv_min = float(sla.svdvals(M)[-1])
     if not sv_min >= _KAPPA_EP:
         return None, sv_min
-    return L @ scipy.linalg.inv(M).conj().T, sv_min
+    return L @ sla.inv(M).conj().T, sv_min
 
 
 def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float) -> None:
@@ -267,11 +266,12 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     of the complex Gram matrix, from one real product T = vl^T vr
     (:func:`_packed_gram_residual`).
     """
+    sla = _scipy_linalg()
     n = len(A)
-    work, _ = scipy.linalg.lapack.dgeev_lwork(n)
-    wr, wi, vl, vr, info = scipy.linalg.lapack.dgeev(A, lwork=int(work))
+    work, _ = sla.lapack.dgeev_lwork(n)
+    wr, wi, vl, vr, info = sla.lapack.dgeev(A, lwork=int(work))
     if info > 0:
-        raise scipy.linalg.LinAlgError(
+        raise sla.LinAlgError(
             "eig algorithm (geev) did not converge (only eigenvalues "
             f"with order >= {info} have converged)"
         )
@@ -301,10 +301,10 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
         Q = np.array(sorted(q))
         T = _gemm(vl[:, Q].T, vr[:, Q])
         w = 1.0 / np.sqrt(half[Q])
-        kappas[Q] = scipy.linalg.svdvals(w[:, None] * T * w)[-1]
+        kappas[Q] = sla.svdvals(w[:, None] * T * w)[-1]
         single[Q] = False
         if kappas[Q[0]] >= _KAPPA_EP:
-            vl[:, Q] = _gemm(vl[:, Q], scipy.linalg.inv(T).T * half[Q])
+            vl[:, Q] = _gemm(vl[:, Q], sla.inv(T).T * half[Q])
     bad = np.flatnonzero(~(kappas[order] >= _KAPPA_EP))
     if len(bad):
         _require_off_exceptional_point(kappas[order[bad[0]]])
@@ -419,14 +419,29 @@ def occupied_correlation(sys: BiorthogonalSystem, occ: OccupationSet) -> np.ndar
     return _gemm(sys.left_vectors.conj() * occ.weights[None, :], sys.right_vectors.T)
 
 
+@functools.cache
+def _scipy_linalg():
+    """``scipy.linalg``, imported on the dense route's first call.
+
+    numpy has no eigensolver with left eigenvectors, so the dense route
+    runs on scipy's ``dgeev``, and its products and factorizations on
+    scipy's BLAS beside it: one OpenBLAS pool per run. Clean chains run
+    on ``numpy.linalg`` alone and never import scipy, which is most of a
+    CLI process's start-up.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of two matrices on scipy's BLAS, the library of every dense
-    factorization here, so that one thread pool serves a run.
+    """a @ b of two matrices on scipy's BLAS, for the dense route, whose
+    eigensolve runs on scipy's LAPACK: a dense run touches one pool.
 
     A C-ordered operand goes in as its Fortran-ordered transpose with the
     transpose flag set, so neither is copied. The result is Fortran-ordered.
     """
-    gemm = get_blas_funcs("gemm", (a, b))
+    gemm = _scipy_linalg().blas.get_blas_funcs("gemm", (a, b))
     fa, fb = a.flags.f_contiguous, b.flags.f_contiguous
     return gemm(1.0, a if fa else a.T, b if fb else b.T,
                 trans_a=0 if fa else 1, trans_b=0 if fb else 1)
@@ -438,13 +453,14 @@ def _blas_thread_control():
     None where scipy's BLAS does not export both.
 
     Looked up on the handle of scipy's BLAS extension, whose dependencies
-    dlsym searches, so the pool reached is the one :func:`_gemm` and every
-    dense factorization run on.
+    dlsym searches, so the pool reached is the one the dense route runs
+    on: :func:`_gemm` and its factorizations. The clean routes run on
+    numpy's pool, which this does not reach; they pin no thread count.
     """
     import ctypes
 
     try:
-        lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+        lib = ctypes.CDLL(_scipy_linalg()._fblas.__file__)
         return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
     except (AttributeError, OSError):
         return None
@@ -469,7 +485,7 @@ def _mode_amplitudes(spec: ChainSpec) -> np.ndarray:
     spec.require_translation_invariant("the per-mode kernel")
     if spec.boundary is Boundary.PBC:
         return np.abs(vk(spec, _momenta(spec.cells)))
-    return scipy.linalg.svdvals(_hopping_block(spec))
+    return np.linalg.svd(_hopping_block(spec), compute_uv=False)
 
 
 def _levels(a: np.ndarray, u: float) -> np.ndarray:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, svdvals
 
 from .errors import GaplessWinding, GridTooCoarse, OddDimension
 from .lattice import ChainSpec, PTClass, _integers, classify_pt, vk
@@ -146,8 +145,8 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         return p1, order * (x * p1 - p0) / (x * x - 1.0)
 
     k = np.arange(1.0, order)
-    x = eigh_tridiagonal(np.zeros(order), k / np.sqrt(4.0 * k * k - 1.0),
-                         eigvals_only=True)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     p, dp = legendre(x)
     x = x - p / dp
     _, dp = legendre(x)
@@ -240,10 +239,10 @@ def symmetry_closure(corr: np.ndarray, tol_sym: float = TOL_SYM) -> SymmetryRepo
     perm = np.empty(n, dtype=int)
     perm[0::2] = 2 * (cells - 1 - np.arange(cells)) + 1
     perm[1::2] = 2 * (cells - 1 - np.arange(cells))
-    t_plus = float(svdvals(C.conj()[np.ix_(perm, perm)] - C)[0])
+    t_plus = float(np.linalg.norm(C.conj()[np.ix_(perm, perm)] - C, 2))
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # sigma_z per cell
     ph = float(
-        svdvals(sign[:, None] * C.conj().T * sign[None, :] + C - np.eye(n))[0]
+        np.linalg.norm(sign[:, None] * C.conj().T * sign[None, :] + C - np.eye(n), 2)
     )
     return SymmetryReport(
         t_plus_residual=t_plus,

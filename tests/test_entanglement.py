@@ -604,6 +604,41 @@ class TestReflectionHalving:
         assert err_halved < 2e-11
 
 
+class TestRealSubsystemSpectra:
+    """numpy's eigvals returns float64 when every eigenvalue is real, and
+    sqrt of a negative float64 is NaN: the clean routes' eigensolves must
+    come back complex, where the halved solve's mu are all real (u = 0) and
+    where an open chain's leading blocks have only real eigenvalues."""
+
+    @staticmethod
+    def solved(block, route):
+        """The matrix the route's eigensolve takes: the halved product P Q
+        on the k-space route, the block itself on the others."""
+        if route != "k_space":
+            return block
+        aa, ab_j = block[0::2, 0::2], block[0::2, 1::2][:, ::-1]
+        return (aa - ab_j) @ (aa + ab_j)
+
+    @pytest.mark.parametrize("spec, ells", [
+        (chain(alpha=2, v=1, w=2, u=0, cells=16), range(1, 16)),
+        (chain(alpha=1, v=0.5, w=2, u=1.5, cells=16, boundary="obc"), [1]),
+        (chain(alpha=2, v=1, w=2, u=2.5, cells=16, boundary="obc"), [1, 2]),
+    ], ids=["hermitian-pbc", "open-alpha1", "open-alpha2"])
+    def test_come_back_complex_and_match_the_full_solve(self, spec, ells):
+        ells = list(ells)
+        M, route = _subsystem_correlation(spec, ells[-1])
+        prof = pc.entropy_profile(spec, ells, REG)
+        assert prof.route == route
+        for ell, value in zip(ells, prof.values):
+            block = M[: 2 * ell, : 2 * ell]
+            assert np.isrealobj(np.linalg.eigvals(self.solved(block, route)))
+            lam = _subsystem_eigvals(block, route)
+            assert lam.dtype == complex and np.all(np.isfinite(lam))
+            full = pc.entropy(pc.classify_spectrum(0.5 + 0.5j * scipy.linalg.eigvals(block)),
+                              REG).value
+            assert abs(value - full) < 1e-10
+
+
 class TestCleanRoutePrecision:
     """The clean routes' blocks against 40-digit references: both sit at
     rounding level (README, "Numerical tolerances"), while the dense route's

@@ -443,6 +443,19 @@ def test_tol_zero_reaches_clean_routes(monkeypatch):
             assert len(args[0]) == spec.n_sites
 
 
+def record_eigvals(monkeypatch):
+    """(library, shape) of every subsystem eigensolve, which still runs:
+    ``numpy.linalg.eigvals`` serves the clean routes, scipy's the dense one."""
+    calls = []
+    for lib, module in (("numpy", np.linalg), ("scipy", spectral._scipy_linalg())):
+        def eigvals(a, lib=lib, real=module.eigvals):
+            calls.append((lib, a.shape))
+            return real(a)
+
+        monkeypatch.setattr(module, "eigvals", eigvals)
+    return calls
+
+
 def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
     spec = pc.ChainSpec(alpha=2, v=1.0, w=2.0, u=1.0, cells=30,
                         boundary=pc.Boundary.OBC)
@@ -450,47 +463,36 @@ def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense biorthogonal solve on a clean open chain")
 
-    # the dense kernel, under each binding, and both LAPACK eigensolvers
+    calls = record_eigvals(monkeypatch)
+    # the dense kernel, under each binding, and scipy, whose LAPACK holds
+    # both dense eigensolvers
     monkeypatch.setattr(spectral, "biorthogonal_diagonalize", forbidden)
     for module in (spectral, entanglement):
         monkeypatch.setattr(module, "_real_gauge_system", forbidden)
-    monkeypatch.setattr(spectral.scipy.linalg, "eig", forbidden)
-    monkeypatch.setattr(spectral.scipy.linalg.lapack, "dgeev", forbidden)
-    sizes = []
-    real_eigvals = entanglement.scipy.linalg.eigvals
-
-    def eigvals(a):
-        sizes.append(len(a))
-        return real_eigvals(a)
-
-    monkeypatch.setattr(entanglement.scipy.linalg, "eigvals", eigvals)
+        monkeypatch.setattr(module, "_scipy_linalg", forbidden)
     prof = pc.entropy_profile(spec, [1, 10, 29], REG)
     pc.ground_state_energy(spec)
-    assert sizes == [2, 20, 58]  # the subsystem blocks only
+    # the subsystem blocks only, on numpy
+    assert calls == [("numpy", (n, n)) for n in (2, 20, 58)]
     assert np.all(np.isfinite(prof.values))
 
 
 def test_subsystem_eigensolve_sizes_by_route(monkeypatch):
-    sizes = []
-    real_eigvals = entanglement.scipy.linalg.eigvals
-
-    def eigvals(a):
-        sizes.append(a.shape)
-        return real_eigvals(a)
-
-    monkeypatch.setattr(entanglement.scipy.linalg, "eigvals", eigvals)
+    calls = record_eigvals(monkeypatch)
     ells = [1, 10, 29]
     clean = dict(alpha=2, v=1.0, w=2.0, u=1.0, cells=30)
     offsets = pc.DisorderProfile(0.3 * np.cos(np.arange(30)))
     # the open chain's 2 ell solves are pinned by the test above
-    for spec, dims in (
+    for spec, lib, dims in (
         # the reflection halves the periodic block: one ell x ell solve
-        (pc.ChainSpec(**clean), ells),
-        (pc.ChainSpec(**clean, detuning=1e-6, disorder=offsets), [2 * e for e in ells]),
+        (pc.ChainSpec(**clean), "numpy", ells),
+        # the dense route stays on scipy, the library of its whole solve
+        (pc.ChainSpec(**clean, detuning=1e-6, disorder=offsets), "scipy",
+         [2 * e for e in ells]),
     ):
-        sizes.clear()
+        calls.clear()
         pc.entropy_profile(spec, ells, REG)
-        assert sizes == [(n, n) for n in dims]
+        assert calls == [(lib, (n, n)) for n in dims]
 
 
 # ---------------------------------------------------------------------------

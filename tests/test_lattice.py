@@ -186,6 +186,20 @@ class TestBuildRealSpace:
             pc.ChainSpec(v=1, w=2, u=1, cells=4,
                          disorder=pc.DisorderProfile([0.0, 0.0, 1.5, 0.0]))
 
+    # a NaN would otherwise reach LAPACK, which prints to stderr and fails
+    # as a DefectiveMatrix whose advice (increase the detuning) cannot help
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["v", "w", "u", "detuning"])
+    def test_couplings_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            pc.ChainSpec(**{"v": 1, "w": 2, "u": 1, "cells": 6, field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_disorder_offsets_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="disorder offsets must be finite, got .* in cell 2"):
+            pc.ChainSpec(v=1, w=2, u=1, cells=4,
+                         disorder=pc.DisorderProfile([0.0, 0.1, value, 0.0]))
+
 
 class TestBuildInterface:
     def test_hermitian_limit_real_spectrum(self):
@@ -212,6 +226,13 @@ class TestBuildInterface:
     def test_sizes_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             pc.InterfaceSpec(v1=1.5, v2=0.5, w=1.0, u=0.5, **{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["v1", "v2", "w", "u"])
+    def test_couplings_must_be_finite(self, field, value):
+        couplings = {"v1": 1.5, "v2": 0.5, "w": 1.0, "u": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            pc.InterfaceSpec(**couplings)
 
     def test_infinite_mass_is_valid(self):
         spec = pc.InterfaceSpec(v1=100.0, v2=0.5, w=1.0, u=0.5)
