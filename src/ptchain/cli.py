@@ -421,7 +421,7 @@ def _run_entropy_scan(spec, ells, **opts):
     return ("entropy", {"ell": prof.ells, "S": prof.values, "n_edge_pairs": prof.n_edge_pairs,
                         "n_quartets": prof.n_quartets, "n_residual": prof.n_residual}), {
         "prescription": prof.prescription.value, "n_points": len(prof.ells),
-        "route": prof.route,
+        "route": prof.route, "workers": prof.workers,
     }
 
 
@@ -431,7 +431,7 @@ def _run_cc_fit(spec, ells, trim=None, **opts):
     columns, policy = csv[1], {} if trim is None else {"trim": trim}
     return csv, {"prescription": fields["prescription"],
                  "fit": fit(columns["ell"], columns["S"].real, spec.cells, **policy),
-                 "route": fields["route"]}
+                 "route": fields["route"], "workers": fields["workers"]}
 
 
 def _run_casimir(spec, sizes, delta_L=None, **tol):

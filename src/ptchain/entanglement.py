@@ -70,6 +70,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -88,10 +89,13 @@ from .spectral import (
     TOL_ZERO,
     BiorthogonalSystem,
     OccupationSet,
+    _dgeev_eigvals,
     _gemm,
     _half_filled_energies,
+    _numpy_lapack,
     _real_gauge_system,
     _scipy_linalg,
+    _usable_cpus,
     half_filling_weights,
 )
 
@@ -598,9 +602,10 @@ def entanglement_energies(spectrum: EntanglementSpectrum) -> EntanglementEnergie
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """Entropy against subsystem size, with per-size mode counts and the
+    """Entropy against subsystem size, with per-size mode counts, the
     route that formed the correlation block (``"k_space"``,
-    ``"singular_mode"`` or ``"dense"``)."""
+    ``"singular_mode"`` or ``"dense"``) and the number of threads that
+    solved the subsystem spectra (1: serially)."""
 
     ells: np.ndarray
     entropies: tuple[ComplexEntropy, ...]
@@ -609,6 +614,7 @@ class EntropyProfile:
     n_residual: np.ndarray
     prescription: Prescription
     route: str
+    workers: int = 1
 
     @property
     def values(self) -> np.ndarray:
@@ -626,7 +632,7 @@ class EntropyProfile:
 _MU_FLOOR = 1e-12
 
 
-def _subsystem_eigvals(block: np.ndarray, route: str) -> np.ndarray:
+def _subsystem_eigvals(block: np.ndarray, route: str, eigvals=None) -> np.ndarray:
     """Eigenvalues lambda of a gauged 2 ell x 2 ell block M_A of M, formed on
     ``route``; nu = 1/2 + (i/2) lambda.
 
@@ -643,25 +649,94 @@ def _subsystem_eigvals(block: np.ndarray, route: str) -> np.ndarray:
     Near mu = 0 the square root amplifies rounding, which can push
     half-filled modes across ``tol_real``; a block with min |mu| below
     ``_MU_FLOOR`` ||P||_1 ||Q||_1 takes the 2 ell solve instead, as do the
-    blocks of the other routes, which have no such reflection.
+    blocks of the other routes, which have no such reflection. The norms
+    are taken first and P, Q dropped, so that the solve holds one ell x ell
+    array, P Q, formed Fortran-ordered: the layout LAPACK takes.
 
-    The clean routes solve on ``numpy.linalg``, whose ``eigvals`` returns
-    float64 when every eigenvalue is real; the result is cast to complex,
-    since sqrt of a negative float64 mu is NaN. The dense route solves on
-    scipy, the library of the rest of its solve, so that a dense run keeps
-    to one BLAS pool (:func:`spectral._scipy_linalg`).
+    The clean routes solve with ``eigvals``, a function of a real matrix
+    that may overwrite it (each call gets a fresh Fortran-ordered array),
+    returning complex or float64 eigenvalues: ``np.linalg.eigvals`` by
+    default, or numpy's own ``dgeev`` bound by
+    :func:`spectral._dgeev_eigvals`, which :func:`_solve_blocks` runs on
+    several threads. Both make the same LAPACK call and agree to the bit.
+    ``np.linalg.eigvals`` returns float64 when every eigenvalue is real;
+    the result is cast to complex, since sqrt of a negative float64 mu is
+    NaN. The dense route solves on scipy, the library of the rest of its
+    solve, so that a dense run keeps to one BLAS pool
+    (:func:`spectral._scipy_linalg`).
     """
     if route == "dense":
         return _scipy_linalg().eigvals(block)
+    eigvals = eigvals or np.linalg.eigvals
     if route == "k_space":
         aa, ab_j = block[0::2, 0::2], block[0::2, 1::2][:, ::-1]
         p, q = aa - ab_j, aa + ab_j
-        mu = np.linalg.eigvals(p @ q).astype(complex, copy=False)
         floor = _MU_FLOOR * np.linalg.norm(p, 1) * np.linalg.norm(q, 1)
+        pq = np.matmul(p, q, order="F")
+        del p, q
+        mu = eigvals(pq).astype(complex, copy=False)
+        del pq
         if np.min(np.abs(mu)) >= floor:
             root = np.sqrt(mu)
             return np.concatenate([root, -root])
-    return np.linalg.eigvals(block).astype(complex, copy=False)
+    return eigvals(np.array(block, order="F")).astype(complex, copy=False)
+
+
+def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray], int]:
+    """:func:`_subsystem_eigvals` of every block, in order, and the number of
+    threads that solved them.
+
+    On the clean routes the calling thread and ``_usable_cpus() - 1`` helper
+    threads (at most one thread per block) take the blocks off one shared
+    list, largest first, and solve them with numpy's ``dgeev``, which runs
+    without the GIL (:func:`spectral._dgeev_eigvals`). Each solve runs on one
+    BLAS thread: numpy's OpenBLAS is pinned to one thread for the call and
+    restored after it, also when a solve raises; the first error raised is
+    raised again once every helper has stopped.
+
+    The blocks are solved serially, at the caller's BLAS thread count, on
+    the dense route (on scipy, whose realizations already fill the cores
+    as processes), with one usable CPU or one block, and where numpy does
+    not export its ``dgeev``: with ``np.linalg.eigvals`` on the clean routes.
+    """
+    lapack = _numpy_lapack()
+    workers = min(_usable_cpus(), len(blocks))
+    if route == "dense" or lapack is None or workers < 2:
+        return [_subsystem_eigvals(b, route) for b in blocks], 1
+    results: list = [None] * len(blocks)
+    todo = list(range(len(blocks)))  # sizes ascend: pop() takes the largest
+    errors: list[BaseException] = []
+
+    def work():
+        while True:
+            try:
+                i = todo.pop()  # one atomic call: no two threads take the same block
+            except IndexError:
+                return
+            try:
+                results[i] = _subsystem_eigvals(blocks[i], route, _dgeev_eigvals)
+            except BaseException as exc:
+                errors.append(exc)
+                todo.clear()
+                return
+
+    previous = lapack.get_threads()
+    lapack.set_threads(1)
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        todo.clear()  # a helper stops after its current block
+        for helper in helpers:
+            helper.join()
+        lapack.set_threads(previous)
+    if errors:
+        raise errors[0]
+    return results, workers
 
 
 def _subsystem_sizes(ells, cells: int) -> np.ndarray:
@@ -702,15 +777,21 @@ def entropy_profile(
     reflection of the block halves it to one real ell x ell solve, with a
     fallback to the 2 ell x 2 ell solve near its square-root singularity
     (:func:`_subsystem_eigvals`); the other routes take the 2 ell solve.
+
+    On the clean routes the sizes are solved concurrently, one thread per
+    usable CPU, each on one BLAS thread, through numpy's own ``dgeev``
+    (:func:`_solve_blocks`); the profile records the thread count as
+    ``workers``. Classification and entropy then run in size order. The
+    spectra are bit-identical for any thread count at one BLAS thread.
     """
     ells = _subsystem_sizes(ells, spec.cells)
     M, route = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
-    blocks = (M[: 2 * int(e), : 2 * int(e)] for e in ells)
+    blocks = [M[: 2 * int(e), : 2 * int(e)] for e in ells]
+    eigvals, workers = _solve_blocks(blocks, route)
     results = []
     counts = np.zeros((3, len(ells)), dtype=int)
-    for col, block in enumerate(blocks):
-        nus = 0.5 + 0.5j * _subsystem_eigvals(block, route)
-        spect = classify_spectrum(nus, tolerances)
+    for col, lam in enumerate(eigvals):
+        spect = classify_spectrum(0.5 + 0.5j * lam, tolerances)
         results.append(entropy(spect, prescription))
         counts[:, col] = (spect.n_edge_pairs, spect.n_quartets, spect.n_residual)
     return EntropyProfile(
@@ -721,4 +802,5 @@ def entropy_profile(
         n_residual=counts[2],
         prescription=prescription,
         route=route,
+        workers=workers,
     )

@@ -21,7 +21,6 @@ elbow instead of eating the whole data set.
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
@@ -39,7 +38,8 @@ from .entanglement import (
 )
 from .lattice import Boundary, ChainSpec, DisorderProfile, _integers
 from .rng import disorder_offsets
-from .spectral import TOL_ZERO, _scipy_linalg, _set_blas_threads, ground_state_energy
+from .spectral import (TOL_ZERO, _scipy_linalg, _set_blas_threads, _usable_cpus,
+                       ground_state_energy)
 
 
 @dataclass(frozen=True)
@@ -455,11 +455,3 @@ def disorder_ensemble(
         base_seed=base_seed,
         workers=workers,
     )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

@@ -34,8 +34,10 @@ converts them to complex.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,7 +151,7 @@ def biorthogonal_diagonalize(
         L[:, lo:hi] = block
     gram = _gemm(L.conj().T, R)
     residual = float(np.max(np.abs(gram - np.eye(len(E)))))
-    _require_biorthogonal(residual, kappa, tol_biorth)
+    _require_biorthogonal(residual, kappa, tol_biorth, H)
     return BiorthogonalSystem(E, R, L, residual)
 
 
@@ -165,11 +167,22 @@ def _rebiorthogonalize(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray | None,
     return L @ sla.inv(M).conj().T, sv_min
 
 
-def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float) -> None:
+def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float,
+                          A: np.ndarray) -> None:
+    """:class:`DefectiveMatrix` when the Gram residual exceeds ``tol_biorth``.
+
+    The message gives kappa and the block error it predicts,
+    eps ||A||_1 / kappa^2 for the matrix A that was solved: the gauge
+    matrix on the real path, H on the complex path (README, "Numerical
+    tolerances"). The norm is taken only here, when the check fails.
+    """
     if residual > tol_biorth:
+        norm = float(np.max(np.sum(np.abs(A), axis=0)))
+        estimate = np.finfo(float).eps * norm / kappa**2
         raise DefectiveMatrix(
             f"biorthogonality residual {residual:.2e} exceeds {tol_biorth:.1e} "
-            f"at a distance kappa = {kappa:.1e} from an exceptional point; "
+            f"at a distance kappa = {kappa:.1e} from an exceptional point "
+            f"(estimated block error eps ||A||_1 / kappa^2 = {estimate:.1e}); "
             "increase the detuning"
         )
 
@@ -321,7 +334,7 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     vl[:, p], vl[:, p + 1] = (a * tyy - b * txy) / det2, (b * txx - a * tyx) / det2
 
     residual = _packed_gram_residual(_gemm(vl.T, vr), pairs)
-    _require_biorthogonal(residual, kappa, tol_biorth)
+    _require_biorthogonal(residual, kappa, tol_biorth, A)
     return _PackedSystem(wr, wi, vl, vr, pairs, order, residual)
 
 
@@ -455,7 +468,8 @@ def _blas_thread_control():
     Looked up on the handle of scipy's BLAS extension, whose dependencies
     dlsym searches, so the pool reached is the one the dense route runs
     on: :func:`_gemm` and its factorizations. The clean routes run on
-    numpy's pool, which this does not reach; they pin no thread count.
+    numpy's pool, which this does not reach; :func:`_numpy_lapack` holds
+    its control.
     """
     import ctypes
 
@@ -476,6 +490,93 @@ def _set_blas_threads(n: int) -> int | None:
     previous = int(get())
     set_(n)
     return previous
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _NumpyLapack(NamedTuple):
+    """ctypes functions of the LAPACK and OpenBLAS that ``numpy.linalg``
+    links."""
+
+    dgeev: Callable
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def _numpy_lapack() -> _NumpyLapack | None:
+    """``dgeev`` and the thread-count functions of numpy's LAPACK and
+    OpenBLAS, or None where they are not exported under the names of
+    numpy's wheels (scipy-openblas64: 64-bit integers, ``scipy_`` prefix).
+
+    Looked up on the handle of ``numpy.linalg._umath_linalg``, whose
+    dependencies dlsym searches, as :func:`_blas_thread_control` does for
+    scipy: the library and pool are those of the clean routes. A ctypes call
+    releases the GIL, which ``np.linalg.eigvals`` and scipy's wrappers
+    hold, so solves on several threads run at once.
+    """
+    import ctypes
+
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        lapack = _NumpyLapack(lib.scipy_dgeev_64_,
+                              lib.scipy_openblas_get_num_threads64_,
+                              lib.scipy_openblas_set_num_threads64_)
+    except (AttributeError, ImportError, OSError):
+        return None
+    n = ctypes.POINTER(ctypes.c_int64)
+    a = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork,
+    # info, then the lengths of the two job strings
+    lapack.dgeev.argtypes = [ctypes.c_char_p, ctypes.c_char_p, n, a, n, a, a,
+                             a, n, a, n, a, n, n, ctypes.c_size_t, ctypes.c_size_t]
+    lapack.dgeev.restype = None
+    lapack.get_threads.argtypes, lapack.get_threads.restype = [], ctypes.c_int
+    lapack.set_threads.argtypes, lapack.set_threads.restype = [ctypes.c_int], None
+    return lapack
+
+
+def _dgeev_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real square matrix, complex, from the ``dgeev`` of
+    :func:`_numpy_lapack` without the GIL.
+
+    The call is the one ``np.linalg.eigvals`` makes (no vectors, the
+    optimal workspace from a query), so at an equal BLAS thread count the
+    eigenvalues are its bits, in its order. A writable Fortran-ordered
+    float64 ``a`` is overwritten; any other is copied first.
+    """
+    import ctypes
+
+    a = np.require(a, np.float64, ["F", "W"])
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise np.linalg.LinAlgError(f"a square matrix is required, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    dgeev = _numpy_lapack().dgeev
+    n, lda = ctypes.c_int64(len(a)), ctypes.c_int64(max(len(a), 1))
+    info, one = ctypes.c_int64(), ctypes.c_int64(1)
+    wr, wi, unused = np.empty(len(a)), np.empty(len(a)), np.empty(1)
+
+    def call(work: np.ndarray, lwork: int) -> None:
+        dgeev(b"N", b"N", n, a, lda, wr, wi, unused, one, unused, one, work,
+              ctypes.c_int64(lwork), info, 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"Eigenvalues did not converge (dgeev info = {info.value})")
+
+    query = np.empty(1)
+    call(query, -1)  # the optimal workspace, as np.linalg.eigvals takes it
+    work = np.empty(max(int(query[0]), 1))
+    call(work, len(work))
+    return wr + 1j * wi
 
 
 def _mode_amplitudes(spec: ChainSpec) -> np.ndarray:

@@ -361,16 +361,21 @@ class TestRun:
         assert run_config(tmp_path, scan) == 0
         summary = json.loads(
             (tmp_path / "scan" / "entropy_scan_summary.json").read_text())
-        assert list(summary) == ["task", "prescription", "n_points", "route"]
+        assert list(summary) == ["task", "prescription", "n_points", "route", "workers"]
         assert summary["route"] == "k_space"
+        assert type(summary["workers"]) is int
+        # one thread per size, where numpy exports its dgeev
+        bound = pc.spectral._numpy_lapack() is not None
+        assert summary["workers"] == (min(2, pc.spectral._usable_cpus()) if bound else 1)
 
         fit = base_config(tmp_path / "fit", name="cc-fit", ells=list(range(2, 12)),
                           prescription="regularized")
         fit["model"].update(boundary="obc", cells=24)
         assert run_config(tmp_path, fit) == 0
         summary = json.loads((tmp_path / "fit" / "cc_fit_summary.json").read_text())
-        assert list(summary) == ["task", "prescription", "fit", "route"]
+        assert list(summary) == ["task", "prescription", "fit", "route", "workers"]
         assert summary["route"] == "singular_mode"
+        assert type(summary["workers"]) is int and summary["workers"] >= 1
 
         # no config builds a disordered chain for a scan; the runner still names it
         spec = cli._resolve(scan).spec

@@ -1,5 +1,8 @@
 import cmath
+import dataclasses
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -11,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import ptchain as pc
 import ptchain.entanglement as entanglement
+import ptchain.spectral as spectral
 from ptchain.entanglement import _subsystem_correlation, _subsystem_eigvals
 from ptchain.errors import (
     AmbiguousFilling,
@@ -695,3 +699,172 @@ class TestCleanRoutePrecision:
             ref = np.array(ref.tolist(), dtype=float)
         # measured: 1.8e-14
         assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# Concurrent subsystem solves on numpy's dgeev
+# ---------------------------------------------------------------------------
+
+LAPACK = spectral._numpy_lapack()
+
+#: (spec, sizes): a fig2b-like periodic chain, an open sm-s5-like chain, and
+#: a periodic block whose size 100 takes the _MU_FLOOR 2 ell fallback
+CONCURRENT_CASES = [
+    pytest.param(chain(v=1, w=2, u=1, cells=400, detuning=1e-12),
+                 [6, 9, 14, 21, 32, 48, 72, 108, 162, 200], id="fig2b-like"),
+    pytest.param(chain(v=2, w=1, u=1, cells=100, boundary="obc", detuning=1e-12),
+                 list(range(1, 26)), id="sm-s5-like"),
+    pytest.param(chain(alpha=3, v=0.5, w=0.5, u=1.0, cells=200, detuning=1e-2),
+                 [10, 50, 100], id="mu-floor"),
+]
+
+
+@pytest.fixture
+def blas_threads():
+    """Set numpy's BLAS thread count for the test, restored after it."""
+    previous = LAPACK.get_threads()
+    yield LAPACK.set_threads
+    LAPACK.set_threads(previous)
+
+
+def profile_on(monkeypatch, cpus, spec, ells):
+    monkeypatch.setattr(entanglement, "_usable_cpus", lambda: cpus)
+    return pc.entropy_profile(spec, ells, REG)
+
+
+def assert_same_profile(a, b):
+    assert np.array_equal(a.values, b.values)
+    for name in ("n_edge_pairs", "n_quartets", "n_residual"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.skipif(LAPACK is None, reason="numpy does not export its dgeev")
+class TestConcurrentSolves:
+    def test_mu_floor_case_takes_the_full_solve(self, monkeypatch):
+        calls = []
+
+        def record(a):
+            calls.append(a.shape)
+            return spectral._dgeev_eigvals(a)
+
+        monkeypatch.setattr(entanglement, "_dgeev_eigvals", record)
+        profile_on(monkeypatch, 2, *CONCURRENT_CASES[2].values)
+        # each size solves P Q; sizes 10 and 100 then solve their block whole
+        assert sorted(calls) == [(10, 10), (20, 20), (50, 50), (100, 100), (100, 100),
+                                 (200, 200)]
+
+    @pytest.mark.parametrize("spec, ells", CONCURRENT_CASES)
+    def test_profile_identical_on_one_and_two_cpus(self, monkeypatch, blas_threads,
+                                                   spec, ells):
+        # one CPU solves serially at the caller's BLAS thread count, two solve
+        # concurrently at one thread each: equal bits at one thread
+        blas_threads(1)
+        serial = profile_on(monkeypatch, 1, spec, ells)
+        concurrent = profile_on(monkeypatch, 2, spec, ells)
+        assert (serial.workers, concurrent.workers) == (1, 2)
+        assert_same_profile(serial, concurrent)
+
+    @pytest.mark.parametrize("spec, ells", CONCURRENT_CASES)
+    def test_kernel_matches_numpy_eigvals(self, monkeypatch, blas_threads, spec, ells):
+        blas_threads(1)
+        M, route = _subsystem_correlation(spec, ells[-1])
+        for ell in ells:
+            block = M[: 2 * ell, : 2 * ell]
+            lam = _subsystem_eigvals(block, route, spectral._dgeev_eigvals)
+            assert np.array_equal(lam, _subsystem_eigvals(block, route))
+        # and a whole profile, where numpy exports no dgeev
+        concurrent = profile_on(monkeypatch, 2, spec, ells)
+        monkeypatch.setattr(entanglement, "_numpy_lapack", lambda: None)
+        fallback = profile_on(monkeypatch, 2, spec, ells)
+        assert fallback.workers == 1
+        assert_same_profile(concurrent, fallback)
+
+    def test_kernel_copies_what_it_may_not_overwrite(self):
+        # a C-ordered block, as the profile slices them, or a read-only one
+        rng = np.random.default_rng(0)
+        for order, writeable in (("C", True), ("F", False)):
+            a = np.array(rng.standard_normal((6, 6)), order=order)
+            a.flags.writeable = writeable
+            kept = a.copy()
+            lam = spectral._dgeev_eigvals(a)
+            assert np.array_equal(a, kept)
+            assert np.array_equal(lam, np.linalg.eigvals(a).astype(complex))
+
+    @staticmethod
+    def failing_dgeev(monkeypatch, info):
+        """numpy's dgeev, which reports ``info`` on every call that is not a
+        workspace query."""
+        real = LAPACK.dgeev
+
+        def dgeev(*args):
+            real(*args)
+            if args[12].value != -1:  # lwork
+                args[13].value = info
+
+        monkeypatch.setattr(spectral, "_numpy_lapack",
+                            lambda: LAPACK._replace(dgeev=dgeev))
+
+    def test_no_convergence_raises_linalg_error(self, monkeypatch):
+        self.failing_dgeev(monkeypatch, 3)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            spectral._dgeev_eigvals(np.eye(4))
+
+    @pytest.mark.parametrize("a, message", [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "infs or NaNs"),
+        (np.ones((2, 3)), "square"),
+        (np.ones(4), "square"),
+    ], ids=["nan", "rectangular", "vector"])
+    def test_malformed_matrix_refused(self, a, message):
+        # dgeev would read n x n entries of whatever it is given
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            spectral._dgeev_eigvals(a)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_blas_thread_count_restored(self, monkeypatch, blas_threads, fails):
+        blas_threads(2)
+        seen = []
+
+        def record(a):
+            seen.append(LAPACK.get_threads())
+            return spectral._dgeev_eigvals(a)
+
+        monkeypatch.setattr(entanglement, "_dgeev_eigvals", record)
+        spec, ells = CONCURRENT_CASES[0].values
+        if fails:
+            self.failing_dgeev(monkeypatch, 1)
+            with pytest.raises(np.linalg.LinAlgError):
+                profile_on(monkeypatch, 2, spec, ells)
+        else:
+            assert profile_on(monkeypatch, 2, spec, ells).workers == 2
+            assert len(seen) == len(ells)
+        assert seen and set(seen) == {1}
+        assert LAPACK.get_threads() == 2
+
+    def test_many_threads_lose_no_size(self, monkeypatch, blas_threads):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a size solved twice or dropped would change the profile
+        blas_threads(1)
+        spec, ells = chain(v=1, w=2, u=1, cells=120, detuning=1e-12), list(range(1, 61))
+        serial = profile_on(monkeypatch, 1, spec, ells)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            crowded = profile_on(monkeypatch, 16, spec, ells)
+        finally:
+            sys.setswitchinterval(interval)
+        assert crowded.workers == 16
+        assert_same_profile(serial, crowded)
+
+    def test_helpers_do_not_outlive_the_profile(self, monkeypatch):
+        before = threading.active_count()
+        profile_on(monkeypatch, 2, *CONCURRENT_CASES[0].values)
+        assert threading.active_count() == before
+
+    def test_profile_records_workers(self, monkeypatch):
+        field = dataclasses.fields(pc.EntropyProfile)[-1]
+        assert (field.name, field.default) == ("workers", 1)
+        prof = profile_on(monkeypatch, 8, *CONCURRENT_CASES[2].values)
+        assert type(prof.workers) is int and prof.workers == 3  # one per size
+        dense = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=12, detuning=1e-6,
+                             disorder=pc.DisorderProfile(0.3 * np.cos(np.arange(12))))
+        assert profile_on(monkeypatch, 8, dense, [2, 4, 6]).workers == 1

@@ -20,6 +20,7 @@ line's spectrum and density tasks take a clean chain's per-mode kernel, and
 must agree with the dense route and the Fock-space oracle.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -444,15 +445,24 @@ def test_tol_zero_reaches_clean_routes(monkeypatch):
 
 
 def record_eigvals(monkeypatch):
-    """(library, shape) of every subsystem eigensolve, which still runs:
-    ``numpy.linalg.eigvals`` serves the clean routes, scipy's the dense one."""
+    """(library, shape) of every subsystem eigensolve, which still runs, on
+    two usable CPUs: numpy's ``dgeev`` bound in ``spectral._dgeev_eigvals``
+    ("lapack") serves the clean routes, scipy's ``eigvals`` the dense one.
+    A call of ``numpy.linalg.eigvals`` is recorded too. Helper threads solve
+    concurrently, so the calls come sorted."""
     calls = []
-    for lib, module in (("numpy", np.linalg), ("scipy", spectral._scipy_linalg())):
-        def eigvals(a, lib=lib, real=module.eigvals):
-            calls.append((lib, a.shape))
-            return real(a)
 
-        monkeypatch.setattr(module, "eigvals", eigvals)
+    def record(lib, real):
+        def eigvals(a, *args, **kwargs):
+            calls.append((lib, a.shape))
+            return real(a, *args, **kwargs)
+        return eigvals
+
+    monkeypatch.setattr(entanglement, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(entanglement, "_dgeev_eigvals",
+                        record("lapack", spectral._dgeev_eigvals))
+    for lib, module in (("numpy", np.linalg), ("scipy", spectral._scipy_linalg())):
+        monkeypatch.setattr(module, "eigvals", record(lib, module.eigvals))
     return calls
 
 
@@ -472,8 +482,8 @@ def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
         monkeypatch.setattr(module, "_scipy_linalg", forbidden)
     prof = pc.entropy_profile(spec, [1, 10, 29], REG)
     pc.ground_state_energy(spec)
-    # the subsystem blocks only, on numpy
-    assert calls == [("numpy", (n, n)) for n in (2, 20, 58)]
+    # the subsystem blocks only, on numpy's LAPACK
+    assert sorted(calls) == [("lapack", (n, n)) for n in (2, 20, 58)]
     assert np.all(np.isfinite(prof.values))
 
 
@@ -485,14 +495,14 @@ def test_subsystem_eigensolve_sizes_by_route(monkeypatch):
     # the open chain's 2 ell solves are pinned by the test above
     for spec, lib, dims in (
         # the reflection halves the periodic block: one ell x ell solve
-        (pc.ChainSpec(**clean), "numpy", ells),
+        (pc.ChainSpec(**clean), "lapack", ells),
         # the dense route stays on scipy, the library of its whole solve
         (pc.ChainSpec(**clean, detuning=1e-6, disorder=offsets), "scipy",
          [2 * e for e in ells]),
     ):
         calls.clear()
         pc.entropy_profile(spec, ells, REG)
-        assert calls == [(lib, (n, n)) for n in dims]
+        assert sorted(calls) == [(lib, (n, n)) for n in dims]
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +584,22 @@ def test_dense_block_budget_on_zero_offset_twins(cells):
         dense = entanglement._ungauge(_subsystem_correlation(twin, 40)[0])
         error = np.max(np.abs(dense - reference)) / np.max(np.abs(reference))
         assert error <= bound
+
+
+def test_defect_message_states_the_error_estimate():
+    # the L = 200 twin at the default detuning: kappa = 1.4e-6 and
+    # ||A||_1 = 4 give eps ||A||_1 / kappa^2 = 4.4e-4, against a block error
+    # of 7.9e-4 relative to max |C| (the test above)
+    twin = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=200, detuning=1e-12,
+                        disorder=pc.DisorderProfile(np.zeros(200)))
+    with pytest.raises(DefectiveMatrix, match="increase the detuning") as raised:
+        _subsystem_correlation(twin, 40)
+    found = re.search(r"kappa = (\S+) .* kappa\^2 = (\S+)\)", str(raised.value))
+    kappa, estimate = float(found[1]), float(found[2])
+    norm = np.max(np.sum(np.abs(_gauge_matrix(twin)), axis=0))
+    assert kappa == 1.4e-6 and norm == pytest.approx(4.0)
+    assert estimate == pytest.approx(np.finfo(float).eps * norm / kappa**2, rel=0.1)
+    assert 7.9e-4 / 4 <= estimate <= 7.9e-4
 
 
 def forbid(monkeypatch, module, *names):
