@@ -605,7 +605,7 @@ class EntropyProfile:
     """Entropy against subsystem size, with per-size mode counts, the
     route that formed the correlation block (``"k_space"``,
     ``"singular_mode"`` or ``"dense"``) and the number of threads that
-    solved the subsystem spectra (1: serially)."""
+    solved the subsystem spectra (1: the calling thread alone)."""
 
     ells: np.ndarray
     entropies: tuple[ComplexEntropy, ...]
@@ -632,9 +632,9 @@ class EntropyProfile:
 _MU_FLOOR = 1e-12
 
 
-def _subsystem_eigvals(block: np.ndarray, route: str, eigvals=None) -> np.ndarray:
+def _subsystem_eigvals(block: np.ndarray, route: str, eigvals) -> np.ndarray:
     """Eigenvalues lambda of a gauged 2 ell x 2 ell block M_A of M, formed on
-    ``route``; nu = 1/2 + (i/2) lambda.
+    ``route``, solved with ``eigvals``; nu = 1/2 + (i/2) lambda.
 
     On the k-space route M_A = [[-u X, -Y^T], [Y, u X]] by sublattice, with
     X symmetric Toeplitz and Y Toeplitz, so J X J = X and J Y J = Y^T for the
@@ -653,21 +653,12 @@ def _subsystem_eigvals(block: np.ndarray, route: str, eigvals=None) -> np.ndarra
     are taken first and P, Q dropped, so that the solve holds one ell x ell
     array, P Q, formed Fortran-ordered: the layout LAPACK takes.
 
-    The clean routes solve with ``eigvals``, a function of a real matrix
-    that may overwrite it (each call gets a fresh Fortran-ordered array),
-    returning complex or float64 eigenvalues: ``np.linalg.eigvals`` by
-    default, or numpy's own ``dgeev`` bound by
-    :func:`spectral._dgeev_eigvals`, which :func:`_solve_blocks` runs on
-    several threads. Both make the same LAPACK call and agree to the bit.
-    ``np.linalg.eigvals`` returns float64 when every eigenvalue is real;
-    the result is cast to complex, since sqrt of a negative float64 mu is
-    NaN. The dense route solves on scipy, the library of the rest of its
-    solve, so that a dense run keeps to one BLAS pool
-    (:func:`spectral._scipy_linalg`).
+    ``eigvals`` is a function of a real matrix that may overwrite it (each
+    call gets a fresh Fortran-ordered array), returning complex or float64
+    eigenvalues (:func:`_solve_blocks` picks it). The result is cast to
+    complex, since ``np.linalg.eigvals`` returns float64 when every
+    eigenvalue is real, and sqrt of a negative float64 mu is NaN.
     """
-    if route == "dense":
-        return _scipy_linalg().eigvals(block)
-    eigvals = eigvals or np.linalg.eigvals
     if route == "k_space":
         aa, ab_j = block[0::2, 0::2], block[0::2, 1::2][:, ::-1]
         p, q = aa - ab_j, aa + ab_j
@@ -684,25 +675,31 @@ def _subsystem_eigvals(block: np.ndarray, route: str, eigvals=None) -> np.ndarra
 
 def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray], int]:
     """:func:`_subsystem_eigvals` of every block, in order, and the number of
-    threads that solved them.
+    threads that solved them: the one place that picks a subsystem solver
+    and its BLAS thread count.
 
-    On the clean routes the calling thread and ``_usable_cpus() - 1`` helper
-    threads (at most one thread per block) take the blocks off one shared
-    list, largest first, and solve them with numpy's ``dgeev``, which runs
-    without the GIL (:func:`spectral._dgeev_eigvals`). Each solve runs on one
-    BLAS thread: numpy's OpenBLAS is pinned to one thread for the call and
-    restored after it, also when a solve raises; the first error raised is
-    raised again once every helper has stopped.
+    The calling thread and ``workers - 1`` helper threads take the blocks
+    off one shared list, largest first; the first error raised is raised
+    again once every helper has stopped. The solver, per route:
 
-    The blocks are solved serially, at the caller's BLAS thread count, on
-    the dense route (on scipy, whose realizations already fill the cores
-    as processes), with one usable CPU or one block, and where numpy does
-    not export its ``dgeev``: with ``np.linalg.eigvals`` on the clean routes.
+    * dense: scipy's ``eigvals``, the library of the rest of the dense
+      solve, so that a dense run keeps to one BLAS pool; the caller alone,
+      at its BLAS thread count: the realizations already fill the cores;
+    * clean: numpy's own ``dgeev``, without the GIL
+      (:func:`spectral._dgeev_eigvals`), one thread per usable CPU and at
+      most one per block, with numpy's OpenBLAS pinned to one thread for
+      the call and restored after it, also when a solve raises. The
+      spectra depend on neither the CPU count nor the caller's BLAS
+      thread count;
+    * clean, where numpy does not export ``dgeev``: ``np.linalg.eigvals``,
+      the same LAPACK call, the caller alone at its BLAS thread count.
     """
-    lapack = _numpy_lapack()
-    workers = min(_usable_cpus(), len(blocks))
-    if route == "dense" or lapack is None or workers < 2:
-        return [_subsystem_eigvals(b, route) for b in blocks], 1
+    lapack = None if route == "dense" else _numpy_lapack()
+    if lapack is not None:
+        eigvals, workers = _dgeev_eigvals, min(_usable_cpus(), len(blocks))
+    else:
+        eigvals = _scipy_linalg().eigvals if route == "dense" else np.linalg.eigvals
+        workers = 1
     results: list = [None] * len(blocks)
     todo = list(range(len(blocks)))  # sizes ascend: pop() takes the largest
     errors: list[BaseException] = []
@@ -714,14 +711,15 @@ def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray
             except IndexError:
                 return
             try:
-                results[i] = _subsystem_eigvals(blocks[i], route, _dgeev_eigvals)
+                results[i] = _subsystem_eigvals(blocks[i], route, eigvals)
             except BaseException as exc:
                 errors.append(exc)
                 todo.clear()
                 return
 
-    previous = lapack.get_threads()
-    lapack.set_threads(1)
+    if lapack is not None:
+        previous = lapack.get_threads()
+        lapack.set_threads(1)
     helpers = []
     try:
         for _ in range(workers - 1):
@@ -733,7 +731,8 @@ def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray
         todo.clear()  # a helper stops after its current block
         for helper in helpers:
             helper.join()
-        lapack.set_threads(previous)
+        if lapack is not None:
+            lapack.set_threads(previous)
     if errors:
         raise errors[0]
     return results, workers
@@ -778,11 +777,11 @@ def entropy_profile(
     fallback to the 2 ell x 2 ell solve near its square-root singularity
     (:func:`_subsystem_eigvals`); the other routes take the 2 ell solve.
 
-    On the clean routes the sizes are solved concurrently, one thread per
-    usable CPU, each on one BLAS thread, through numpy's own ``dgeev``
-    (:func:`_solve_blocks`); the profile records the thread count as
-    ``workers``. Classification and entropy then run in size order. The
-    spectra are bit-identical for any thread count at one BLAS thread.
+    :func:`_solve_blocks` picks the solver: on the clean routes, where numpy
+    exports its ``dgeev``, the sizes are solved concurrently, each on one
+    BLAS thread, and the spectra depend on neither the CPU count nor the
+    caller's BLAS thread count. The profile records the thread count as
+    ``workers``. Classification and entropy then run in size order.
     """
     ells = _subsystem_sizes(ells, spec.cells)
     M, route = _subsystem_correlation(spec, int(ells[-1]), tol_zero)

@@ -529,12 +529,14 @@ class TestReflectionHalving:
         full = _counts_and_entropy(scipy.linalg.eigvals(block))
         assert full[0] == (1, 0, 0, 0)
         assert full[1].imag == pytest.approx(-np.pi, abs=1e-12)
-        counts, value = _counts_and_entropy(_subsystem_eigvals(block, route))
+        lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
+        counts, value = _counts_and_entropy(lam)
         assert counts == full[0]
         assert abs(value.imag - full[1].imag) < 1e-12
         # without the guard the square root turns that rounding into edge pairs
         monkeypatch.setattr(entanglement, "_MU_FLOOR", 0.0)
-        unguarded, _ = _counts_and_entropy(_subsystem_eigvals(block, route))
+        lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
+        unguarded, _ = _counts_and_entropy(lam)
         assert unguarded[0] > 1
 
     @given(
@@ -553,7 +555,8 @@ class TestReflectionHalving:
         ell = {"L/4": cells // 4, "L/2": cells // 2}.get(size, size)
         block, route = _subsystem_correlation(spec, ell)
         full_counts, full_value = _counts_and_entropy(scipy.linalg.eigvals(block))
-        counts, value = _counts_and_entropy(_subsystem_eigvals(block, route))
+        lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
+        counts, value = _counts_and_entropy(lam)
         assert counts == full_counts
         assert abs(value.imag - full_value.imag) < 1e-12
 
@@ -566,7 +569,7 @@ class TestReflectionHalving:
         def re_s(lam):
             return pc.entropy(pc.classify_spectrum(0.5 + 0.5j * lam), BC).value.real
 
-        halved = _subsystem_eigvals(block, route)
+        halved = _subsystem_eigvals(block, route, np.linalg.eigvals)
         assert np.array_equal(halved[:312], -halved[312:])  # the halved solve ran
         # measured: 9.6e-10
         assert abs(re_s(halved) - re_s(scipy.linalg.eigvals(block))) < 1e-8
@@ -599,7 +602,7 @@ class TestReflectionHalving:
             assert max(min(abs(x - y) for y in halved) for x in whole) < 1e-30
             exact = re_s([complex(x) for x in reference(M)])
 
-        lam = _subsystem_eigvals(M, "k_space")
+        lam = _subsystem_eigvals(M, "k_space", np.linalg.eigvals)
         assert np.array_equal(lam[:30], -lam[30:])  # the halved solve ran
         err_full = abs(re_s(scipy.linalg.eigvals(M)) - exact)
         err_halved = abs(re_s(lam) - exact)
@@ -636,7 +639,7 @@ class TestRealSubsystemSpectra:
         for ell, value in zip(ells, prof.values):
             block = M[: 2 * ell, : 2 * ell]
             assert np.isrealobj(np.linalg.eigvals(self.solved(block, route)))
-            lam = _subsystem_eigvals(block, route)
+            lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
             assert lam.dtype == complex and np.all(np.isfinite(lam))
             full = pc.entropy(pc.classify_spectrum(0.5 + 0.5j * scipy.linalg.eigvals(block)),
                               REG).value
@@ -754,15 +757,34 @@ class TestConcurrentSolves:
                                  (200, 200)]
 
     @pytest.mark.parametrize("spec, ells", CONCURRENT_CASES)
-    def test_profile_identical_on_one_and_two_cpus(self, monkeypatch, blas_threads,
-                                                   spec, ells):
-        # one CPU solves serially at the caller's BLAS thread count, two solve
-        # concurrently at one thread each: equal bits at one thread
-        blas_threads(1)
+    def test_profile_identical_on_one_and_two_cpus(self, monkeypatch, spec, ells):
+        # one CPU solves on the calling thread alone, two on two threads, each
+        # solve on one BLAS thread whatever the caller's count
         serial = profile_on(monkeypatch, 1, spec, ells)
         concurrent = profile_on(monkeypatch, 2, spec, ells)
         assert (serial.workers, concurrent.workers) == (1, 2)
         assert_same_profile(serial, concurrent)
+
+    def test_size_identical_alone_and_in_the_profile(self, monkeypatch, blas_threads):
+        # a k-space block is the same slice at any largest size, and a size
+        # requested alone solves on one BLAS thread too, not the caller's two
+        blas_threads(2)
+        spec, ells = CONCURRENT_CASES[0].values
+        profile = profile_on(monkeypatch, 2, spec, ells)
+        for ell, value in zip(ells, profile.values):
+            alone = profile_on(monkeypatch, 2, spec, [ell])
+            assert alone.workers == 1
+            assert np.array_equal(alone.values, [value])
+
+    def test_one_cpu_ignores_the_callers_blas_threads(self, monkeypatch, blas_threads):
+        spec, ells = CONCURRENT_CASES[0].values
+        profiles = []
+        for threads in (1, 2):
+            blas_threads(threads)
+            profiles.append(profile_on(monkeypatch, 1, spec, ells))
+        assert [p.workers for p in profiles] == [1, 1]
+        assert_same_profile(*profiles)
+        assert LAPACK.get_threads() == 2
 
     @pytest.mark.parametrize("spec, ells", CONCURRENT_CASES)
     def test_kernel_matches_numpy_eigvals(self, monkeypatch, blas_threads, spec, ells):
@@ -771,7 +793,8 @@ class TestConcurrentSolves:
         for ell in ells:
             block = M[: 2 * ell, : 2 * ell]
             lam = _subsystem_eigvals(block, route, spectral._dgeev_eigvals)
-            assert np.array_equal(lam, _subsystem_eigvals(block, route))
+            assert np.array_equal(lam, _subsystem_eigvals(block, route,
+                                                          np.linalg.eigvals))
         # and a whole profile, where numpy exports no dgeev
         concurrent = profile_on(monkeypatch, 2, spec, ells)
         monkeypatch.setattr(entanglement, "_numpy_lapack", lambda: None)
@@ -840,10 +863,9 @@ class TestConcurrentSolves:
         assert seen and set(seen) == {1}
         assert LAPACK.get_threads() == 2
 
-    def test_many_threads_lose_no_size(self, monkeypatch, blas_threads):
+    def test_many_threads_lose_no_size(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter
         # allows: a size solved twice or dropped would change the profile
-        blas_threads(1)
         spec, ells = chain(v=1, w=2, u=1, cells=120, detuning=1e-12), list(range(1, 61))
         serial = profile_on(monkeypatch, 1, spec, ells)
         interval = sys.getswitchinterval()
