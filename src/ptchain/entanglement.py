@@ -83,16 +83,18 @@ from .errors import (
     ResidualNeedsRegularized,
     UnpairedMode,
 )
-from .lattice import (Boundary, ChainSpec, _gauge_matrix, _hopping_block, _integers,
-                      _momenta, _to_sites, vk)
+from .lattice import (Boundary, ChainSpec, _gauge_matrix, _integers, _momenta,
+                      _open_bidiagonal, _to_sites, vk)
 from .spectral import (
     TOL_ZERO,
     BiorthogonalSystem,
     OccupationSet,
+    _bidiagonal_svd,
     _dgeev_eigvals,
     _gemm,
     _half_filled_energies,
     _numpy_lapack,
+    _one_blas_thread,
     _real_gauge_system,
     _scipy_linalg,
     _usable_cpus,
@@ -277,17 +279,34 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
     gauge: M = [[-u, -s], [s, u]] / e with the lower mode filled,
     e = sqrt(s^2 - u^2), and 0 for a half-filled pair on the imaginary axis
     (s < u); :func:`_half_filled_energies` gives e or 0.
+
+    V is the n x n upper-bidiagonal block B (``lattice._open_bidiagonal``,
+    n = L - alpha + 1) in its rows 0..n-1 and columns alpha-1..L-1, so
+    B = Q diag(s) P^T (:func:`spectral._bidiagonal_svd`) gives V's triples:
+    a is a column of Q on V's first n rows, b a column of P shifted down
+    by alpha - 1, both zero on V's other rows, which may lie among the
+    leading ``cells``. V's alpha - 1 zero singular values enter the
+    filling, as in the ground-state energy, and then drop out: at u > 0
+    each is a half-filled pair, at u = 0 the filling refuses them. The
+    solve and the products run on one numpy BLAS thread, so the block
+    does not depend on the caller's thread count.
     """
-    u = spec.u_eff
-    a, sv, bt = np.linalg.svd(_hopping_block(spec))
-    e = _half_filled_energies(sv, u, tol_zero)
+    u, shift = spec.u_eff, spec.alpha - 1
+    q, sv, pt = _bidiagonal_svd(*_open_bidiagonal(spec), vectors=True)
+    n = len(sv)
+    e = _half_filled_energies(np.concatenate([sv, np.zeros(shift)]), u, tol_zero)[:n]
     inv_e = np.divide(1.0, e, out=np.zeros_like(e), where=e > 0)
-    a, b = a[:cells], bt[:, :cells].T  # rows of the leading cells
+    # rows of the leading cells, in the layouts of np.linalg.svd's U rows
+    # and Vt columns, which the products' rounding follows
+    a, b = np.zeros((cells, n)), np.zeros((cells, n), order="F")
+    a[:n] = q[:cells]
+    b[shift:] = pt[:, : max(cells - shift, 0)].T
     M = np.empty((2 * cells, 2 * cells))
-    M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
-    M[1::2, 0::2] = (b * (sv * inv_e)) @ a.T
+    with _one_blas_thread(_numpy_lapack()):
+        M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
+        M[1::2, 0::2] = (b * (sv * inv_e)) @ a.T
+        M[1::2, 1::2] = (b * (u * inv_e)) @ b.T
     M[0::2, 1::2] = -M[1::2, 0::2].T
-    M[1::2, 1::2] = (b * (u * inv_e)) @ b.T
     return M
 
 
@@ -717,22 +736,18 @@ def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray
                 todo.clear()
                 return
 
-    if lapack is not None:
-        previous = lapack.get_threads()
-        lapack.set_threads(1)
     helpers = []
-    try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        todo.clear()  # a helper stops after its current block
-        for helper in helpers:
-            helper.join()
-        if lapack is not None:
-            lapack.set_threads(previous)
+    with _one_blas_thread(lapack):
+        try:
+            for _ in range(workers - 1):
+                helper = threading.Thread(target=work)
+                helper.start()
+                helpers.append(helper)
+            work()
+        finally:
+            todo.clear()  # a helper stops after its current block
+            for helper in helpers:
+                helper.join()
     if errors:
         raise errors[0]
     return results, workers

@@ -321,6 +321,17 @@ def _hopping_block(spec: ChainSpec | InterfaceSpec) -> np.ndarray:
     return V
 
 
+def _open_bidiagonal(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of the n x n upper-bidiagonal block B,
+    n = L - alpha + 1, of an open chain's hopping block V (the entries
+    :func:`_hopping_block` places): V[i, j + alpha - 1] = B[i, j], and
+    V's other alpha - 1 columns (on the left) and rows (at the bottom) are
+    zero."""
+    _, _, ((_, v), (_, w)), _ = _cell_couplings(spec)
+    n = spec.cells - spec.alpha + 1
+    return v[:n], w[: n - 1]
+
+
 def _gauge_matrix(spec: ChainSpec | InterfaceSpec) -> np.ndarray:
     """Real G = -i S^-1 H S, cell-major; by sublattice [[U, V], [-V^T, -U]]
     with U = diag(u(x)). Its zeros are +0.0, as in the gauge of the complex

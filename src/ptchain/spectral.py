@@ -33,6 +33,7 @@ converts them to complex.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import AmbiguousFilling, DefectiveMatrix
-from .lattice import (Boundary, ChainSpec, _gauge_matrix, _hopping_block, _momenta,
+from .lattice import (Boundary, ChainSpec, _gauge_matrix, _momenta, _open_bidiagonal,
                       _to_sites, vk)
 
 #: Post-normalization bound on max |<L_m|R_n> - delta_mn|.
@@ -505,15 +506,18 @@ class _NumpyLapack(NamedTuple):
     links."""
 
     dgeev: Callable
+    dlasq1: Callable
+    dbdsdc: Callable
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
 
 
 @functools.cache
 def _numpy_lapack() -> _NumpyLapack | None:
-    """``dgeev`` and the thread-count functions of numpy's LAPACK and
-    OpenBLAS, or None where they are not exported under the names of
-    numpy's wheels (scipy-openblas64: 64-bit integers, ``scipy_`` prefix).
+    """``dgeev``, ``dlasq1``, ``dbdsdc`` and the thread-count functions of
+    numpy's LAPACK and OpenBLAS, or None where they are not exported under
+    the names of numpy's wheels (scipy-openblas64: 64-bit integers,
+    ``scipy_`` prefix).
 
     Looked up on the handle of ``numpy.linalg._umath_linalg``, whose
     dependencies dlsym searches, as :func:`_blas_thread_control` does for
@@ -527,18 +531,25 @@ def _numpy_lapack() -> _NumpyLapack | None:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        lapack = _NumpyLapack(lib.scipy_dgeev_64_,
+        lapack = _NumpyLapack(lib.scipy_dgeev_64_, lib.scipy_dlasq1_64_,
+                              lib.scipy_dbdsdc_64_,
                               lib.scipy_openblas_get_num_threads64_,
                               lib.scipy_openblas_set_num_threads64_)
     except (AttributeError, ImportError, OSError):
         return None
     n = ctypes.POINTER(ctypes.c_int64)
     a = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
-    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork,
-    # info, then the lengths of the two job strings
+    ia = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS")
+    chars = [ctypes.c_size_t, ctypes.c_size_t]  # the lengths of two strings
+    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info
     lapack.dgeev.argtypes = [ctypes.c_char_p, ctypes.c_char_p, n, a, n, a, a,
-                             a, n, a, n, a, n, n, ctypes.c_size_t, ctypes.c_size_t]
-    lapack.dgeev.restype = None
+                             a, n, a, n, a, n, n, *chars]
+    # n, d, e, work, info
+    lapack.dlasq1.argtypes = [n, a, a, a, n]
+    # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info
+    lapack.dbdsdc.argtypes = [ctypes.c_char_p, ctypes.c_char_p, n, a, a, a, n,
+                              a, n, a, ia, a, ia, n, *chars]
+    lapack.dgeev.restype = lapack.dlasq1.restype = lapack.dbdsdc.restype = None
     lapack.get_threads.argtypes, lapack.get_threads.restype = [], ctypes.c_int
     lapack.set_threads.argtypes, lapack.set_threads.restype = [ctypes.c_int], None
     return lapack
@@ -579,14 +590,84 @@ def _dgeev_eigvals(a: np.ndarray) -> np.ndarray:
     return wr + 1j * wi
 
 
+@contextlib.contextmanager
+def _one_blas_thread(lapack: _NumpyLapack | None):
+    """numpy's OpenBLAS on one thread inside the block and the caller's
+    count restored after it, also when the block raises; nothing is pinned
+    where ``lapack`` is None. At one thread numpy's products and LAPACK
+    calls round the same whatever the caller's count."""
+    if lapack is None:
+        yield
+        return
+    previous = lapack.get_threads()
+    lapack.set_threads(1)
+    try:
+        yield
+    finally:
+        lapack.set_threads(previous)
+
+
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, vectors: bool = False):
+    """Singular values, descending, of the n x n upper-bidiagonal B with
+    diagonal d and superdiagonal e; with ``vectors``, (U, s, Vt) with
+    B = U diag(s) Vt, as ``np.linalg.svd`` returns them. The one place
+    that picks the solver, run on one numpy BLAS thread where numpy
+    exports its thread control.
+
+    ``np.linalg.svd`` reduces a dense matrix to bidiagonal form by an
+    O(n^3) ``dgebrd`` and ends with the bidiagonal stage: ``dlasq1``
+    (dqds) for the values alone, ``dbdsdc`` (divide and conquer) for the
+    vectors. On a matrix that is bidiagonal already, every reflector of
+    the reduction is the identity and d, e pass through it unchanged, so
+    where numpy exports both (:func:`_numpy_lapack`) they are called on
+    d, e directly, with ``np.linalg.svd``'s bits at an equal BLAS thread
+    count. Elsewhere ``np.linalg.svd`` of the dense B.
+    """
+    import ctypes
+
+    d = np.array(d, dtype=np.float64)  # copies: LAPACK overwrites d and e
+    e = np.append(np.asarray(e, dtype=np.float64), 0.0)  # dlasq1 reads e as length n
+    if d.ndim != 1 or e.shape != d.shape:
+        raise ValueError("a diagonal of n and a superdiagonal of n - 1 entries are "
+                         f"required, got {d.size} and {e.size - 1}")
+    n = len(d)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    lapack = _numpy_lapack()
+    with _one_blas_thread(lapack):
+        if lapack is None:
+            return np.linalg.svd(np.diag(d) + np.diag(e[:-1], 1), compute_uv=vectors)
+        info, size = ctypes.c_int64(), ctypes.c_int64(n)
+        if vectors:
+            u, vt = np.zeros((n, n), order="F"), np.zeros((n, n), order="F")
+            unused, iunused = np.empty(1), np.empty(1, dtype=np.int64)
+            lapack.dbdsdc(b"U", b"I", size, d, e, u, size, vt, size, unused, iunused,
+                          np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.int64),
+                          info, 1, 1)
+        else:
+            lapack.dlasq1(size, d, e, np.empty(4 * n), info)
+    if info.value:
+        raise np.linalg.LinAlgError(
+            f"SVD did not converge ({'dbdsdc' if vectors else 'dlasq1'} info = {info.value})")
+    return (u, d, vt) if vectors else d
+
+
 def _mode_amplitudes(spec: ChainSpec) -> np.ndarray:
     """Amplitudes a of a clean chain's 2 x 2 mode problems
     [[i u, a], [a, -i u]]: |v_k| per momentum on a periodic chain, the
-    singular values of the L x L hopping block on an open one."""
+    singular values of the L x L hopping block V on an open one.
+
+    V is the n x n bidiagonal block B of ``lattice._open_bidiagonal``
+    bordered by alpha - 1 zero rows and columns, so its singular values
+    are B's, descending, from :func:`_bidiagonal_svd`, then alpha - 1
+    exact zeros. The zeros stay: at u = 0 they are real zero modes, and
+    the filling refuses them as it refuses a dense solve's.
+    """
     spec.require_translation_invariant("the per-mode kernel")
     if spec.boundary is Boundary.PBC:
         return np.abs(vk(spec, _momenta(spec.cells)))
-    return np.linalg.svd(_hopping_block(spec), compute_uv=False)
+    return np.concatenate([_bidiagonal_svd(*_open_bidiagonal(spec)),
+                           np.zeros(spec.alpha - 1)])
 
 
 def _levels(a: np.ndarray, u: float) -> np.ndarray:
@@ -602,9 +683,11 @@ def _half_filled_energies(a: np.ndarray, u: float, tol_zero: float) -> np.ndarra
     With u uniform, H^2 = diag(V V^T - u^2, V^T V - u^2), so every singular
     triple (a, x, y) of the hopping block V spans the 2 x 2 block
     [[i u, a], [a, -i u]] of H on (x, 0), (0, y); a momentum of a periodic
-    chain is the same block with a = |v_k|. Its levels are E = -+e,
-    e = sqrt((a - u)(a + u)), on the imaginary axis (Re E = 0 exactly)
-    below a = u. The distance kappa = |e| / max(a, u) from an exceptional
+    chain is the same block with a = |v_k|. ``a`` holds every amplitude of
+    the chain (:func:`_mode_amplitudes`), an open chain's alpha - 1 zero
+    singular values included, so that the filling is decided over all of
+    them. Its levels are E = -+e, e = sqrt((a - u)(a + u)), on the
+    imaginary axis (Re E = 0 exactly) below a = u. The distance kappa = |e| / max(a, u) from an exceptional
     point is checked first where u > 0 (a Hermitian chain cannot be
     defective); :func:`half_filling_weights` then fills the lower level
     alone where e is real and half of each level of an imaginary pair.
@@ -622,8 +705,9 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
 
     Each route takes the kernel its correlation block takes. Clean chains
     sum the filled levels of :func:`_half_filled_energies` over their mode
-    amplitudes: |v_k| per momentum on a periodic chain, the singular values
-    of the L x L hopping block on an open one. Disordered chains go through
+    amplitudes (:func:`_mode_amplitudes`): |v_k| per momentum on a periodic
+    chain, the singular values of the L x L hopping block on an open one,
+    from its bidiagonal block. Disordered chains go through
     :func:`_real_gauge_system` and :func:`half_filling_weights`.
     """
     if not spec.is_translation_invariant:

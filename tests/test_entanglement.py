@@ -890,3 +890,95 @@ class TestConcurrentSolves:
         dense = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=12, detuning=1e-6,
                              disorder=pc.DisorderProfile(0.3 * np.cos(np.arange(12))))
         assert profile_on(monkeypatch, 8, dense, [2, 4, 6]).workers == 1
+
+
+# ---------------------------------------------------------------------------
+# Singular modes from the bidiagonal hopping block
+# ---------------------------------------------------------------------------
+
+
+def dense_singular_mode_block(spec, cells, tol_zero=spectral.TOL_ZERO):
+    """The singular-mode block from ``np.linalg.svd`` of the whole L x L
+    hopping block V, every one of its triples summed."""
+    u = spec.u_eff
+    a, sv, bt = np.linalg.svd(pc.lattice._hopping_block(spec))
+    e = spectral._half_filled_energies(sv, u, tol_zero)
+    inv_e = np.divide(1.0, e, out=np.zeros_like(e), where=e > 0)
+    a, b = a[:cells], bt[:, :cells].T
+    M = np.empty((2 * cells, 2 * cells))
+    M[0::2, 0::2] = (a * (-u * inv_e)) @ a.T
+    M[1::2, 0::2] = (b * (sv * inv_e)) @ a.T
+    M[0::2, 1::2] = -M[1::2, 0::2].T
+    M[1::2, 1::2] = (b * (u * inv_e)) @ b.T
+    return M
+
+
+def without_numpy_lapack(monkeypatch):
+    """As where numpy exports no LAPACK symbols: the dense B's
+    ``np.linalg.svd``, at the caller's BLAS thread count."""
+    for module in (spectral, entanglement):
+        monkeypatch.setattr(module, "_numpy_lapack", lambda: None)
+
+
+#: (alpha, cells of the chain, cells of the block): the last two blocks
+#: reach past B's n = 10 rows into V's zero rows
+BLOCK_CASES = [(1, 40, 10), (1, 12, 12), (2, 40, 10), (2, 12, 12), (3, 40, 10),
+               (3, 12, 11), (3, 12, 12)]
+
+
+@pytest.mark.skipif(LAPACK is None, reason="numpy does not export its LAPACK")
+class TestBidiagonalSingularModes:
+    @pytest.mark.parametrize("alpha, L, cells", BLOCK_CASES)
+    @pytest.mark.parametrize("v, w", [(2.0, 1.0), (1.0, 2.0), (0.5, 2.0)])
+    def test_block_matches_the_dense_svd(self, blas_threads, alpha, L, cells, v, w):
+        # at one BLAS thread alpha = 1 takes np.linalg.svd's bits; V's zero
+        # rows and columns move the rounding of alpha >= 2
+        blas_threads(1)
+        spec = chain(alpha=alpha, v=v, w=w, u=1.0, cells=L, boundary="obc",
+                     detuning=1e-12)
+        M, route = _subsystem_correlation(spec, cells)
+        ref = dense_singular_mode_block(spec, cells)
+        assert route == "singular_mode" and M.shape == ref.shape
+        if alpha == 1:
+            assert np.array_equal(M, ref)
+        else:
+            # measured: at most 1.1e-14
+            assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha, L, cells", BLOCK_CASES)
+    def test_fallback_agrees(self, monkeypatch, alpha, L, cells):
+        spec = chain(alpha=alpha, v=1.0, w=2.0, u=1.0, cells=L, boundary="obc",
+                     detuning=1e-12)
+        M, _ = _subsystem_correlation(spec, cells)
+        E0 = pc.ground_state_energy(spec)
+        without_numpy_lapack(monkeypatch)
+        fallback, route = _subsystem_correlation(spec, cells)
+        assert route == "singular_mode"
+        # np.linalg.svd of B ends in the same bidiagonal stage; measured:
+        # the same bits on these chains at the default BLAS thread count
+        assert np.max(np.abs(fallback - M)) <= 1e-14 * np.max(np.abs(M))
+        assert abs(pc.ground_state_energy(spec) - E0) <= 1e-14 * abs(E0)
+
+    def test_independent_of_the_callers_blas_threads(self, blas_threads):
+        spec = chain(alpha=2, v=1.0, w=2.0, u=1.0, cells=400, boundary="obc",
+                     detuning=1e-12)
+        blocks, energies = [], []
+        for threads in (1, 2):
+            blas_threads(threads)
+            blocks.append(_subsystem_correlation(spec, 100)[0])
+            energies.append(pc.ground_state_energy(spec))
+            assert LAPACK.get_threads() == threads
+        assert np.array_equal(*blocks)
+        assert energies[0] == energies[1]
+
+    @pytest.mark.parametrize("lapack", [True, False], ids=["numpy-lapack", "fallback"])
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_zero_singular_values_make_u0_ambiguous(self, monkeypatch, lapack, alpha):
+        # V's alpha - 1 zero singular values are real zero modes at u = 0
+        if not lapack:
+            without_numpy_lapack(monkeypatch)
+        spec = chain(alpha=alpha, v=2.0, w=1.0, u=0.0, cells=12, boundary="obc")
+        with pytest.raises(AmbiguousFilling):
+            pc.ground_state_energy(spec)
+        with pytest.raises(AmbiguousFilling):
+            _subsystem_correlation(spec, 12)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import ptchain as pc
 from ptchain.errors import DisorderPresent, SpecTooSmall, UnsupportedCouplings
+from ptchain.lattice import _hopping_block, _open_bidiagonal
 
 
 def chain(alpha=1, v=1.0, w=1.0, u=0.0, cells=None, boundary="pbc", **kw):
@@ -199,6 +200,22 @@ class TestBuildRealSpace:
         with pytest.raises(ValueError, match="disorder offsets must be finite, got .* in cell 2"):
             pc.ChainSpec(v=1, w=2, u=1, cells=4,
                          disorder=pc.DisorderProfile([0.0, 0.1, value, 0.0]))
+
+
+class TestOpenBidiagonal:
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("v, w", [(1.0, 2.0), (2.0, 1.0), (0.5, 0.3)])
+    def test_hopping_block_embeds_it(self, alpha, v, w):
+        # V = [[0, B], [0, 0]]: alpha - 1 zero columns on the left and zero
+        # rows at the bottom around the upper-bidiagonal n x n block B
+        L, n = 9, 9 - alpha + 1
+        spec = chain(alpha=alpha, v=v, w=w, u=0.5, cells=L, boundary="obc")
+        d, e = _open_bidiagonal(spec)
+        assert (d.shape, e.shape) == ((n,), (n - 1,))
+        embedded = np.zeros((L, L))
+        embedded[:n, alpha - 1:] = np.diag(d) + np.diag(e, 1)
+        assert np.array_equal(_hopping_block(spec), embedded)
+        assert np.all(d == v) and np.all(e == -w)
 
 
 class TestBuildInterface:

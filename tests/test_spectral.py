@@ -1,9 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import ptchain as pc
+import ptchain.spectral as spectral
 from ptchain.errors import AmbiguousFilling, DefectiveMatrix
+from ptchain.lattice import _hopping_block, _open_bidiagonal
+from ptchain.spectral import _bidiagonal_svd, _mode_amplitudes
 
 
 class TestBiorthogonalDiagonalize:
@@ -180,3 +184,97 @@ class TestDensityProfile:
             pc.ChainSpec(v=1.3, w=0.6, u=0, cells=12, boundary=pc.Boundary.OBC)
         )
         assert np.max(np.abs(prof.site.imag)) < 1e-12
+
+
+def open_chain(alpha, v, w, cells, u=0.5):
+    return pc.ChainSpec(alpha=alpha, v=v, w=w, u=u, cells=cells, boundary=pc.Boundary.OBC)
+
+
+def random_open_chains(alpha, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v, w = rng.uniform(0.1, 3.0, 2)
+        yield open_chain(alpha, v, w, int(rng.integers(alpha + 1, 300)))
+
+
+LAPACK = spectral._numpy_lapack()
+
+
+@pytest.mark.skipif(LAPACK is None, reason="numpy does not export its LAPACK")
+class TestBidiagonalSvd:
+    """Singular values of an open chain's hopping block from its bidiagonal
+    block B, against ``np.linalg.svd`` of the whole L x L block V."""
+
+    def test_alpha_1_takes_the_bits_of_svdvals(self):
+        for spec in random_open_chains(1, 20, seed=1):
+            V = _hopping_block(spec)
+            assert np.array_equal(_mode_amplitudes(spec),
+                                  np.linalg.svd(V, compute_uv=False))
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_wider_hops_agree_with_svdvals(self, alpha):
+        # measured: at most 9.2e-16 ||V||
+        for spec in random_open_chains(alpha, 20, seed=alpha):
+            V = _hopping_block(spec)
+            a = _mode_amplitudes(spec)
+            assert np.all(a[len(a) - alpha + 1:] == 0.0)  # V's zero rows and columns
+            err = np.max(np.abs(a - np.linalg.svd(V, compute_uv=False)))
+            assert err <= 1e-15 * np.linalg.norm(V, 2)
+
+    @pytest.mark.parametrize("v, w", [(0.3137, 2.9871), (1.1, 1234.567)])
+    def test_against_mpmath(self, v, w):
+        # the chains on which dpteqr on B^T B lost accuracy; measured: 2.7e-16
+        # and 1.8e-16 ||V||, the errors of svdvals
+        V = _hopping_block(open_chain(1, v, w, 40))
+        with mpmath.workdps(40):
+            ref = sorted((float(s) for s in mpmath.svd_r(mpmath.matrix(V.tolist()),
+                                                         compute_uv=False)), reverse=True)
+        norm = np.linalg.norm(V, 2)
+        for a in (_mode_amplitudes(open_chain(1, v, w, 40)),
+                  np.linalg.svd(V, compute_uv=False)):
+            assert np.max(np.abs(a - ref)) <= 5e-16 * norm
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_fallback_agrees(self, monkeypatch, alpha):
+        spec = open_chain(alpha, 1.0, 2.0, 60)
+        d, e = _open_bidiagonal(spec)
+        # dqds and divide and conquer part in the last bits, as in svdvals
+        # and svd; measured: at most 8.9e-16 ||B||
+        values, (q, s, pt) = _bidiagonal_svd(d, e), _bidiagonal_svd(d, e, vectors=True)
+        monkeypatch.setattr(spectral, "_numpy_lapack", lambda: None)
+        q2, s2, pt2 = _bidiagonal_svd(d, e, vectors=True)
+        norm = np.max(s)
+        for other in (s, _bidiagonal_svd(d, e), s2):
+            assert np.max(np.abs(other - values)) <= 2e-15 * norm
+        B = np.diag(d) + np.diag(e, 1)
+        for u, v, vt in ((q, s, pt), (q2, s2, pt2)):
+            assert np.max(np.abs((u * v) @ vt - B)) <= 1e-14 * norm
+            assert np.max(np.abs(u.T @ u - np.eye(len(d)))) <= 1e-14
+
+    @pytest.mark.parametrize("lapack", [True, False], ids=["numpy-lapack", "fallback"])
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("d, e", [([1.0, np.nan], [0.5]), ([1.0, 2.0], [np.inf])],
+                             ids=["nan", "inf"])
+    def test_non_finite_refused(self, monkeypatch, lapack, vectors, d, e):
+        if not lapack:
+            monkeypatch.setattr(spectral, "_numpy_lapack", lambda: None)
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            _bidiagonal_svd(d, e, vectors)
+
+    @pytest.mark.parametrize("d, e", [([1.0, 2.0], [0.5, 0.5]), ([[1.0]], [])],
+                             ids=["long-e", "matrix"])
+    def test_malformed_refused(self, d, e):
+        with pytest.raises(ValueError, match="superdiagonal"):
+            _bidiagonal_svd(d, e)
+
+    @pytest.mark.parametrize("vectors, name", [(False, "dlasq1"), (True, "dbdsdc")])
+    def test_no_convergence_raises(self, monkeypatch, vectors, name):
+        def failing(*args):
+            args[4 if name == "dlasq1" else 13].value = 2  # info
+
+        monkeypatch.setattr(spectral, "_numpy_lapack",
+                            lambda: LAPACK._replace(**{name: failing}))
+        threads = LAPACK.get_threads()
+        with pytest.raises(np.linalg.LinAlgError, match=f"{name} info = 2"):
+            _bidiagonal_svd([1.0, 2.0], [0.5], vectors)
+        assert LAPACK.get_threads() == threads
