@@ -21,7 +21,6 @@ elbow instead of eating the whole data set.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -38,7 +37,7 @@ from .entanglement import (
 )
 from .lattice import Boundary, ChainSpec, DisorderProfile, _integers
 from .rng import disorder_offsets
-from .spectral import (TOL_ZERO, _scipy_linalg, _set_blas_threads, _usable_cpus,
+from .spectral import (TOL_ZERO, _blas_thread_control, _one_blas_thread, _usable_cpus,
                        ground_state_energy)
 
 
@@ -374,7 +373,8 @@ def _one_realization(template: ChainSpec, bound: float, base_seed: int,
     spec = replace(template, disorder=DisorderProfile(offsets))
     context = f"realization {r} (seed {seed})"
     try:
-        prof = entropy_profile(spec, ells, prescription, tolerances, tol_zero)
+        with _one_blas_thread(_blas_thread_control()):
+            prof = entropy_profile(spec, ells, prescription, tolerances, tol_zero)
     except PTChainError as exc:
         # the package's own types take one message
         raise type(exc)(f"{context}: {exc}") from exc
@@ -406,12 +406,12 @@ def disorder_ensemble(
     CPU count; one worker runs serially, without a pool.
 
     A realization is one dense eigensolve, which a second BLAS thread does
-    not speed up, so every realization runs on one BLAS thread, in a worker
-    or in the serial loop, and the cores go to processes instead. The
-    statistics are then bit-identical for any worker count or completion
-    order; where scipy's BLAS offers no thread control, they are identical
-    only at equal BLAS thread counts. The serial loop restores the caller's
-    thread count when it ends.
+    not speed up, so every realization runs on one BLAS thread and restores
+    the count it found, in a worker or in the serial loop, and the cores go
+    to processes instead. The statistics are then bit-identical for any
+    worker count, completion order or caller's thread count; where the
+    dense route's BLAS offers no thread control, they are identical only at
+    equal BLAS thread counts.
     """
     if template.disorder is not None:
         raise ValueError("template must be disorder-free; offsets are drawn per realization")
@@ -431,22 +431,17 @@ def disorder_ensemble(
     # more workers than realizations or CPUs only cost forks
     cpus = _usable_cpus()
     workers = min(cpus if jobs is None else jobs, n_realizations, cpus)
-    # every realization solves on scipy: import it here, before the pool
-    # forks, rather than once in every worker
-    _scipy_linalg()
-    with ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    # every realization pins the dense route's BLAS: load it here, before
+    # the pool forks, rather than once in every worker
+    _blas_thread_control()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_set_blas_threads, initargs=(1,))
-            mapper = stack.enter_context(pool).map
-        else:
-            mapper = map
-            previous = _set_blas_threads(1)
-            if previous is not None:
-                stack.callback(_set_blas_threads, previous)
-        values = np.array(list(mapper(run, range(n_realizations))), dtype=complex)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(run, range(n_realizations)))
+    else:
+        values = list(map(run, range(n_realizations)))
+    values = np.array(values, dtype=complex)
     return EnsembleStats(
         ells=ells,
         re_values=values.real.copy(),

@@ -199,7 +199,8 @@ class _PackedSystem:
     j + 1: l = vl[:, j] + i vl[:, j + 1], r likewise, and the partner's
     vectors are their conjugates. ``vl`` is normalized so that the complex
     vectors satisfy L^dag R = I to within ``residual``. ``order`` sorts the
-    energies E = i lam by (Re, Im, index).
+    energies E = i lam by (Re, Im, index). ``kappa``, at most 1, is the
+    smallest distance of a mode from an exceptional point.
     """
 
     wr: np.ndarray  # lam = wr + i wi
@@ -209,6 +210,7 @@ class _PackedSystem:
     pairs: np.ndarray  # first column j of every conjugate pair
     order: np.ndarray
     residual: float
+    kappa: float
 
     @property
     def energies(self) -> np.ndarray:
@@ -336,7 +338,7 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
 
     residual = _packed_gram_residual(_gemm(vl.T, vr), pairs)
     _require_biorthogonal(residual, kappa, tol_biorth, A)
-    return _PackedSystem(wr, wi, vl, vr, pairs, order, residual)
+    return _PackedSystem(wr, wi, vl, vr, pairs, order, residual, kappa)
 
 
 def _packed_gram_residual(T: np.ndarray, pairs: np.ndarray) -> float:
@@ -461,36 +463,35 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 trans_a=0 if fa else 1, trans_b=0 if fb else 1)
 
 
+class _ThreadControl(NamedTuple):
+    """The thread-count functions of one OpenBLAS pool."""
+
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
 @functools.cache
-def _blas_thread_control():
-    """(get, set) thread-count functions of scipy's bundled OpenBLAS, or
-    None where scipy's BLAS does not export both.
+def _blas_thread_control() -> _ThreadControl | None:
+    """The thread control of scipy's bundled OpenBLAS, or None where
+    scipy's BLAS does not export it.
 
     Looked up on the handle of scipy's BLAS extension, whose dependencies
     dlsym searches, so the pool reached is the one the dense route runs
     on: :func:`_gemm` and its factorizations. The clean routes run on
     numpy's pool, which this does not reach; :func:`_numpy_lapack` holds
-    its control.
+    its control, under the same two names.
     """
     import ctypes
 
     try:
         lib = ctypes.CDLL(_scipy_linalg()._fblas.__file__)
-        return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        control = _ThreadControl(lib.scipy_openblas_get_num_threads,
+                                 lib.scipy_openblas_set_num_threads)
     except (AttributeError, OSError):
         return None
-
-
-def _set_blas_threads(n: int) -> int | None:
-    """Run scipy's BLAS on n threads; the previous count, or None (and
-    nothing pinned) where scipy's BLAS has no thread control."""
-    control = _blas_thread_control()
-    if control is None:
-        return None
-    get, set_ = control
-    previous = int(get())
-    set_(n)
-    return previous
+    control.get_threads.argtypes, control.get_threads.restype = [], ctypes.c_int
+    control.set_threads.argtypes, control.set_threads.restype = [ctypes.c_int], None
+    return control
 
 
 def _usable_cpus() -> int:
@@ -591,20 +592,21 @@ def _dgeev_eigvals(a: np.ndarray) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _one_blas_thread(lapack: _NumpyLapack | None):
-    """numpy's OpenBLAS on one thread inside the block and the caller's
+def _one_blas_thread(pool: _ThreadControl | _NumpyLapack | None):
+    """An OpenBLAS pool on one thread inside the block and the caller's
     count restored after it, also when the block raises; nothing is pinned
-    where ``lapack`` is None. At one thread numpy's products and LAPACK
-    calls round the same whatever the caller's count."""
-    if lapack is None:
+    where ``pool`` is None. ``pool`` is numpy's (:func:`_numpy_lapack`) or
+    scipy's (:func:`_blas_thread_control`). At one thread a pool's
+    products and LAPACK calls round the same whatever the caller's count."""
+    if pool is None:
         yield
         return
-    previous = lapack.get_threads()
-    lapack.set_threads(1)
+    previous = pool.get_threads()
+    pool.set_threads(1)
     try:
         yield
     finally:
-        lapack.set_threads(previous)
+        pool.set_threads(previous)
 
 
 def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, vectors: bool = False):

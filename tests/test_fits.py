@@ -323,14 +323,20 @@ class TestDisorderEnsemble:
         manual = stats.re_values.std(axis=0, ddof=1) / 2.0
         assert_allclose(stats.sem_re, manual, atol=0)
 
-    def test_worker_count_invariance(self):
-        # every realization runs on one BLAS thread, in a worker or not
+    def test_worker_count_invariance(self, scipy_threads):
+        # every realization runs on one BLAS thread and restores the count
+        # it found, in a worker or not: neither the worker count nor the
+        # caller's thread count moves a bit, and the caller keeps its count
+        control = spectral._blas_thread_control()
         kw = dict(delta_bound=0.9, n_realizations=4, base_seed=5, ells=[4, 8])
         serial = pc.disorder_ensemble(self.template(), **kw, jobs=1)
-        for jobs in (2, None):
-            other = pc.disorder_ensemble(self.template(), **kw, jobs=jobs)
-            assert np.array_equal(serial.re_values, other.re_values)
-            assert np.array_equal(serial.im_values, other.im_values)
+        for threads in (1, 2):
+            scipy_threads(threads)
+            for jobs in (1, 2, None):
+                other = pc.disorder_ensemble(self.template(), **kw, jobs=jobs)
+                assert np.array_equal(serial.re_values, other.re_values)
+                assert np.array_equal(serial.im_values, other.im_values)
+                assert control is None or control.get_threads() == threads
 
     @pytest.mark.parametrize("n_realizations, cpus, workers",
                              [(3, 4, 3), (8, 4, 4), (8, 1, None)])
@@ -344,10 +350,8 @@ class TestDisorderEnsemble:
         pools = []
 
         class FakePool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
-                assert initializer is spectral._set_blas_threads
-                assert initargs == (1,)
 
             def __enter__(self):
                 return self
@@ -392,26 +396,24 @@ class TestDisorderEnsemble:
 
     @openblas
     @pytest.mark.parametrize("fails", [False, True])
-    def test_serial_run_restores_caller_thread_count(self, monkeypatch, fails):
+    def test_serial_run_restores_caller_thread_count(self, monkeypatch, scipy_threads,
+                                                     fails):
         def failing_profile(*args, **kwargs):
             raise NoConvergence("no convergence")
 
         if fails:
             monkeypatch.setattr(pc.fits, "entropy_profile", failing_profile)
-        before = spectral._set_blas_threads(3)
-        try:
-            with pytest.raises(NoConvergence) if fails else contextlib.nullcontext():
-                pc.disorder_ensemble(self.template(), 0.9, 2, 0, [4], jobs=1)
-            assert spectral._set_blas_threads(before) == 3
-        finally:
-            spectral._set_blas_threads(before)
+        scipy_threads(3)
+        with pytest.raises(NoConvergence) if fails else contextlib.nullcontext():
+            pc.disorder_ensemble(self.template(), 0.9, 2, 0, [4], jobs=1)
+        assert spectral._blas_thread_control().get_threads() == 3
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_runs_without_blas_thread_control(self, monkeypatch, jobs):
         # a scipy whose BLAS exports no thread control: nothing is pinned,
         # nothing raises, and the ensemble is the same physics
-        monkeypatch.setattr(spectral, "_blas_thread_control", lambda: None)
-        assert spectral._set_blas_threads(1) is None
+        for module in (spectral, pc.fits):
+            monkeypatch.setattr(module, "_blas_thread_control", lambda: None)
         stats = pc.disorder_ensemble(self.template(), 0.9, 3, 11, [4, 8], jobs=jobs)
         assert np.max(np.abs(stats.im_values + np.pi)) < 1e-6
 

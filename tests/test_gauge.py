@@ -586,6 +586,32 @@ def test_dense_block_budget_on_zero_offset_twins(cells):
         assert error <= bound
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("couplings, cells, detuning", [
+    ((1.0, 2.0, 1.0), 200, 1e-10), ((1.0, 2.0, 1.0), 200, 3e-10),
+    ((1.0, 2.0, 1.0), 200, 1e-8), ((1.0, 2.0, 1.0), 400, 1e-10),
+    ((1.0, 2.0, 1.0), 400, 1e-8), ((2.0, 1.0, 1.0), 400, 1e-10),
+])
+def test_dense_block_error_follows_the_kappa_law(scipy_threads, threads, couplings,
+                                                 cells, detuning):
+    # the dense block errs by at most 10 eps ||A||_1 / kappa^2 relative to
+    # max |C|, at one and at two threads of scipy's pool, which the dense
+    # kernel runs on. Measured over both couplings, L = 200 and 400 and all
+    # three detunings: at most 7.62 times the estimate at one thread
+    # ((2, 1, 1), L = 400, 1e-10) and 5.07 at two ((2, 1, 1), L = 400, 3e-10)
+    v, w, u = couplings
+    clean = pc.ChainSpec(v=v, w=w, u=u, cells=cells, detuning=detuning)
+    twin = replace(clean, disorder=pc.DisorderProfile(np.zeros(cells)))
+    reference = entanglement._ungauge(_subsystem_correlation(clean, 40)[0])
+    A = _gauge_matrix(twin)
+    scipy_threads(threads)
+    packed = spectral._real_gauge_system(A)
+    M = packed.gauged_block(pc.half_filling_weights(packed.energies), 80)
+    error = np.max(np.abs(entanglement._ungauge(M) - reference)) / np.max(np.abs(reference))
+    norm = np.max(np.sum(np.abs(A), axis=0))
+    assert error <= 10 * np.finfo(float).eps * norm / packed.kappa**2
+
+
 def test_defect_message_states_the_error_estimate():
     # the L = 200 twin at the default detuning: kappa = 1.4e-6 and
     # ||A||_1 = 4 give eps ||A||_1 / kappa^2 = 4.4e-4, against a block error
