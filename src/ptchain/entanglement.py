@@ -74,7 +74,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -90,13 +90,13 @@ from .spectral import (
     BiorthogonalSystem,
     OccupationSet,
     _bidiagonal_svd,
-    _dgeev_eigvals,
+    _geev,
     _gemm,
     _half_filled_energies,
     _numpy_lapack,
     _one_blas_thread,
     _real_gauge_system,
-    _scipy_linalg,
+    _scipy_lapack,
     _usable_cpus,
     half_filling_weights,
 )
@@ -672,9 +672,11 @@ def _subsystem_eigvals(block: np.ndarray, route: str, eigvals) -> np.ndarray:
     are taken first and P, Q dropped, so that the solve holds one ell x ell
     array, P Q, formed Fortran-ordered: the layout LAPACK takes.
 
-    ``eigvals`` is a function of a real matrix that may overwrite it (each
-    call gets a fresh Fortran-ordered array), returning complex or float64
-    eigenvalues (:func:`_solve_blocks` picks it). The result is cast to
+    ``eigvals`` is a function of a real matrix that may overwrite it, and
+    each call gets a fresh Fortran-ordered array: the bound ``dgeev`` of
+    every route (:func:`spectral._geev`) solves that copy in place, with no
+    copy of its own. It returns complex or float64 eigenvalues
+    (:func:`_solve_blocks` picks it). The result is cast to
     complex, since ``np.linalg.eigvals`` returns float64 when every
     eigenvalue is real, and sqrt of a negative float64 mu is NaN.
     """
@@ -701,24 +703,25 @@ def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray
     off one shared list, largest first; the first error raised is raised
     again once every helper has stopped. The solver, per route:
 
-    * dense: scipy's ``eigvals``, the library of the rest of the dense
-      solve, so that a dense run keeps to one BLAS pool; the caller alone,
-      at its BLAS thread count: the realizations already fill the cores;
-    * clean: numpy's own ``dgeev``, without the GIL
-      (:func:`spectral._dgeev_eigvals`), one thread per usable CPU and at
-      most one per block, with numpy's OpenBLAS pinned to one thread for
-      the call and restored after it, also when a solve raises. The
-      spectra depend on neither the CPU count nor the caller's BLAS
-      thread count;
+    * dense: ``dgeev`` (:func:`spectral._geev`) on scipy's LAPACK, the
+      library of the rest of the dense solve, so that a dense run keeps to
+      one BLAS pool; the caller alone, at its BLAS thread count: the
+      realizations already fill the cores;
+    * clean: the same call on numpy's LAPACK, without the GIL, one thread
+      per usable CPU and at most one per block, with numpy's OpenBLAS
+      pinned to one thread for the call and restored after it, also when a
+      solve raises. The spectra depend on neither the CPU count nor the
+      caller's BLAS thread count;
     * clean, where numpy does not export ``dgeev``: ``np.linalg.eigvals``,
       the same LAPACK call, the caller alone at its BLAS thread count.
     """
-    lapack = None if route == "dense" else _numpy_lapack()
-    if lapack is not None:
-        eigvals, workers = _dgeev_eigvals, min(_usable_cpus(), len(blocks))
+    dense = route == "dense"
+    lapack = _scipy_lapack() if dense else _numpy_lapack()
+    if lapack is None:
+        eigvals, workers = np.linalg.eigvals, 1
     else:
-        eigvals = _scipy_linalg().eigvals if route == "dense" else np.linalg.eigvals
-        workers = 1
+        eigvals = partial(_geev, lapack)
+        workers = 1 if dense else min(_usable_cpus(), len(blocks))
     results: list = [None] * len(blocks)
     todo = list(range(len(blocks)))  # sizes ascend: pop() takes the largest
     errors: list[BaseException] = []
@@ -737,7 +740,7 @@ def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray
                 return
 
     helpers = []
-    with _one_blas_thread(lapack):
+    with _one_blas_thread(None if dense else lapack):
         try:
             for _ in range(workers - 1):
                 helper = threading.Thread(target=work)

@@ -37,7 +37,7 @@ from .entanglement import (
 )
 from .lattice import Boundary, ChainSpec, DisorderProfile, _integers
 from .rng import disorder_offsets
-from .spectral import (TOL_ZERO, _blas_thread_control, _one_blas_thread, _usable_cpus,
+from .spectral import (TOL_ZERO, _one_blas_thread, _scipy_lapack, _usable_cpus,
                        ground_state_energy)
 
 
@@ -373,7 +373,7 @@ def _one_realization(template: ChainSpec, bound: float, base_seed: int,
     spec = replace(template, disorder=DisorderProfile(offsets))
     context = f"realization {r} (seed {seed})"
     try:
-        with _one_blas_thread(_blas_thread_control()):
+        with _one_blas_thread(_scipy_lapack()):
             prof = entropy_profile(spec, ells, prescription, tolerances, tol_zero)
     except PTChainError as exc:
         # the package's own types take one message
@@ -431,9 +431,9 @@ def disorder_ensemble(
     # more workers than realizations or CPUs only cost forks
     cpus = _usable_cpus()
     workers = min(cpus if jobs is None else jobs, n_realizations, cpus)
-    # every realization pins the dense route's BLAS: load it here, before
+    # every realization pins the dense route's BLAS: bind it here, before
     # the pool forks, rather than once in every worker
-    _blas_thread_control()
+    _scipy_lapack()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -127,7 +127,7 @@ def biorthogonal_diagonalize(
     The eigensolve runs on -i S^-1 H S in the sublattice gauge, real for
     every chain of the family, in :func:`_real_gauge_system`; S is unitary,
     so overlaps are unchanged. A matrix outside the family, whose gauge is
-    complex, takes scipy's complex eigensolve of H itself.
+    complex, takes ``zgeev`` of H itself, on scipy's LAPACK.
 
     Eigenvalues are ordered deterministically by (Re, Im, input index).
     Nearly degenerate eigenvalues are re-biorthogonalized block-wise via the
@@ -141,7 +141,7 @@ def biorthogonal_diagonalize(
     A = _sublattice_gauge(H)
     if not np.iscomplexobj(A):
         return _real_gauge_system(A, tol_biorth).unpacked()
-    E, vl, vr = _scipy_linalg().eig(H, left=True, right=True)
+    E, vl, vr = _geev(_scipy_lapack(), np.array(H, order="F"), vectors=True)
     order = np.lexsort((np.arange(len(E)), E.imag, E.real))
     E, R, L = E[order], vr[:, order], vl[:, order]
 
@@ -160,12 +160,11 @@ def _rebiorthogonalize(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray | None,
     """L inv(M)^dag with M = L^dag R, so that L^dag R = I on a cluster (one
     mode, or nearly degenerate ones), and kappa, the smallest singular value
     of M; None in place of the block where kappa is below ``_KAPPA_EP``."""
-    sla = _scipy_linalg()
     M = L.conj().T @ R
-    sv_min = float(sla.svdvals(M)[-1])
+    sv_min = float(_svdvals(M)[-1])
     if not sv_min >= _KAPPA_EP:
         return None, sv_min
-    return L @ sla.inv(M).conj().T, sv_min
+    return L @ _inv(M).conj().T, sv_min
 
 
 def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float,
@@ -282,15 +281,8 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     of the complex Gram matrix, from one real product T = vl^T vr
     (:func:`_packed_gram_residual`).
     """
-    sla = _scipy_linalg()
     n = len(A)
-    work, _ = sla.lapack.dgeev_lwork(n)
-    wr, wi, vl, vr, info = sla.lapack.dgeev(A, lwork=int(work))
-    if info > 0:
-        raise sla.LinAlgError(
-            "eig algorithm (geev) did not converge (only eigenvalues "
-            f"with order >= {info} have converged)"
-        )
+    wr, wi, vl, vr = _geev(_scipy_lapack(), np.array(A, order="F"), vectors=True)
     # E = i lam = -wi + i wr, in (Re, Im, index) order
     order = np.lexsort((np.arange(n), wr, -wi))
     pairs = np.flatnonzero(wi > 0)
@@ -317,10 +309,10 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
         Q = np.array(sorted(q))
         T = _gemm(vl[:, Q].T, vr[:, Q])
         w = 1.0 / np.sqrt(half[Q])
-        kappas[Q] = sla.svdvals(w[:, None] * T * w)[-1]
+        kappas[Q] = _svdvals(w[:, None] * T * w)[-1]
         single[Q] = False
         if kappas[Q[0]] >= _KAPPA_EP:
-            vl[:, Q] = _gemm(vl[:, Q], sla.inv(T).T * half[Q])
+            vl[:, Q] = _gemm(vl[:, Q], _inv(T).T * half[Q])
     bad = np.flatnonzero(~(kappas[order] >= _KAPPA_EP))
     if len(bad):
         _require_off_exceptional_point(kappas[order[bad[0]]])
@@ -435,63 +427,161 @@ def occupied_correlation(sys: BiorthogonalSystem, occ: OccupationSet) -> np.ndar
     return _gemm(sys.left_vectors.conj() * occ.weights[None, :], sys.right_vectors.T)
 
 
-@functools.cache
-def _scipy_linalg():
-    """``scipy.linalg``, imported on the dense route's first call.
-
-    numpy has no eigensolver with left eigenvectors, so the dense route
-    runs on scipy's ``dgeev``, and its products and factorizations on
-    scipy's BLAS beside it: one OpenBLAS pool per run. Clean chains run
-    on ``numpy.linalg`` alone and never import scipy, which is most of a
-    CLI process's start-up.
-    """
-    import scipy.linalg
-
-    return scipy.linalg
-
-
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of two matrices on scipy's BLAS, for the dense route, whose
-    eigensolve runs on scipy's LAPACK: a dense run touches one pool.
-
-    A C-ordered operand goes in as its Fortran-ordered transpose with the
-    transpose flag set, so neither is copied. The result is Fortran-ordered.
-    """
-    gemm = _scipy_linalg().blas.get_blas_funcs("gemm", (a, b))
-    fa, fb = a.flags.f_contiguous, b.flags.f_contiguous
-    return gemm(1.0, a if fa else a.T, b if fb else b.T,
-                trans_a=0 if fa else 1, trans_b=0 if fb else 1)
-
-
-class _ThreadControl(NamedTuple):
-    """The thread-count functions of one OpenBLAS pool."""
-
-    get_threads: Callable[[], int]
-    set_threads: Callable[[int], None]
+#: Arguments of the bound LAPACK and BLAS routines, one code each:
+#: c a character, i an integer, I an integer array, d a float64 array and
+#: z a complex128 array. Each character adds a hidden length at the end.
+_SIGNATURES = {
+    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info
+    "dgeev": "ccididddididii",
+    # jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr, work, lwork, rwork, info
+    "zgeev": "ccizizzizizidi",
+    # transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+    "dgemm": "cciiiddididdi",
+    "zgemm": "cciiizzizizzi",
+    # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info
+    "dgesdd": "ciididdididiIi",
+    # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, iwork, info
+    "zgesdd": "ciizidzizizidIi",
+    # m, n, a, lda, ipiv, info
+    "dgetrf": "iidiIi",
+    "zgetrf": "iiziIi",
+    # n, a, lda, ipiv, work, lwork, info
+    "dgetri": "idiIdii",
+    "zgetri": "iziIzii",
+    # n, d, e, work, info
+    "dlasq1": "idddi",
+    # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info
+    "dbdsdc": "ccidddididIdIi",
+}
 
 
-@functools.cache
-def _blas_thread_control() -> _ThreadControl | None:
-    """The thread control of scipy's bundled OpenBLAS, or None where
-    scipy's BLAS does not export it.
+class _Lapack(NamedTuple):
+    """ctypes functions of one LAPACK and BLAS library: the routines of
+    :data:`_SIGNATURES` under their LAPACK names, and the thread control of
+    its OpenBLAS pool, None where the library exports none."""
 
-    Looked up on the handle of scipy's BLAS extension, whose dependencies
-    dlsym searches, so the pool reached is the one the dense route runs
-    on: :func:`_gemm` and its factorizations. The clean routes run on
-    numpy's pool, which this does not reach; :func:`_numpy_lapack` holds
-    its control, under the same two names.
+    file: str
+    integer: type  # the ctypes type of the library's integers
+    dgeev: Callable
+    zgeev: Callable
+    dgemm: Callable
+    zgemm: Callable
+    dgesdd: Callable
+    zgesdd: Callable
+    dgetrf: Callable
+    zgetrf: Callable
+    dgetri: Callable
+    zgetri: Callable
+    dlasq1: Callable
+    dbdsdc: Callable
+    get_threads: Callable[[], int] | None
+    set_threads: Callable[[int], None] | None
+
+
+def _bind_lapack(file: str, bits: int) -> _Lapack:
+    """The routines of :data:`_SIGNATURES` and the OpenBLAS thread control
+    that the library ``file`` or its dependencies export, with ``bits``-wide
+    integers, looked up on its handle, whose dependencies dlsym searches.
+
+    Each name is tried as numpy's and scipy's wheels export it,
+    ``scipy_dgeev_`` (``scipy_dgeev_64_`` at 64 bits), then plain,
+    ``dgeev_``. A routine under neither name raises ImportError naming it;
+    a thread control under neither leaves both functions None.
     """
     import ctypes
 
-    try:
-        lib = ctypes.CDLL(_scipy_linalg()._fblas.__file__)
-        control = _ThreadControl(lib.scipy_openblas_get_num_threads,
-                                 lib.scipy_openblas_set_num_threads)
-    except (AttributeError, OSError):
+    integer, suffix = (ctypes.c_int64, "64_") if bits == 64 else (ctypes.c_int32, "")
+    lib = ctypes.CDLL(file)
+
+    def symbol(name: str):
+        for found in (f"scipy_{name}", name):
+            if hasattr(lib, found):
+                return getattr(lib, found)
         return None
-    control.get_threads.argtypes, control.get_threads.restype = [], ctypes.c_int
-    control.set_threads.argtypes, control.set_threads.restype = [ctypes.c_int], None
-    return control
+
+    types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer)}
+    for code, dtype in (("d", np.float64), ("z", np.complex128), ("I", integer)):
+        types[code] = np.ctypeslib.ndpointer(np.dtype(dtype), flags="F_CONTIGUOUS")
+    routines = {}
+    for name, codes in _SIGNATURES.items():
+        routine = symbol(f"{name}_{suffix}")
+        if routine is None:
+            raise ImportError(
+                f"{file} exports neither scipy_{name}_{suffix} nor {name}_{suffix}; "
+                "ptchain binds the LAPACK of numpy's and scipy's wheels (their "
+                "bundled scipy-openblas) or one that exports the plain LAPACK names")
+        routine.argtypes = [types[c] for c in codes] + [ctypes.c_size_t] * codes.count("c")
+        routine.restype = None
+        routines[name] = routine
+    get, set_ = (symbol(f"openblas_{op}_num_threads{suffix}") for op in ("get", "set"))
+    if get is None or set_ is None:
+        get = set_ = None
+    else:
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+    return _Lapack(file, integer, **routines, get_threads=get, set_threads=set_)
+
+
+@functools.cache
+def _numpy_lapack() -> _Lapack | None:
+    """The library ``numpy.linalg`` links (:func:`_bind_lapack`, 64-bit
+    integers as in numpy's wheels), the clean routes', or None where it does
+    not export the routines: the clean routes then take ``numpy.linalg``'s
+    own functions.
+
+    Bound on the handle of ``numpy.linalg._umath_linalg``. A ctypes call
+    releases the GIL, which ``np.linalg.eigvals`` holds, so solves on
+    several threads run at once.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        return _bind_lapack(_umath_linalg.__file__, 64)
+    except (ImportError, OSError):
+        return None
+
+
+@functools.cache
+def _scipy_lapack() -> _Lapack:
+    """The library scipy's ``_flapack`` extension links (:func:`_bind_lapack`,
+    32-bit integers), the dense route's, bound on that route's first call.
+
+    numpy has no eigensolver with left eigenvectors, so the dense route runs
+    on scipy's LAPACK, and its products and factorizations on the BLAS
+    beside it: one OpenBLAS pool per run. The extension is found on scipy's
+    path and opened by ctypes, not imported: ``import scipy.linalg`` costs
+    about 21 MB of resident memory, the binding about 2 MB. ImportError
+    where scipy or one of its routines is missing.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in (scipy and scipy.submodule_search_locations
+                                               or [])]
+    found = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if found is None:
+        raise ImportError("the dense route runs on scipy's LAPACK, and "
+                          "scipy.linalg._flapack was not found; install scipy")
+    return _bind_lapack(found.origin, 32)
+
+
+@contextlib.contextmanager
+def _one_blas_thread(lapack: _Lapack | None):
+    """``lapack``'s OpenBLAS pool on one thread inside the block and the
+    caller's count restored after it, also when the block raises; nothing is
+    pinned where ``lapack`` is None or exports no thread control. At one
+    thread a pool's products and LAPACK calls round the same whatever the
+    caller's count."""
+    if lapack is None or lapack.set_threads is None:
+        yield
+        return
+    previous = lapack.get_threads()
+    lapack.set_threads(1)
+    try:
+        yield
+    finally:
+        lapack.set_threads(previous)
 
 
 def _usable_cpus() -> int:
@@ -502,111 +592,133 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _NumpyLapack(NamedTuple):
-    """ctypes functions of the LAPACK and OpenBLAS that ``numpy.linalg``
-    links."""
-
-    dgeev: Callable
-    dlasq1: Callable
-    dbdsdc: Callable
-    get_threads: Callable[[], int]
-    set_threads: Callable[[int], None]
+def _lapack_dtype(*arrays) -> type:
+    """complex128 where any of ``arrays`` is complex, else float64: the
+    two types the bound routines take."""
+    return np.complex128 if any(np.iscomplexobj(x) for x in arrays) else np.float64
 
 
-@functools.cache
-def _numpy_lapack() -> _NumpyLapack | None:
-    """``dgeev``, ``dlasq1``, ``dbdsdc`` and the thread-count functions of
-    numpy's LAPACK and OpenBLAS, or None where they are not exported under
-    the names of numpy's wheels (scipy-openblas64: 64-bit integers,
-    ``scipy_`` prefix).
+def _with_workspace(lapack: _Lapack, dtype, call: Callable, failure: str) -> None:
+    """``call(work, lwork, info)`` twice: a workspace query, then with the
+    optimal workspace it returned, as scipy's wrappers and ``numpy.linalg``
+    take it. A nonzero info raises ``numpy.linalg.LinAlgError``."""
+    info, work = lapack.integer(), np.empty(1, dtype)
+    for query in (True, False):
+        if not query:
+            work = np.empty(max(int(work[0].real), 1), dtype)
+        call(work, lapack.integer(-1 if query else len(work)), info)
+        if info.value:
+            raise np.linalg.LinAlgError(f"{failure} (info = {info.value})")
 
-    Looked up on the handle of ``numpy.linalg._umath_linalg``, whose
-    dependencies dlsym searches, as :func:`_blas_thread_control` does for
-    scipy: the library and pool are those of the clean routes. A ctypes call
-    releases the GIL, which ``np.linalg.eigvals`` and scipy's wrappers
-    hold, so solves on several threads run at once.
+
+def _geev(lapack: _Lapack, a: np.ndarray, vectors: bool = False):
+    """Eigenvalues, complex, of a square real or complex matrix from
+    ``lapack``'s ``dgeev`` or ``zgeev``; with ``vectors``, LAPACK's outputs
+    with the left and right eigenvectors: (wr, wi, vl, vr) of a real matrix,
+    its vectors packed, and (w, vl, vr) of a complex one.
+
+    The call is the one ``np.linalg.eigvals`` and scipy's ``eig`` and
+    ``eigvals`` make, with the optimal workspace from a query, so at an
+    equal BLAS thread count the results are their bits. It releases the
+    GIL. A writable Fortran-ordered float64 or complex128 ``a`` is
+    overwritten; any other is copied first.
     """
-    import ctypes
-
-    try:
-        from numpy.linalg import _umath_linalg
-
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-        lapack = _NumpyLapack(lib.scipy_dgeev_64_, lib.scipy_dlasq1_64_,
-                              lib.scipy_dbdsdc_64_,
-                              lib.scipy_openblas_get_num_threads64_,
-                              lib.scipy_openblas_set_num_threads64_)
-    except (AttributeError, ImportError, OSError):
-        return None
-    n = ctypes.POINTER(ctypes.c_int64)
-    a = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
-    ia = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS")
-    chars = [ctypes.c_size_t, ctypes.c_size_t]  # the lengths of two strings
-    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info
-    lapack.dgeev.argtypes = [ctypes.c_char_p, ctypes.c_char_p, n, a, n, a, a,
-                             a, n, a, n, a, n, n, *chars]
-    # n, d, e, work, info
-    lapack.dlasq1.argtypes = [n, a, a, a, n]
-    # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info
-    lapack.dbdsdc.argtypes = [ctypes.c_char_p, ctypes.c_char_p, n, a, a, a, n,
-                              a, n, a, ia, a, ia, n, *chars]
-    lapack.dgeev.restype = lapack.dlasq1.restype = lapack.dbdsdc.restype = None
-    lapack.get_threads.argtypes, lapack.get_threads.restype = [], ctypes.c_int
-    lapack.set_threads.argtypes, lapack.set_threads.restype = [ctypes.c_int], None
-    return lapack
-
-
-def _dgeev_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real square matrix, complex, from the ``dgeev`` of
-    :func:`_numpy_lapack` without the GIL.
-
-    The call is the one ``np.linalg.eigvals`` makes (no vectors, the
-    optimal workspace from a query), so at an equal BLAS thread count the
-    eigenvalues are its bits, in its order. A writable Fortran-ordered
-    float64 ``a`` is overwritten; any other is copied first.
-    """
-    import ctypes
-
-    a = np.require(a, np.float64, ["F", "W"])
+    a = np.require(a, _lapack_dtype(a), ["F", "W"])
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise np.linalg.LinAlgError(f"a square matrix is required, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    dgeev = _numpy_lapack().dgeev
-    n, lda = ctypes.c_int64(len(a)), ctypes.c_int64(max(len(a), 1))
-    info, one = ctypes.c_int64(), ctypes.c_int64(1)
-    wr, wi, unused = np.empty(len(a)), np.empty(len(a)), np.empty(1)
+    n, integer, job = len(a), lapack.integer, b"V" if vectors else b"N"
+    real = a.dtype == np.float64
+    vl, vr = (np.empty((n, n) if vectors else (1, 1), a.dtype, order="F") for _ in "lr")
+    size, lda, ldv = integer(n), integer(max(n, 1)), integer(max(len(vl), 1))
+    w, wi, rwork = np.empty(n, a.dtype), np.empty(n), np.empty(2 * n)
 
-    def call(work: np.ndarray, lwork: int) -> None:
-        dgeev(b"N", b"N", n, a, lda, wr, wi, unused, one, unused, one, work,
-              ctypes.c_int64(lwork), info, 1, 1)
-        if info.value:
-            raise np.linalg.LinAlgError(
-                f"Eigenvalues did not converge (dgeev info = {info.value})")
+    def call(work, lwork, info):
+        if real:
+            lapack.dgeev(job, job, size, a, lda, w, wi, vl, ldv, vr, ldv, work, lwork,
+                         info, 1, 1)
+        else:
+            lapack.zgeev(job, job, size, a, lda, w, vl, ldv, vr, ldv, work, lwork,
+                         rwork, info, 1, 1)
 
-    query = np.empty(1)
-    call(query, -1)  # the optimal workspace, as np.linalg.eigvals takes it
-    work = np.empty(max(int(query[0]), 1))
-    call(work, len(work))
-    return wr + 1j * wi
+    _with_workspace(lapack, a.dtype, call,
+                    f"eigenvalues did not converge in {'dz'[not real]}geev")
+    if not real:
+        return (w, vl, vr) if vectors else w
+    return (w, wi, vl, vr) if vectors else w + 1j * wi
 
 
-@contextlib.contextmanager
-def _one_blas_thread(pool: _ThreadControl | _NumpyLapack | None):
-    """An OpenBLAS pool on one thread inside the block and the caller's
-    count restored after it, also when the block raises; nothing is pinned
-    where ``pool`` is None. ``pool`` is numpy's (:func:`_numpy_lapack`) or
-    scipy's (:func:`_blas_thread_control`). At one thread a pool's
-    products and LAPACK calls round the same whatever the caller's count."""
-    if pool is None:
-        yield
-        return
-    previous = pool.get_threads()
-    pool.set_threads(1)
-    try:
-        yield
-    finally:
-        pool.set_threads(previous)
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a real or complex matrix as scipy's
+    ``svdvals`` takes them: ``dgesdd`` or ``zgesdd`` without vectors at the
+    optimal workspace, on :func:`_scipy_lapack`, of a copy of ``a``."""
+    lapack, dtype = _scipy_lapack(), _lapack_dtype(a)
+    a = np.array(a, dtype, order="F")
+    (m, n), integer = a.shape, lapack.integer
+    s, unused, one = np.empty(min(m, n)), np.empty(1, dtype), integer(1)
+    iwork, rwork = np.empty(8 * len(s), np.dtype(integer)), np.empty(max(7 * len(s), 1))
+    head = (b"N", integer(m), integer(n), a, integer(max(m, 1)), s, unused, one, unused,
+            one)
+
+    def call(work, lwork, info):
+        if dtype == np.float64:
+            lapack.dgesdd(*head, work, lwork, iwork, info, 1)
+        else:
+            lapack.zgesdd(*head, work, lwork, rwork, iwork, info, 1)
+
+    _with_workspace(lapack, dtype, call, "SVD did not converge in gesdd")
+    return s
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square real or complex matrix as scipy's ``inv`` takes
+    that of a general one: ``getrf``, then ``getri`` at the optimal
+    workspace, on :func:`_scipy_lapack`, in a copy of ``a``. (scipy inverts
+    a diagonal matrix entry by entry, in other bits on a complex one.)"""
+    lapack, dtype = _scipy_lapack(), _lapack_dtype(a)
+    a = np.array(a, dtype, order="F")
+    prefix, integer = "d" if dtype == np.float64 else "z", lapack.integer
+    size, lda, info = integer(len(a)), integer(max(len(a), 1)), integer()
+    pivots = np.empty(len(a), np.dtype(integer))
+    getattr(lapack, f"{prefix}getrf")(size, size, a, lda, pivots, info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"singular matrix (info = {info.value})")
+    getri = getattr(lapack, f"{prefix}getri")
+    _with_workspace(lapack, dtype, lambda work, lwork, info:
+                    getri(size, a, lda, pivots, work, lwork, info), "singular matrix")
+    return a
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two matrices on the BLAS of :func:`_scipy_lapack`, for the
+    dense route, whose eigensolve runs on that library: a dense run touches
+    one pool.
+
+    The call is the one scipy's ``gemm`` wrapper makes: ``zgemm`` where
+    either operand is complex, else ``dgemm``. A C-ordered operand goes in
+    as its Fortran-ordered transpose with the transpose flag set, so it is
+    not copied; one in neither order is copied C-ordered first. The result
+    is Fortran-ordered.
+    """
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"shapes {a.shape} and {b.shape} do not multiply")
+    lapack, dtype = _scipy_lapack(), _lapack_dtype(a, b)
+    integer = lapack.integer
+    operands = []
+    for x in (a, b):
+        if not (x.flags.f_contiguous or x.flags.c_contiguous):
+            x = np.ascontiguousarray(x)
+        flag, x = (b"N", x) if x.flags.f_contiguous else (b"T", x.T)
+        operands.append((flag, np.asfortranarray(x, dtype)))
+    (ta, fa), (tb, fb) = operands
+    m, n, k = a.shape[0], b.shape[1], a.shape[1]
+    c = np.zeros((m, n), dtype, order="F")
+    one, zero = np.ones(1, dtype), np.zeros(1, dtype)
+    gemm = lapack.dgemm if dtype == np.float64 else lapack.zgemm
+    gemm(ta, tb, integer(m), integer(n), integer(k), one, fa, integer(max(len(fa), 1)),
+         fb, integer(max(len(fb), 1)), zero, c, integer(max(m, 1)), 1, 1)
+    return c
 
 
 def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, vectors: bool = False):
@@ -625,8 +737,6 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, vectors: bool = False):
     d, e directly, with ``np.linalg.svd``'s bits at an equal BLAS thread
     count. Elsewhere ``np.linalg.svd`` of the dense B.
     """
-    import ctypes
-
     d = np.array(d, dtype=np.float64)  # copies: LAPACK overwrites d and e
     e = np.append(np.asarray(e, dtype=np.float64), 0.0)  # dlasq1 reads e as length n
     if d.ndim != 1 or e.shape != d.shape:
@@ -639,12 +749,12 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, vectors: bool = False):
     with _one_blas_thread(lapack):
         if lapack is None:
             return np.linalg.svd(np.diag(d) + np.diag(e[:-1], 1), compute_uv=vectors)
-        info, size = ctypes.c_int64(), ctypes.c_int64(n)
+        info, size, integers = lapack.integer(), lapack.integer(n), np.dtype(lapack.integer)
         if vectors:
             u, vt = np.zeros((n, n), order="F"), np.zeros((n, n), order="F")
-            unused, iunused = np.empty(1), np.empty(1, dtype=np.int64)
+            unused, iunused = np.empty(1), np.empty(1, dtype=integers)
             lapack.dbdsdc(b"U", b"I", size, d, e, u, size, vt, size, unused, iunused,
-                          np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.int64),
+                          np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=integers),
                           info, 1, 1)
         else:
             lapack.dlasq1(size, d, e, np.empty(4 * n), info)

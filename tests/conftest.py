@@ -15,13 +15,20 @@ def pytest_report_header(config):
     # dense-route rounding, and so some measured bounds, depends on the
     # thread count of scipy's pool; clean-route determinism rests on numpy's
     # pool being pinned to one thread
-    from ptchain.spectral import _blas_thread_control, _numpy_lapack
+    from ptchain.spectral import _numpy_lapack, _scipy_lapack
 
-    def threads(control):
-        return control.get_threads() if control is not None else "unknown (no thread control)"
+    def describe(name, bind):
+        try:
+            lapack = bind()
+        except ImportError as exc:
+            return f"{name} LAPACK: not bound ({exc})"
+        if lapack is None:
+            return f"{name} LAPACK: not bound"
+        threads = (lapack.get_threads() if lapack.get_threads is not None
+                   else "unknown (no thread control)")
+        return f"{name} LAPACK: {lapack.file}, OpenBLAS threads: {threads}"
 
-    return (f"scipy OpenBLAS threads: {threads(_blas_thread_control())}; "
-            f"numpy OpenBLAS threads: {threads(_numpy_lapack())}")
+    return [describe("scipy", _scipy_lapack), describe("numpy", _numpy_lapack)]
 
 
 @pytest.fixture
@@ -29,12 +36,12 @@ def scipy_threads():
     """Set the thread count of scipy's BLAS, the dense route's pool, for the
     test, restored after it; a no-op where that BLAS exports no thread
     control."""
-    from ptchain.spectral import _blas_thread_control
+    from ptchain.spectral import _scipy_lapack
 
-    control = _blas_thread_control()
-    if control is None:
+    lapack = _scipy_lapack()
+    if lapack.get_threads is None:
         yield lambda n: None
         return
-    previous = control.get_threads()
-    yield control.set_threads
-    control.set_threads(previous)
+    previous = lapack.get_threads()
+    yield lapack.set_threads
+    lapack.set_threads(previous)

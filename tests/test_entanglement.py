@@ -722,6 +722,12 @@ CONCURRENT_CASES = [
 ]
 
 
+def numpy_eigvals(a):
+    """Eigenvalues from the bound ``dgeev`` of numpy's LAPACK, as the clean
+    routes solve their subsystem blocks."""
+    return spectral._geev(spectral._numpy_lapack(), a)
+
+
 @pytest.fixture
 def blas_threads():
     """Set numpy's BLAS thread count for the test, restored after it."""
@@ -746,11 +752,11 @@ class TestConcurrentSolves:
     def test_mu_floor_case_takes_the_full_solve(self, monkeypatch):
         calls = []
 
-        def record(a):
+        def record(lapack, a):
             calls.append(a.shape)
-            return spectral._dgeev_eigvals(a)
+            return spectral._geev(lapack, a)
 
-        monkeypatch.setattr(entanglement, "_dgeev_eigvals", record)
+        monkeypatch.setattr(entanglement, "_geev", record)
         profile_on(monkeypatch, 2, *CONCURRENT_CASES[2].values)
         # each size solves P Q; sizes 10 and 100 then solve their block whole
         assert sorted(calls) == [(10, 10), (20, 20), (50, 50), (100, 100), (100, 100),
@@ -792,7 +798,7 @@ class TestConcurrentSolves:
         M, route = _subsystem_correlation(spec, ells[-1])
         for ell in ells:
             block = M[: 2 * ell, : 2 * ell]
-            lam = _subsystem_eigvals(block, route, spectral._dgeev_eigvals)
+            lam = _subsystem_eigvals(block, route, numpy_eigvals)
             assert np.array_equal(lam, _subsystem_eigvals(block, route,
                                                           np.linalg.eigvals))
         # and a whole profile, where numpy exports no dgeev
@@ -809,7 +815,7 @@ class TestConcurrentSolves:
             a = np.array(rng.standard_normal((6, 6)), order=order)
             a.flags.writeable = writeable
             kept = a.copy()
-            lam = spectral._dgeev_eigvals(a)
+            lam = numpy_eigvals(a)
             assert np.array_equal(a, kept)
             assert np.array_equal(lam, np.linalg.eigvals(a).astype(complex))
 
@@ -824,13 +830,14 @@ class TestConcurrentSolves:
             if args[12].value != -1:  # lwork
                 args[13].value = info
 
-        monkeypatch.setattr(spectral, "_numpy_lapack",
-                            lambda: LAPACK._replace(dgeev=dgeev))
+        for module in (spectral, entanglement):
+            monkeypatch.setattr(module, "_numpy_lapack",
+                                lambda: LAPACK._replace(dgeev=dgeev))
 
     def test_no_convergence_raises_linalg_error(self, monkeypatch):
         self.failing_dgeev(monkeypatch, 3)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            spectral._dgeev_eigvals(np.eye(4))
+            numpy_eigvals(np.eye(4))
 
     @pytest.mark.parametrize("a, message", [
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), "infs or NaNs"),
@@ -840,18 +847,18 @@ class TestConcurrentSolves:
     def test_malformed_matrix_refused(self, a, message):
         # dgeev would read n x n entries of whatever it is given
         with pytest.raises(np.linalg.LinAlgError, match=message):
-            spectral._dgeev_eigvals(a)
+            numpy_eigvals(a)
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_blas_thread_count_restored(self, monkeypatch, blas_threads, fails):
         blas_threads(2)
         seen = []
 
-        def record(a):
+        def record(lapack, a):
             seen.append(LAPACK.get_threads())
-            return spectral._dgeev_eigvals(a)
+            return spectral._geev(lapack, a)
 
-        monkeypatch.setattr(entanglement, "_dgeev_eigvals", record)
+        monkeypatch.setattr(entanglement, "_geev", record)
         spec, ells = CONCURRENT_CASES[0].values
         if fails:
             self.failing_dgeev(monkeypatch, 1)

@@ -298,7 +298,7 @@ class TestSplitMix64:
         assert abs(np.mean(a)) < 0.05
 
 
-openblas = pytest.mark.skipif(spectral._blas_thread_control() is None,
+openblas = pytest.mark.skipif(spectral._scipy_lapack().get_threads is None,
                               reason="scipy's BLAS exports no thread control")
 
 
@@ -327,7 +327,7 @@ class TestDisorderEnsemble:
         # every realization runs on one BLAS thread and restores the count
         # it found, in a worker or not: neither the worker count nor the
         # caller's thread count moves a bit, and the caller keeps its count
-        control = spectral._blas_thread_control()
+        control = spectral._scipy_lapack()
         kw = dict(delta_bound=0.9, n_realizations=4, base_seed=5, ells=[4, 8])
         serial = pc.disorder_ensemble(self.template(), **kw, jobs=1)
         for threads in (1, 2):
@@ -336,7 +336,7 @@ class TestDisorderEnsemble:
                 other = pc.disorder_ensemble(self.template(), **kw, jobs=jobs)
                 assert np.array_equal(serial.re_values, other.re_values)
                 assert np.array_equal(serial.im_values, other.im_values)
-                assert control is None or control.get_threads() == threads
+                assert control.get_threads is None or control.get_threads() == threads
 
     @pytest.mark.parametrize("n_realizations, cpus, workers",
                              [(3, 4, 3), (8, 4, 4), (8, 1, None)])
@@ -406,14 +406,15 @@ class TestDisorderEnsemble:
         scipy_threads(3)
         with pytest.raises(NoConvergence) if fails else contextlib.nullcontext():
             pc.disorder_ensemble(self.template(), 0.9, 2, 0, [4], jobs=1)
-        assert spectral._blas_thread_control().get_threads() == 3
+        assert spectral._scipy_lapack().get_threads() == 3
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_runs_without_blas_thread_control(self, monkeypatch, jobs):
         # a scipy whose BLAS exports no thread control: nothing is pinned,
         # nothing raises, and the ensemble is the same physics
+        lapack = spectral._scipy_lapack()._replace(get_threads=None, set_threads=None)
         for module in (spectral, pc.fits):
-            monkeypatch.setattr(module, "_blas_thread_control", lambda: None)
+            monkeypatch.setattr(module, "_scipy_lapack", lambda: lapack)
         stats = pc.disorder_ensemble(self.template(), 0.9, 3, 11, [4, 8], jobs=jobs)
         assert np.max(np.abs(stats.im_values + np.pi)) < 1e-6
 

@@ -446,23 +446,25 @@ def test_tol_zero_reaches_clean_routes(monkeypatch):
 
 def record_eigvals(monkeypatch):
     """(library, shape) of every subsystem eigensolve, which still runs, on
-    two usable CPUs: numpy's ``dgeev`` bound in ``spectral._dgeev_eigvals``
-    ("lapack") serves the clean routes, scipy's ``eigvals`` the dense one.
-    A call of ``numpy.linalg.eigvals`` is recorded too. Helper threads solve
-    concurrently, so the calls come sorted."""
+    two usable CPUs: the bound ``dgeev`` of ``spectral._geev`` on numpy's
+    LAPACK ("numpy") serves the clean routes, on scipy's ("scipy") the dense
+    one. A call of ``numpy.linalg.eigvals`` is recorded as "numpy.linalg".
+    Helper threads solve concurrently, so the calls come sorted."""
     calls = []
 
-    def record(lib, real):
-        def eigvals(a, *args, **kwargs):
-            calls.append((lib, a.shape))
-            return real(a, *args, **kwargs)
-        return eigvals
+    def geev(lapack, a, *args, **kwargs):
+        lib = "numpy" if lapack is spectral._numpy_lapack() else "scipy"
+        calls.append((lib, a.shape))
+        return spectral._geev(lapack, a, *args, **kwargs)
 
+    def eigvals(a, *args, **kwargs):
+        calls.append(("numpy.linalg", a.shape))
+        return real_eigvals(a, *args, **kwargs)
+
+    real_eigvals = np.linalg.eigvals
     monkeypatch.setattr(entanglement, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(entanglement, "_dgeev_eigvals",
-                        record("lapack", spectral._dgeev_eigvals))
-    for lib, module in (("numpy", np.linalg), ("scipy", spectral._scipy_linalg())):
-        monkeypatch.setattr(module, "eigvals", record(lib, module.eigvals))
+    monkeypatch.setattr(entanglement, "_geev", geev)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     return calls
 
 
@@ -474,16 +476,16 @@ def test_clean_open_chain_makes_no_dense_solve(monkeypatch):
         raise AssertionError("dense biorthogonal solve on a clean open chain")
 
     calls = record_eigvals(monkeypatch)
-    # the dense kernel, under each binding, and scipy, whose LAPACK holds
+    # the dense kernel, under each binding, and scipy's LAPACK, which holds
     # both dense eigensolvers
     monkeypatch.setattr(spectral, "biorthogonal_diagonalize", forbidden)
     for module in (spectral, entanglement):
         monkeypatch.setattr(module, "_real_gauge_system", forbidden)
-        monkeypatch.setattr(module, "_scipy_linalg", forbidden)
+        monkeypatch.setattr(module, "_scipy_lapack", forbidden)
     prof = pc.entropy_profile(spec, [1, 10, 29], REG)
     pc.ground_state_energy(spec)
     # the subsystem blocks only, on numpy's LAPACK
-    assert sorted(calls) == [("lapack", (n, n)) for n in (2, 20, 58)]
+    assert sorted(calls) == [("numpy", (n, n)) for n in (2, 20, 58)]
     assert np.all(np.isfinite(prof.values))
 
 
@@ -495,7 +497,7 @@ def test_subsystem_eigensolve_sizes_by_route(monkeypatch):
     # the open chain's 2 ell solves are pinned by the test above
     for spec, lib, dims in (
         # the reflection halves the periodic block: one ell x ell solve
-        (pc.ChainSpec(**clean), "lapack", ells),
+        (pc.ChainSpec(**clean), "numpy", ells),
         # the dense route stays on scipy, the library of its whole solve
         (pc.ChainSpec(**clean, detuning=1e-6, disorder=offsets), "scipy",
          [2 * e for e in ells]),

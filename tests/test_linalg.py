@@ -2,12 +2,15 @@
 
 Clean chains never need a dense biorthogonal solve: the k-space and
 singular-mode routes, the fits, the Zak phase and the symmetry checks run
-on ``numpy.linalg`` and ``@`` alone, so a process that runs only clean
-chains never imports scipy, most of a CLI process's start-up. The dense
-route needs left eigenvectors (``dgeev``), which no numpy function
-returns. It runs whole on scipy's LAPACK and BLAS, reached through one
-cached accessor, ``spectral._scipy_linalg``: a dense run then touches one
-OpenBLAS pool, since the numpy and scipy wheels each bundle their own.
+on ``numpy.linalg``, ``@`` and numpy's own LAPACK, so a process that runs
+only clean chains never imports scipy, most of a CLI process's start-up.
+The dense route needs left eigenvectors (``dgeev``), which no numpy
+function returns. It runs whole on the LAPACK and BLAS that scipy's
+``_flapack`` extension links, bound through ctypes by
+``spectral._scipy_lapack`` without importing ``scipy.linalg``: a dense run
+then touches one OpenBLAS pool, since the numpy and scipy wheels each
+bundle their own, and the bindings make scipy's wrappers' calls, bit for
+bit, which the tests below check with ``scipy.linalg`` imported here only.
 """
 
 import os
@@ -15,13 +18,19 @@ import pathlib
 import re
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import ptchain as pc
+from ptchain import spectral
+from ptchain.entanglement import _subsystem_correlation, _subsystem_eigvals
+from ptchain.lattice import _gauge_matrix
 from ptchain.rng import disorder_offsets
-from ptchain.spectral import _gemm
+from ptchain.spectral import _geev, _gemm, _scipy_lapack
+from test_gauge import PACKED_CASES
 
 SRC = pathlib.Path(pc.__file__).resolve().parent
 
@@ -34,13 +43,13 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-def test_source_imports_scipy_only_in_the_accessor():
+def test_source_imports_no_scipy():
     pattern = re.compile(r"^\s*(?:import|from)\s+scipy\b")
     hits = [f"{path.name}: {line.strip()}"
             for path in sorted(SRC.glob("*.py"))
             for line in path.read_text().splitlines()
             if pattern.search(line)]
-    assert hits == ["spectral.py: import scipy.linalg"]
+    assert hits == []
 
 
 def test_cli_import_loads_no_scipy():
@@ -51,23 +60,23 @@ def test_cli_import_loads_no_scipy():
     assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
 
 
-#: Prelude of the scipy-blocked runs: a meta-path finder refuses scipy
-#: and its submodules, and checks that it does.
-BLOCK_SCIPY = """
+#: Prelude of the blocked runs: a meta-path finder refuses a package
+#: (scipy, or scipy.linalg) and its submodules, and checks that it does.
+BLOCK = """
 import sys
 
-class BlockScipy:
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} is blocked")
+        if name == {blocked!r} or name.startswith({blocked!r} + "."):
+            raise ImportError(f"{{name}} is blocked")
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, Block())
 try:
     import scipy.linalg
 except ImportError:
     pass
 else:
-    raise SystemExit("scipy was not blocked")
+    raise SystemExit("{blocked} was not blocked")
 
 import numpy as np
 import ptchain as pc
@@ -123,7 +132,52 @@ for boundary, t_plus in ((PBC, True), (OBC, False)):
 @pytest.mark.parametrize("case", WITHOUT_SCIPY)
 def test_clean_chains_run_without_scipy(case):
     check = "\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-    proc = run_fresh(BLOCK_SCIPY + WITHOUT_SCIPY[case] + check)
+    proc = run_fresh(BLOCK.format(blocked="scipy") + WITHOUT_SCIPY[case] + check)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+#: Dense-route work that must run with scipy.linalg blocked: its LAPACK and
+#: BLAS are bound through ctypes, not imported.
+WITHOUT_SCIPY_LINALG = {
+    "density-sm-s6a": """
+import tempfile
+from ptchain import cli
+
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["fig", "sm-s6a", "--scale", "10", "--out", out]) == 0
+""",
+    "disorder-ensemble": """
+template = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=24, detuning=1e-10)
+stats = pc.disorder_ensemble(template, 0.9, 4, 7, [4, 8], jobs=2)
+assert stats.workers == min(2, pc.fits._usable_cpus())
+assert np.max(np.abs(stats.im_values + np.pi)) < 1e-6
+""",
+    "complex-path": """
+# a complex gauge: zgeev and the complex cluster algebra
+rng = np.random.default_rng(2)
+H = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+assert pc.biorthogonal_diagonalize(H).biorth_residual < 1e-9
+""",
+    "occupied-correlation": """
+spec = chain(PBC)
+system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
+C = pc.occupied_correlation(system, pc.select_half_filling(system))
+assert np.allclose(np.trace(C), spec.cells)
+""",
+    "correlation-matrix": """
+system = pc.biorthogonal_diagonalize(pc.build_real_space(chain(OBC)))
+block = pc.correlation_matrix(system, pc.select_half_filling(system), 6)
+assert block.matrix.shape == (12, 12) and np.all(np.isfinite(block.matrix))
+""",
+}
+
+
+@pytest.mark.parametrize("case", WITHOUT_SCIPY_LINALG)
+def test_dense_route_runs_without_scipy_linalg(case):
+    check = ("\nassert not [m for m in sys.modules if m == 'scipy.linalg' "
+             "or m.startswith('scipy.linalg.')]\n")
+    proc = run_fresh(BLOCK.format(blocked="scipy.linalg") + WITHOUT_SCIPY_LINALG[case]
+                     + check)
     assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
@@ -172,6 +226,129 @@ def test_gemm_matches_matmul_in_any_memory_order(order_a, order_b):
     a = np.asarray(rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7)),
                    order=order_a)
     b = np.asarray(rng.normal(size=(7, 4)), order=order_b)
-    np.testing.assert_allclose(_gemm(a, b), a @ b, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(_gemm(a[:, 1:6], b[2:, :]), a[:, 1:6] @ b[2:, :],
-                               rtol=1e-13, atol=1e-13)
+    # real and complex operands, whole, sliced and strided (neither C- nor
+    # Fortran-ordered, copied first)
+    for x, y in ((a, b), (a.real, b), (a, b + 1j), (a.real.copy(order=order_a), b),
+                 (a[:, 1:6], b[2:, :]), (a[:, ::2], b[::2, :]), (a.real[::2, ::3], b[::3])):
+        np.testing.assert_allclose(_gemm(x, y), x @ y, rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError, match="do not multiply"):
+        _gemm(a, b[1:])
+    with pytest.raises(ValueError, match="do not multiply"):
+        _gemm(a, b[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# The bindings against the scipy.linalg functions they replace
+# ---------------------------------------------------------------------------
+
+def realization(alpha, boundary, seed):
+    """A fig4a-like realization: offsets within 0.999 of the critical
+    v = 1, w = 2, u = 1 chain, at 60 cells."""
+    return pc.ChainSpec(alpha=alpha, v=1.0, w=2.0, u=1.0, cells=60, boundary=boundary,
+                        detuning=1e-10,
+                        disorder=pc.DisorderProfile(disorder_offsets(seed, 0.999, 60)))
+
+
+REALIZATIONS = [pytest.param(realization(alpha, boundary, 1234 + i),
+                             id=f"fig4a-like-{alpha}-{boundary.value}")
+                for i, (alpha, boundary) in enumerate(
+                    (alpha, boundary) for alpha in (1, 2)
+                    for boundary in (pc.Boundary.PBC, pc.Boundary.OBC))]
+
+THREADS = pytest.mark.parametrize("threads", [1, 2])
+
+
+def assert_bits(ours, theirs):
+    assert len(ours) == len(theirs)
+    for x, y in zip(ours, theirs):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@THREADS
+@pytest.mark.parametrize("spec", REALIZATIONS + PACKED_CASES)
+def test_dgeev_with_vectors_is_scipys(scipy_threads, threads, spec):
+    scipy_threads(threads)
+    A = _gauge_matrix(spec)
+    lwork, info = sla.lapack.dgeev_lwork(len(A))
+    *theirs, info = sla.lapack.dgeev(A, lwork=int(lwork))
+    assert info == 0
+    assert_bits(_geev(_scipy_lapack(), A, vectors=True), theirs)
+
+
+@THREADS
+@pytest.mark.parametrize("spec", REALIZATIONS)
+def test_dgeev_values_on_dense_blocks_are_scipys(scipy_threads, threads, spec):
+    scipy_threads(threads)
+    M, route = _subsystem_correlation(spec, 30)
+    assert route == "dense"
+    for ell in (1, 2, 10, 30):
+        block = M[: 2 * ell, : 2 * ell]
+        assert_bits([_subsystem_eigvals(block, route, partial(_geev, _scipy_lapack()))],
+                    [_subsystem_eigvals(block, route, sla.eigvals)])
+
+
+@THREADS
+def test_cluster_inv_and_svdvals_are_scipys(monkeypatch, scipy_threads, threads):
+    # every cluster the packed cases hold, at the call the kernel makes
+    scipy_threads(threads)
+    shapes = []
+
+    def checked(ours, theirs):
+        def call(a):
+            result = ours(a)
+            assert_bits([result], [theirs(a)])
+            shapes.append(a.shape)
+            return result
+        return call
+
+    monkeypatch.setattr(spectral, "_inv", checked(spectral._inv, sla.inv))
+    monkeypatch.setattr(spectral, "_svdvals", checked(spectral._svdvals, sla.svdvals))
+    for param in PACKED_CASES:
+        spectral._real_gauge_system(_gauge_matrix(param.values[0]))
+    assert len(shapes) >= 2 and min(n for n, _ in shapes) >= 2
+
+
+@THREADS
+def test_zgeev_and_complex_svdvals_are_scipys(scipy_threads, threads):
+    # a matrix outside the family, whose gauge is complex
+    scipy_threads(threads)
+    rng = np.random.default_rng(5)
+    H = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    assert_bits(_geev(_scipy_lapack(), H, vectors=True), sla.eig(H, left=True, right=True))
+    for M in (H, H[:, :25], H[:25]):
+        assert_bits([spectral._svdvals(M)], [sla.svdvals(M)])
+
+
+@THREADS
+@pytest.mark.parametrize("dtypes", [(float, float), (complex, float), (float, complex)],
+                         ids=["real", "complex-real", "real-complex"])
+def test_gemm_is_scipys(scipy_threads, threads, dtypes):
+    # the call scipy's gemm wrapper gets from the dense route's products,
+    # which hand it C-ordered operands as transposes; f2py copies an operand
+    # in neither order Fortran-ordered
+    scipy_threads(threads)
+    rng = np.random.default_rng(7)
+    a, b = (rng.normal(size=shape).astype(dtype)
+            for shape, dtype in zip(((90, 70), (70, 80)), dtypes))
+    for x, y in ((a, b), (np.asfortranarray(a), b), (a, np.asfortranarray(b)),
+                 (a[:, ::2], b[::2]), (a[::3].T, b[:30])):
+        gemm = sla.blas.get_blas_funcs("gemm", (x, y))
+        fx, fy = x.flags.f_contiguous, y.flags.f_contiguous
+        theirs = gemm(1.0, x if fx else x.T, y if fy else y.T,
+                      trans_a=0 if fx else 1, trans_b=0 if fy else 1)
+        assert_bits([_gemm(x, y)], [theirs])
+
+
+@pytest.mark.parametrize("bits, other", [(32, "numpy"), (64, "scipy")])
+def test_library_without_the_names_refused(monkeypatch, bits, other):
+    # numpy's library exports only 64-bit names, scipy's only 32-bit ones
+    from numpy.linalg import _umath_linalg
+
+    file = _umath_linalg.__file__ if other == "numpy" else _scipy_lapack().file
+    suffix = "_" if bits == 32 else "_64_"
+    with pytest.raises(ImportError, match=f"neither scipy_dgeev{suffix} nor dgeev{suffix}"):
+        spectral._bind_lapack(file, bits)
+    # on the first dense call, where scipy's library lacks them
+    monkeypatch.setattr(spectral, "_scipy_lapack", lambda: spectral._bind_lapack(file, bits))
+    with pytest.raises(ImportError, match="dgeev"):
+        pc.ground_state_energy(realization(1, pc.Boundary.PBC, 1))
