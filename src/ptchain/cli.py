@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import operator
@@ -48,6 +47,8 @@ from .cookbook import figure_cookbook, figure_names, scale_config
 from .entanglement import (
     Prescription,
     ToleranceSet,
+    _block_diagonal,
+    _correlation_block,
     _subsystem_correlation,
     _ungauge,
     entropy_profile,
@@ -387,9 +388,24 @@ def _jsonable(obj):
     return obj
 
 
+def _sha256():
+    """CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before):
+    ``hashlib`` loads OpenSSL's libcrypto, about 3.6 MB resident, to hash a
+    config of a few hundred bytes. ``hashlib`` only where neither exists;
+    the digest is the same."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256()(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +493,9 @@ def _run_density(spec, **tol):
         site, fields = profile.site, {"mode_E": state.E, "route": "dense"}
     else:
         # C_ii = 1/2 + (i/2) M_ii of the chain's correlation block
-        M, route = _subsystem_correlation(spec, spec.cells, **tol)
-        site, fields = 0.5 + 0.5j * np.diagonal(M), {"route": route}
+        corr, route = _subsystem_correlation(spec, spec.cells, **tol)
+        site = 0.5 + 0.5j * _block_diagonal(corr, route, spec.cells)
+        fields = {"route": route}
     return ("density", {"cell": range(1, spec.cells + 1), "n_A": site[0::2],
                         "n_B": site[1::2], "n_cell": site[0::2] + site[1::2]}), fields
 
@@ -500,7 +517,7 @@ def _run_disorder(spec, ells, delta_bound, n_realizations, seed=0, **opts):
 
 def _run_symmetry_check(spec, ell, **tol):
     zero = {"tol_zero": tol.pop("tol_zero")} if "tol_zero" in tol else {}
-    M, route = _subsystem_correlation(spec, ell, **zero)
+    M, route = _correlation_block(spec, ell, **zero)
     report = symmetry_closure(_ungauge(M), **tol)
     return None, {
         "ell": ell,

@@ -77,6 +77,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateEigenvalue,
@@ -238,16 +239,45 @@ def correlation_matrix(
     return CorrelationMatrix(C, ell, Provenance.REAL_SPACE)
 
 
-def _toeplitz_correlation(g: np.ndarray, ell: int, L: int) -> np.ndarray:
+def _toeplitz_blocks(g: np.ndarray, ell: int) -> np.ndarray:
+    """The ell x ell Toeplitz blocks T[a, b][i, j] = g[a, b, (i - j) mod L]
+    of the 2 x 2 x L per-separation blocks g, as one strided view, shape
+    (2, 2, ell, ell), over g gathered at the separations -(ell-1)..ell-1."""
+    r = np.arange(1 - ell, ell) % g.shape[-1]
+    return sliding_window_view(g[..., r], ell, axis=-1)[..., ::-1]
+
+
+def _toeplitz_correlation(g: np.ndarray, ell: int) -> np.ndarray:
     """2 ell x 2 ell block from the 2 x 2 x L per-separation blocks g, in
-    g's dtype."""
-    n = np.arange(ell)
-    idx = (n[:, None] - n[None, :]) % L
-    C = np.empty((2 * ell, 2 * ell), dtype=g.dtype)
-    for a in range(2):
-        for b in range(2):
-            C[a::2, b::2] = g[a, b, idx]
-    return C
+    g's dtype, sublattices interleaved."""
+    t = _toeplitz_blocks(g, ell)
+    return t.transpose(2, 0, 3, 1).reshape(2 * ell, 2 * ell)
+
+
+def _leading_block(corr: np.ndarray, route: str, cells: int) -> np.ndarray:
+    """Leading 2 cells x 2 cells block of M from ``corr``, what
+    :func:`_subsystem_correlation` returned on ``route``."""
+    if route == "k_space":
+        return _toeplitz_correlation(corr, cells)
+    return corr[: 2 * cells, : 2 * cells]
+
+
+def _block_diagonal(corr: np.ndarray, route: str, cells: int) -> np.ndarray:
+    """Diagonal of :func:`_leading_block`, with no block formed on the
+    ``k_space`` route, where it is g[a, a, 0] in every cell."""
+    if route == "k_space":
+        return np.tile(np.diagonal(corr[..., 0]), cells)
+    return np.diagonal(corr)[: 2 * cells]
+
+
+def _correlation_block(
+    spec: ChainSpec, cells: int, tol_zero: float = TOL_ZERO
+) -> tuple[np.ndarray, str]:
+    """Leading 2 cells x 2 cells block of M and its route, for callers that
+    need the block itself (:func:`_subsystem_correlation`, then
+    :func:`_leading_block`)."""
+    corr, route = _subsystem_correlation(spec, cells, tol_zero)
+    return _leading_block(corr, route, cells), route
 
 
 def correlation_k_space(spec: ChainSpec, ell: int) -> CorrelationMatrix:
@@ -258,7 +288,7 @@ def correlation_k_space(spec: ChainSpec, ell: int) -> CorrelationMatrix:
     if spec.boundary is not Boundary.PBC:
         raise ValueError("correlation_k_space requires periodic boundaries")
     ell = _subsystem_cells(ell, spec.cells)
-    M, _ = _subsystem_correlation(spec, ell)
+    M, _ = _correlation_block(spec, ell)
     return CorrelationMatrix(_ungauge(M), ell, Provenance.K_SPACE)
 
 
@@ -313,16 +343,20 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
 def _subsystem_correlation(
     spec: ChainSpec, cells: int, tol_zero: float = TOL_ZERO
 ) -> tuple[np.ndarray, str]:
-    """Leading 2 cells x 2 cells block of M = -2i S^-1 (C - 1/2) S, and the
-    route that formed it.
+    """The leading 2 cells x 2 cells block of M = -2i S^-1 (C - 1/2) S, or
+    on the ``k_space`` route the coefficients it is formed from, and the
+    route: the one place that picks a route. :func:`_leading_block` forms
+    the block from either.
 
     M is real for every state of the family, nu = 1/2 + (i/2) eig(M). Only
     the leading rows of C are formed, never the 2L x 2L product. Routes:
 
     ``"k_space"``
-        clean periodic chains: inverse FFT of the per-momentum blocks
-        M_k = [[-u, -conj(v_k)], [v_k, u]] / e_k, as Toeplitz blocks. The
-        grid holds k and -k as exact negatives, so M_-k = conj(M_k) and the
+        clean periodic chains: the inverse FFT g, 2 x 2 x L, of the
+        per-momentum blocks M_k = [[-u, -conj(v_k)], [v_k, u]] / e_k, whose
+        Toeplitz blocks g[a, b, (i - j) mod L] make M at any size
+        (:func:`_toeplitz_correlation`); ``cells`` is not needed. The grid
+        holds k and -k as exact negatives, so M_-k = conj(M_k) and the
         transform is real: a real inverse FFT (``irfft``) of the k >= 0
         half of the FFT-ordered grid;
     ``"singular_mode"``
@@ -347,8 +381,7 @@ def _subsystem_correlation(
         inv_e = np.divide(1.0, e, out=np.zeros(L), where=e > 0)
         uk = np.full(L, u)
         m = np.array([[-uk, -np.conj(v)], [v, uk]]) * inv_e  # M_k, k last
-        g = np.fft.irfft(m[..., : L // 2 + 1], n=L)
-        return _toeplitz_correlation(g, cells, L), "k_space"
+        return np.fft.irfft(m[..., : L // 2 + 1], n=L), "k_space"
     if spec.is_translation_invariant:
         return _singular_mode_block(spec, cells, tol_zero), "singular_mode"
     sys = _real_gauge_system(_gauge_matrix(spec))
@@ -651,9 +684,33 @@ class EntropyProfile:
 _MU_FLOOR = 1e-12
 
 
-def _subsystem_eigvals(block: np.ndarray, route: str, eigvals) -> np.ndarray:
-    """Eigenvalues lambda of a gauged 2 ell x 2 ell block M_A of M, formed on
-    ``route``, solved with ``eigvals``; nu = 1/2 + (i/2) lambda.
+def _halved_eigvals(t: np.ndarray, h: np.ndarray, eigvals) -> np.ndarray | None:
+    """Eigenvalues lambda = +-sqrt(eig(P Q)) of a reflection-odd block with
+    halves P = T - H and Q = T + H, solved with ``eigvals``; None where
+    min |mu| sits below ``_MU_FLOOR`` ||P||_1 ||Q||_1 and the block must
+    take the 2 ell solve instead (:func:`_subsystem_eigvals`).
+
+    T = M_AA and H = M_AB J of the block. P and Q are formed here, from T
+    and H (strided views on the ``k_space`` route), their norms taken and
+    both dropped, so that the solve holds one ell x ell array, P Q, formed
+    Fortran-ordered: the layout LAPACK takes.
+    """
+    p, q = t - h, t + h
+    floor = _MU_FLOOR * np.linalg.norm(p, 1) * np.linalg.norm(q, 1)
+    pq = np.matmul(p, q, order="F")
+    del p, q
+    mu = eigvals(pq).astype(complex, copy=False)
+    del pq
+    if np.min(np.abs(mu)) >= floor:
+        root = np.sqrt(mu)
+        return np.concatenate([root, -root])
+    return None
+
+
+def _subsystem_eigvals(corr: np.ndarray, route: str, ell: int, eigvals) -> np.ndarray:
+    """Eigenvalues lambda of the gauged 2 ell x 2 ell block M_A of M, from
+    ``corr``, what :func:`_subsystem_correlation` returned on ``route``,
+    solved with ``eigvals``; nu = 1/2 + (i/2) lambda.
 
     On the k-space route M_A = [[-u X, -Y^T], [Y, u X]] by sublattice, with
     X symmetric Toeplitz and Y Toeplitz, so J X J = X and J Y J = Y^T for the
@@ -661,16 +718,17 @@ def _subsystem_eigvals(block: np.ndarray, route: str, eigvals) -> np.ndarray:
     Gamma M_A Gamma = -M_A, and in Gamma's +-1 basis M_A = [[0, P], [Q, 0]]
     with P = M_AA - M_AB J and Q = M_AA + M_AB J. So lambda = +-sqrt(mu),
     mu = eig(P Q): one real ell x ell eigensolve in place of a 2 ell x 2 ell
-    one. The pairing is exact: mu > 0 is an edge pair at Re nu = 1/2 to the
-    last bit, mu < 0 two real modes nu, 1 - nu, and a complex pair of mu a
-    quartet.
+    one (:func:`_halved_eigvals`). The pairing is exact: mu > 0 is an edge
+    pair at Re nu = 1/2 to the last bit, mu < 0 two real modes nu, 1 - nu,
+    and a complex pair of mu a quartet. M_AA[i, j] = g[0, 0, (i - j) mod L]
+    and M_AB J[i, j] = g[0, 1, (i + j - ell + 1) mod L] are strided views on
+    g (:func:`_toeplitz_blocks`), so no 2 ell block is formed.
 
     Near mu = 0 the square root amplifies rounding, which can push
     half-filled modes across ``tol_real``; a block with min |mu| below
-    ``_MU_FLOOR`` ||P||_1 ||Q||_1 takes the 2 ell solve instead, as do the
-    blocks of the other routes, which have no such reflection. The norms
-    are taken first and P, Q dropped, so that the solve holds one ell x ell
-    array, P Q, formed Fortran-ordered: the layout LAPACK takes.
+    ``_MU_FLOOR`` ||P||_1 ||Q||_1 takes the 2 ell solve instead, formed from
+    g for that size alone, as do the blocks of the other routes, which have
+    no such reflection.
 
     ``eigvals`` is a function of a real matrix that may overwrite it, and
     each call gets a fresh Fortran-ordered array: the bound ``dgeev`` of
@@ -681,25 +739,23 @@ def _subsystem_eigvals(block: np.ndarray, route: str, eigvals) -> np.ndarray:
     eigenvalue is real, and sqrt of a negative float64 mu is NaN.
     """
     if route == "k_space":
-        aa, ab_j = block[0::2, 0::2], block[0::2, 1::2][:, ::-1]
-        p, q = aa - ab_j, aa + ab_j
-        floor = _MU_FLOOR * np.linalg.norm(p, 1) * np.linalg.norm(q, 1)
-        pq = np.matmul(p, q, order="F")
-        del p, q
-        mu = eigvals(pq).astype(complex, copy=False)
-        del pq
-        if np.min(np.abs(mu)) >= floor:
-            root = np.sqrt(mu)
-            return np.concatenate([root, -root])
-    return eigvals(np.array(block, order="F")).astype(complex, copy=False)
+        t = _toeplitz_blocks(corr, ell)
+        lam = _halved_eigvals(t[0, 0], t[0, 1, :, ::-1], eigvals)
+        if lam is not None:
+            return lam
+    block = np.array(_leading_block(corr, route, ell), order="F")
+    return eigvals(block).astype(complex, copy=False)
 
 
-def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray], int]:
-    """:func:`_subsystem_eigvals` of every block, in order, and the number of
-    threads that solved them: the one place that picks a subsystem solver
-    and its BLAS thread count.
+def _solve_blocks(
+    corr: np.ndarray, route: str, ells: np.ndarray
+) -> tuple[list[np.ndarray], int]:
+    """:func:`_subsystem_eigvals` of every size of ``ells`` (ascending) from
+    ``corr``, what :func:`_subsystem_correlation` returned on ``route``, in
+    order, and the number of threads that solved them: the one place that
+    picks a subsystem solver and its BLAS thread count.
 
-    The calling thread and ``workers - 1`` helper threads take the blocks
+    The calling thread and ``workers - 1`` helper threads take the sizes
     off one shared list, largest first; the first error raised is raised
     again once every helper has stopped. The solver, per route:
 
@@ -721,9 +777,9 @@ def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray
         eigvals, workers = np.linalg.eigvals, 1
     else:
         eigvals = partial(_geev, lapack)
-        workers = 1 if dense else min(_usable_cpus(), len(blocks))
-    results: list = [None] * len(blocks)
-    todo = list(range(len(blocks)))  # sizes ascend: pop() takes the largest
+        workers = 1 if dense else min(_usable_cpus(), len(ells))
+    results: list = [None] * len(ells)
+    todo = list(range(len(ells)))  # sizes ascend: pop() takes the largest
     errors: list[BaseException] = []
 
     def work():
@@ -733,7 +789,7 @@ def _solve_blocks(blocks: list[np.ndarray], route: str) -> tuple[list[np.ndarray
             except IndexError:
                 return
             try:
-                results[i] = _subsystem_eigvals(blocks[i], route, eigvals)
+                results[i] = _subsystem_eigvals(corr, route, int(ells[i]), eigvals)
             except BaseException as exc:
                 errors.append(exc)
                 todo.clear()
@@ -781,10 +837,13 @@ def entropy_profile(
 ) -> EntropyProfile:
     """Entropy for a list of leading-block sizes on one chain.
 
-    The correlation block is formed once, at the largest size, by
-    :func:`_subsystem_correlation` (k-space for clean periodic chains,
-    singular modes for clean open chains, dense for disordered chains) and
-    sliced per size; the profile records that route.
+    The correlation is formed once by :func:`_subsystem_correlation`
+    (k-space for clean periodic chains, singular modes for clean open
+    chains, dense for disordered chains) and the profile records that
+    route. The singular-mode and dense blocks are formed at the largest size
+    and sliced per size; the k-space route keeps its 2 x 2 x L coefficients
+    g and forms each size's halves from them, so no block of the largest
+    size is ever held.
 
     The subsystem eigensolve is real: the blocks are those of
     M = -2i S^-1 (C - 1/2) S in the sublattice gauge, and
@@ -802,9 +861,8 @@ def entropy_profile(
     ``workers``. Classification and entropy then run in size order.
     """
     ells = _subsystem_sizes(ells, spec.cells)
-    M, route = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
-    blocks = [M[: 2 * int(e), : 2 * int(e)] for e in ells]
-    eigvals, workers = _solve_blocks(blocks, route)
+    corr, route = _subsystem_correlation(spec, int(ells[-1]), tol_zero)
+    eigvals, workers = _solve_blocks(corr, route, ells)
     results = []
     counts = np.zeros((3, len(ells)), dtype=int)
     for col, lam in enumerate(eigvals):

@@ -406,12 +406,14 @@ def disorder_ensemble(
     CPU count; one worker runs serially, without a pool.
 
     A realization is one dense eigensolve, which a second BLAS thread does
-    not speed up, so every realization runs on one BLAS thread and restores
-    the count it found, in a worker or in the serial loop, and the cores go
-    to processes instead. The statistics are then bit-identical for any
-    worker count, completion order or caller's thread count; where the
-    dense route's BLAS offers no thread control, they are identical only at
-    equal BLAS thread counts.
+    not speed up, so every realization runs on one BLAS thread and the
+    cores go to processes instead: the ensemble pins the pool to one thread
+    around the serial loop or the pool, whose forked workers inherit it,
+    and restores the caller's count after it; each realization pins it
+    again where it is not at one thread. The statistics are then
+    bit-identical for any worker count, completion order or caller's thread
+    count; where the dense route's BLAS offers no thread control, they are
+    identical only at equal BLAS thread counts.
     """
     if template.disorder is not None:
         raise ValueError("template must be disorder-free; offsets are drawn per realization")
@@ -431,16 +433,18 @@ def disorder_ensemble(
     # more workers than realizations or CPUs only cost forks
     cpus = _usable_cpus()
     workers = min(cpus if jobs is None else jobs, n_realizations, cpus)
-    # every realization pins the dense route's BLAS: bind it here, before
-    # the pool forks, rather than once in every worker
-    _scipy_lapack()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # every realization pins the dense route's BLAS: bind it and pin it
+    # here, before the pool forks, so that each worker inherits one thread
+    # and its pin calls nothing (a forked OpenBLAS would start a fresh
+    # helper thread to set the count)
+    with _one_blas_thread(_scipy_lapack()):
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(run, range(n_realizations)))
-    else:
-        values = list(map(run, range(n_realizations)))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                values = list(pool.map(run, range(n_realizations)))
+        else:
+            values = list(map(run, range(n_realizations)))
     values = np.array(values, dtype=complex)
     return EnsembleStats(
         ells=ells,

@@ -570,13 +570,17 @@ def _scipy_lapack() -> _Lapack:
 def _one_blas_thread(lapack: _Lapack | None):
     """``lapack``'s OpenBLAS pool on one thread inside the block and the
     caller's count restored after it, also when the block raises; nothing is
-    pinned where ``lapack`` is None or exports no thread control. At one
-    thread a pool's products and LAPACK calls round the same whatever the
-    caller's count."""
+    called where ``lapack`` is None, exports no thread control or is at one
+    thread already: in a forked worker, OpenBLAS would start a fresh helper
+    thread to set any count. At one thread a pool's products and LAPACK
+    calls round the same whatever the caller's count."""
     if lapack is None or lapack.set_threads is None:
         yield
         return
     previous = lapack.get_threads()
+    if previous == 1:
+        yield
+        return
     lapack.set_threads(1)
     try:
         yield

@@ -1,10 +1,15 @@
-"""Reference Hamiltonian builders.
+"""Reference builders.
 
 Verbatim copies of the complex builders that ``ptchain.lattice`` used
 before every Hamiltonian was built from the real gauge matrix: the chain
 assembled from its hopping block, the interface a per-cell loop.
 ``test_gauge`` requires byte-identical matrices (signed zeros included)
 from both, and the gauge matrix byte-identical to the gauge of these.
+
+``toeplitz_correlation`` is the index-array k-space block that
+``ptchain.entanglement`` formed at the largest size before it took each
+size's halves from strided views; ``test_entanglement`` requires the same
+bytes from the views.
 """
 
 from __future__ import annotations
@@ -61,3 +66,13 @@ def build_interface(spec: InterfaceSpec) -> np.ndarray:
             H[2 * i + 1, 2 * i + 2] += -spec.w
             H[2 * i + 2, 2 * i + 1] += -spec.w
     return H
+
+
+def toeplitz_correlation(g: np.ndarray, ell: int, L: int) -> np.ndarray:
+    n = np.arange(ell)
+    idx = (n[:, None] - n[None, :]) % L
+    C = np.empty((2 * ell, 2 * ell), dtype=g.dtype)
+    for a in range(2):
+        for b in range(2):
+            C[a::2, b::2] = g[a, b, idx]
+    return C

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,7 +16,8 @@ from numpy.testing import assert_allclose
 import ptchain as pc
 import ptchain.entanglement as entanglement
 import ptchain.spectral as spectral
-from ptchain.entanglement import _subsystem_correlation, _subsystem_eigvals
+from ptchain.entanglement import (_correlation_block, _halved_eigvals, _leading_block,
+                                  _subsystem_correlation, _subsystem_eigvals)
 from ptchain.errors import (
     AmbiguousFilling,
     DefectiveMatrix,
@@ -24,6 +26,7 @@ from ptchain.errors import (
     ResidualNeedsRegularized,
     UnpairedMode,
 )
+from reference_builders import toeplitz_correlation as reference_toeplitz
 from reference_classify import classify_spectrum as reference_classify
 
 BC = pc.Prescription.BRANCH_CUT
@@ -515,7 +518,7 @@ class TestReflectionHalving:
         spec = chain(alpha=alpha, v=v, w=w, u=u, cells=cells, detuning=detuning)
         ell = data.draw(st.integers(1, cells))
         try:
-            M, route = _subsystem_correlation(spec, ell)
+            M, route = _correlation_block(spec, ell)
         except (DefectiveMatrix, AmbiguousFilling):
             assume(False)
         assert route == "k_space"
@@ -525,17 +528,17 @@ class TestReflectionHalving:
     def test_guard_keeps_worst_sweep_block(self, monkeypatch):
         # nearly every mode is half filled, so most mu sit at rounding level
         spec = chain(alpha=3, v=0.5, w=0.5, u=1.0, cells=200, detuning=1e-2)
-        block, route = _subsystem_correlation(spec, 100)
-        full = _counts_and_entropy(scipy.linalg.eigvals(block))
+        g, route = _subsystem_correlation(spec, 100)
+        full = _counts_and_entropy(scipy.linalg.eigvals(_leading_block(g, route, 100)))
         assert full[0] == (1, 0, 0, 0)
         assert full[1].imag == pytest.approx(-np.pi, abs=1e-12)
-        lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
+        lam = _subsystem_eigvals(g, route, 100, np.linalg.eigvals)
         counts, value = _counts_and_entropy(lam)
         assert counts == full[0]
         assert abs(value.imag - full[1].imag) < 1e-12
         # without the guard the square root turns that rounding into edge pairs
         monkeypatch.setattr(entanglement, "_MU_FLOOR", 0.0)
-        lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
+        lam = _subsystem_eigvals(g, route, 100, np.linalg.eigvals)
         unguarded, _ = _counts_and_entropy(lam)
         assert unguarded[0] > 1
 
@@ -553,9 +556,10 @@ class TestReflectionHalving:
                                                       detuning, cells, size):
         spec = chain(alpha=alpha, v=v, w=w, u=u, cells=cells, detuning=detuning)
         ell = {"L/4": cells // 4, "L/2": cells // 2}.get(size, size)
-        block, route = _subsystem_correlation(spec, ell)
+        g, route = _subsystem_correlation(spec, ell)
+        block = _leading_block(g, route, ell)
         full_counts, full_value = _counts_and_entropy(scipy.linalg.eigvals(block))
-        lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
+        lam = _subsystem_eigvals(g, route, ell, np.linalg.eigvals)
         counts, value = _counts_and_entropy(lam)
         assert counts == full_counts
         assert abs(value.imag - full_value.imag) < 1e-12
@@ -564,12 +568,13 @@ class TestReflectionHalving:
         # fig2b at --scale 8, its largest block: about half of the real
         # modes sit just outside [0, 1], on a side that depends on the solver
         spec = chain(v=1, w=2, u=1, cells=1250, detuning=1e-12)
-        block, route = _subsystem_correlation(spec, 312)
+        g, route = _subsystem_correlation(spec, 312)
+        block = _leading_block(g, route, 312)
 
         def re_s(lam):
             return pc.entropy(pc.classify_spectrum(0.5 + 0.5j * lam), BC).value.real
 
-        halved = _subsystem_eigvals(block, route, np.linalg.eigvals)
+        halved = _subsystem_eigvals(g, route, 312, np.linalg.eigvals)
         assert np.array_equal(halved[:312], -halved[312:])  # the halved solve ran
         # measured: 9.6e-10
         assert abs(re_s(halved) - re_s(scipy.linalg.eigvals(block))) < 1e-8
@@ -592,7 +597,7 @@ class TestReflectionHalving:
             spect = pc.classify_spectrum(0.5 + 0.5j * np.asarray(lam, dtype=complex))
             return pc.entropy(spect, BC).value.real
 
-        M, _ = _subsystem_correlation(spec, 30)
+        M, _ = _correlation_block(spec, 30)
         M = (M - M[::-1, ::-1]) / 2
         assert np.array_equal(M[::-1, ::-1], -M)
         with mpmath.workdps(40):
@@ -602,13 +607,91 @@ class TestReflectionHalving:
             assert max(min(abs(x - y) for y in halved) for x in whole) < 1e-30
             exact = re_s([complex(x) for x in reference(M)])
 
-        lam = _subsystem_eigvals(M, "k_space", np.linalg.eigvals)
+        # the halves P = T - H, Q = T + H of this block: T = M_AA, H = M_AB J
+        lam = _halved_eigvals(M[0::2, 0::2], M[0::2, 1::2][:, ::-1], np.linalg.eigvals)
         assert np.array_equal(lam[:30], -lam[30:])  # the halved solve ran
         err_full = abs(re_s(scipy.linalg.eigvals(M)) - exact)
         err_halved = abs(re_s(lam) - exact)
         # measured: 7.4e-13 and 2.5e-12
         assert err_full < 1e-11
         assert err_halved < 2e-11
+
+
+class TestKSpaceHalves:
+    """Each size's P and Q come from the coefficients g through strided
+    views, with no 2 ell block formed except on the _MU_FLOOR fallback: the
+    same bytes as the slices of the index-array block."""
+
+    @staticmethod
+    def coefficients(alpha, cells):
+        spec = chain(alpha=alpha, v=1.0, w=2.0, u=1.0, cells=cells, detuning=1e-12)
+        g, route = _subsystem_correlation(spec, cells)
+        assert route == "k_space" and g.shape == (2, 2, cells)
+        return g
+
+    @staticmethod
+    def solved(monkeypatch, g, ell):
+        """The halves _subsystem_eigvals forms and the matrices it solves."""
+        halves, matrices = [], []
+        halved = entanglement._halved_eigvals
+
+        def spy(t, h, eigvals):
+            halves.append((t - h, t + h))
+            return halved(t, h, eigvals)
+
+        def eigvals(a):
+            matrices.append(a.copy(order="K"))
+            return np.linalg.eigvals(a)
+
+        monkeypatch.setattr(entanglement, "_halved_eigvals", spy)
+        _subsystem_eigvals(g, "k_space", ell, eigvals)
+        return halves, matrices
+
+    # ell > L/2 wraps (i - j) mod L, and ell = cells reaches every separation;
+    # at ell = 100 the product's bits follow the layout of P and Q
+    @pytest.mark.parametrize("alpha, cells, ells", [
+        (1, 15, range(1, 16)), (1, 16, range(1, 17)), (2, 15, range(1, 16)),
+        (2, 16, range(1, 17)), (1, 601, [100, 301, 450]),
+    ], ids=["1-odd", "1-even", "2-odd", "2-even", "1-601"])
+    def test_halves_are_the_block_slices(self, monkeypatch, alpha, cells, ells):
+        g = self.coefficients(alpha, cells)
+        for ell in ells:
+            block = reference_toeplitz(g, ell, cells)
+            aa, ab_j = block[0::2, 0::2], block[0::2, 1::2][:, ::-1]
+            [(p, q)], [pq, *_] = self.solved(monkeypatch, g, ell)
+            assert p.flags.c_contiguous and q.flags.c_contiguous
+            assert p.tobytes() == (aa - ab_j).tobytes()
+            assert q.tobytes() == (aa + ab_j).tobytes()
+            assert pq.flags.f_contiguous
+            assert pq.tobytes("A") == np.matmul(aa - ab_j, aa + ab_j,
+                                                order="F").tobytes("A")
+
+    @pytest.mark.parametrize("cells", [15, 16], ids=["odd", "even"])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_fallback_block_is_the_index_array_block(self, monkeypatch, alpha, cells):
+        monkeypatch.setattr(entanglement, "_MU_FLOOR", np.inf)
+        g = self.coefficients(alpha, cells)
+        for ell in range(1, cells + 1):
+            block = entanglement._toeplitz_correlation(g, ell)
+            assert block.tobytes() == reference_toeplitz(g, ell, cells).tobytes()
+            _, [_, solved] = self.solved(monkeypatch, g, ell)
+            assert solved.flags.f_contiguous
+            assert solved.tobytes("A") == np.asfortranarray(block).tobytes("A")
+
+    def test_profile_forms_no_block_of_the_largest_size(self, monkeypatch):
+        # fig2b at --scale 8 on the calling thread alone. Measured: a peak of
+        # 2.5 MB, against 5.4 MB when the 624 x 624 block was formed and sliced
+        spec = chain(v=1, w=2, u=1, cells=1250, detuning=1e-12)
+        ells = [6, 9, 14, 21, 32, 48, 72, 108, 162, 208, 260, 312]
+        monkeypatch.setattr(entanglement, "_usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            prof = pc.entropy_profile(spec, ells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.route == "k_space"
+        assert peak < (2 * 312) ** 2 * np.dtype(float).itemsize
 
 
 class TestRealSubsystemSpectra:
@@ -633,13 +716,13 @@ class TestRealSubsystemSpectra:
     ], ids=["hermitian-pbc", "open-alpha1", "open-alpha2"])
     def test_come_back_complex_and_match_the_full_solve(self, spec, ells):
         ells = list(ells)
-        M, route = _subsystem_correlation(spec, ells[-1])
+        corr, route = _subsystem_correlation(spec, ells[-1])
         prof = pc.entropy_profile(spec, ells, REG)
         assert prof.route == route
         for ell, value in zip(ells, prof.values):
-            block = M[: 2 * ell, : 2 * ell]
+            block = _leading_block(corr, route, ell)
             assert np.isrealobj(np.linalg.eigvals(self.solved(block, route)))
-            lam = _subsystem_eigvals(block, route, np.linalg.eigvals)
+            lam = _subsystem_eigvals(corr, route, ell, np.linalg.eigvals)
             assert lam.dtype == complex and np.all(np.isfinite(lam))
             full = pc.entropy(pc.classify_spectrum(0.5 + 0.5j * scipy.linalg.eigvals(block)),
                               REG).value
@@ -656,7 +739,7 @@ class TestCleanRoutePrecision:
         # fig2b couplings: the gap closes at k = 0, where v - w is exact
         spec = chain(v=1, w=2, u=1, cells=200, detuning=detuning)
         L, ell = spec.cells, 20
-        M, route = _subsystem_correlation(spec, ell)
+        M, route = _correlation_block(spec, ell)
         assert route == "k_space"
         with mpmath.workdps(40):
             u = mpmath.mpf(spec.u_eff)
@@ -772,8 +855,9 @@ class TestConcurrentSolves:
         assert_same_profile(serial, concurrent)
 
     def test_size_identical_alone_and_in_the_profile(self, monkeypatch, blas_threads):
-        # a k-space block is the same slice at any largest size, and a size
-        # requested alone solves on one BLAS thread too, not the caller's two
+        # a k-space size is formed from the same coefficients at any largest
+        # size, and a size requested alone solves on one BLAS thread too, not
+        # the caller's two
         blas_threads(2)
         spec, ells = CONCURRENT_CASES[0].values
         profile = profile_on(monkeypatch, 2, spec, ells)
@@ -795,11 +879,10 @@ class TestConcurrentSolves:
     @pytest.mark.parametrize("spec, ells", CONCURRENT_CASES)
     def test_kernel_matches_numpy_eigvals(self, monkeypatch, blas_threads, spec, ells):
         blas_threads(1)
-        M, route = _subsystem_correlation(spec, ells[-1])
+        corr, route = _subsystem_correlation(spec, ells[-1])
         for ell in ells:
-            block = M[: 2 * ell, : 2 * ell]
-            lam = _subsystem_eigvals(block, route, numpy_eigvals)
-            assert np.array_equal(lam, _subsystem_eigvals(block, route,
+            lam = _subsystem_eigvals(corr, route, ell, numpy_eigvals)
+            assert np.array_equal(lam, _subsystem_eigvals(corr, route, ell,
                                                           np.linalg.eigvals))
         # and a whole profile, where numpy exports no dgeev
         concurrent = profile_on(monkeypatch, 2, spec, ells)

@@ -394,6 +394,39 @@ class TestDisorderEnsemble:
         assert stats.workers == min(jobs, pc.fits._usable_cpus())
         assert np.all(stats.re_values == 1.0)
 
+    @staticmethod
+    def os_thread_profile(*args, **kwargs):
+        """A stand-in profile whose one value is the number of OS threads of
+        the process that ran the realization."""
+        return SimpleNamespace(values=np.array([len(os.listdir("/proc/self/task"))],
+                                               dtype=complex))
+
+    @openblas
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+    def test_forked_workers_start_no_blas_thread(self, monkeypatch, scipy_threads):
+        # the pool is pinned before the fork, so a worker inherits one thread
+        # and its realizations' pins call nothing: setting the count in a
+        # forked OpenBLAS starts a helper thread, which spun beside the
+        # worker's first realization
+        if pc.fits._usable_cpus() < 2:
+            pytest.skip("one usable CPU runs no pool")
+        scipy_threads(2)
+        monkeypatch.setattr(pc.fits, "entropy_profile", self.os_thread_profile)
+        stats = pc.disorder_ensemble(self.template(), 0.9, 4, 0, [4], jobs=2)
+        assert stats.workers == 2
+        assert np.all(stats.re_values == 1.0)
+        assert spectral._scipy_lapack().get_threads() == 2
+
+    @openblas
+    def test_pin_at_one_thread_calls_nothing(self, scipy_threads):
+        def refused(n):
+            raise AssertionError(f"set_threads({n}) called")
+
+        scipy_threads(1)
+        lapack = spectral._scipy_lapack()._replace(set_threads=refused)
+        with spectral._one_blas_thread(lapack):
+            pass
+
     @openblas
     @pytest.mark.parametrize("fails", [False, True])
     def test_serial_run_restores_caller_thread_count(self, monkeypatch, scipy_threads,

@@ -32,7 +32,7 @@ import ptchain as pc
 import ptchain.cli as cli
 import ptchain.entanglement as entanglement
 import ptchain.spectral as spectral
-from ptchain.entanglement import _subsystem_correlation
+from ptchain.entanglement import _correlation_block
 from ptchain.errors import AmbiguousFilling, DefectiveMatrix
 from ptchain.lattice import _gauge_matrix
 from ptchain.spectral import (
@@ -262,7 +262,7 @@ def outcome(f, *args):
 
 
 def assert_block_like_dense(fast, dense):
-    """Outcomes of _subsystem_correlation and dense_correlation on one chain
+    """Outcomes of _correlation_block and dense_correlation on one chain
     hold the same block or the same error class."""
     if isinstance(fast, type) or isinstance(dense, type):
         assert fast is dense
@@ -286,13 +286,13 @@ def test_singular_energy_matches_dense(spec):
 @given(chains(clean=pc.Boundary.OBC))
 def test_singular_block_matches_dense(spec):
     C = dense_correlation(spec)
-    M, route = _subsystem_correlation(spec, spec.cells)
+    M, route = _correlation_block(spec, spec.cells)
     assert route == "singular_mode"
     assert M.dtype == np.float64
     scale = float(np.max(np.abs(C)))
     assert np.max(np.abs(M - gauge_block(C))) <= 1e-10 * scale
     for ell in sorted({1, spec.cells // 2} - {0}):
-        lead, _ = _subsystem_correlation(spec, ell)
+        lead, _ = _correlation_block(spec, ell)
         np.testing.assert_allclose(lead, M[: 2 * ell, : 2 * ell], rtol=0,
                                    atol=1e-13 * scale)
 
@@ -341,12 +341,12 @@ def test_singular_energy_raises_like_dense(alpha, v, w, u, boundary):
             assert fast is dense
         else:
             assert abs(fast - dense) <= 1e-10 * max(abs(dense), 1.0)
-        assert_block_like_dense(outcome(_subsystem_correlation, spec, 24, tol_zero),
+        assert_block_like_dense(outcome(_correlation_block, spec, 24, tol_zero),
                                 outcome(dense_correlation, spec, tol_zero))
 
 
 def leading_block(spec, tol_zero):
-    return _subsystem_correlation(spec, 8, tol_zero)
+    return _correlation_block(spec, 8, tol_zero)
 
 
 @pytest.mark.parametrize("call", [pc.ground_state_energy, leading_block],
@@ -382,7 +382,7 @@ def test_exceptional_point_is_defective(alpha, v, w, u):
         specs = [spec, periodic, *twins]
         calls = [(pc.ground_state_energy, s) for s in specs]
         calls += [(dense_correlation, s) for s in (spec, periodic)]
-        calls += [(_subsystem_correlation, s, 4) for s in specs]
+        calls += [(_correlation_block, s, 4) for s in specs]
         if detuning == 1e-12:
             for f, *args in calls:
                 f(*args)
@@ -413,7 +413,7 @@ def test_hermitian_chain_block_matches_dense(alpha, v, w, cells):
     # make half filling ambiguous on both routes; otherwise the blocks agree
     spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=0.0, cells=cells,
                         boundary=pc.Boundary.OBC, detuning=0.0)
-    assert_block_like_dense(outcome(_subsystem_correlation, spec, cells),
+    assert_block_like_dense(outcome(_correlation_block, spec, cells),
                             outcome(dense_correlation, spec))
 
 
@@ -536,7 +536,7 @@ PACKED_CASES = list(packed_cases())
 
 @pytest.mark.parametrize("spec", PACKED_CASES)
 def test_packed_block_matches_complex_correlation(spec):
-    M, route = _subsystem_correlation(spec, 12)
+    M, route = _correlation_block(spec, 12)
     assert route == "dense" and M.dtype == np.float64
     system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
     C = pc.correlation_matrix(system, pc.select_half_filling(system), 12).matrix
@@ -577,13 +577,13 @@ def test_dense_block_budget_on_zero_offset_twins(cells):
         return clean, replace(clean, disorder=pc.DisorderProfile(np.zeros(cells)))
 
     with pytest.raises(DefectiveMatrix, match="increase the detuning"):
-        _subsystem_correlation(specs(1e-12)[1], 40)
+        _correlation_block(specs(1e-12)[1], 40)
     for detuning, bound in ((1e-10, 1e-5), (1e-8, 1e-7 if cells == 200 else 2e-7)):
         clean, twin = specs(detuning)
-        fast, route = _subsystem_correlation(clean, 40)
+        fast, route = _correlation_block(clean, 40)
         assert route == "k_space"
         reference = entanglement._ungauge(fast)
-        dense = entanglement._ungauge(_subsystem_correlation(twin, 40)[0])
+        dense = entanglement._ungauge(_correlation_block(twin, 40)[0])
         error = np.max(np.abs(dense - reference)) / np.max(np.abs(reference))
         assert error <= bound
 
@@ -604,7 +604,7 @@ def test_dense_block_error_follows_the_kappa_law(scipy_threads, threads, couplin
     v, w, u = couplings
     clean = pc.ChainSpec(v=v, w=w, u=u, cells=cells, detuning=detuning)
     twin = replace(clean, disorder=pc.DisorderProfile(np.zeros(cells)))
-    reference = entanglement._ungauge(_subsystem_correlation(clean, 40)[0])
+    reference = entanglement._ungauge(_correlation_block(clean, 40)[0])
     A = _gauge_matrix(twin)
     scipy_threads(threads)
     packed = spectral._real_gauge_system(A)
@@ -621,7 +621,7 @@ def test_defect_message_states_the_error_estimate():
     twin = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=200, detuning=1e-12,
                         disorder=pc.DisorderProfile(np.zeros(200)))
     with pytest.raises(DefectiveMatrix, match="increase the detuning") as raised:
-        _subsystem_correlation(twin, 40)
+        _correlation_block(twin, 40)
     found = re.search(r"kappa = (\S+) .* kappa\^2 = (\S+)\)", str(raised.value))
     kappa, estimate = float(found[1]), float(found[2])
     norm = np.max(np.sum(np.abs(_gauge_matrix(twin)), axis=0))
@@ -644,9 +644,9 @@ def test_k_space_block_takes_the_real_inverse_fft(monkeypatch, cells):
     # k >= 0 half; odd and even L (the latter with its k = -pi term)
     spec = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=cells, detuning=1e-3)
     twin = replace(spec, disorder=pc.DisorderProfile(np.zeros(cells)))
-    dense, _ = _subsystem_correlation(twin, 20)
+    dense, _ = _correlation_block(twin, 20)
     forbid(monkeypatch, np.fft, "ifft", "fft")
-    M, route = _subsystem_correlation(spec, 20)
+    M, route = _correlation_block(spec, 20)
     assert route == "k_space" and M.dtype == np.float64
     assert np.max(np.abs(M - dense)) <= 1e-10 * np.max(np.abs(M))
 
@@ -668,8 +668,8 @@ def test_packed_clusters_stay_real(monkeypatch, alpha, boundary):
     assert packed.residual < TOL_BIORTH
     gram = system.left_vectors.conj().T @ system.right_vectors
     assert np.max(np.abs(gram - np.eye(system.n))) < TOL_BIORTH
-    dense, route = _subsystem_correlation(twin, 12)
-    clean, _ = _subsystem_correlation(spec, 12)
+    dense, route = _correlation_block(twin, 12)
+    clean, _ = _correlation_block(spec, 12)
     assert route == "dense"
     assert np.max(np.abs(dense - clean)) <= 1e-10 * np.max(np.abs(clean))
 
@@ -736,7 +736,7 @@ def test_dense_route_takes_the_gauge_matrix(monkeypatch, alpha, boundary):
     monkeypatch.setattr(spectral, "_sublattice_gauge", forbidden)
     calls = [record_calls(monkeypatch, module, "_real_gauge_system")
              for module in (entanglement, spectral)]
-    _subsystem_correlation(spec, 12)
+    _correlation_block(spec, 12)
     pc.ground_state_energy(spec)
     for [(args, _)] in calls:
         assert args[0].tobytes() == reference.tobytes()

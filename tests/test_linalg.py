@@ -80,7 +80,7 @@ else:
 
 import numpy as np
 import ptchain as pc
-from ptchain.entanglement import _subsystem_correlation, _ungauge
+from ptchain.entanglement import _correlation_block, _ungauge
 from ptchain.fits import FixedCount
 
 def chain(boundary):
@@ -122,7 +122,7 @@ assert np.isfinite(pc.zak_phase(spec))
     "symmetry-closure": """
 # open ends break the conjugation closure; particle-hole holds on both
 for boundary, t_plus in ((PBC, True), (OBC, False)):
-    M, _ = _subsystem_correlation(chain(boundary), 6)
+    M, _ = _correlation_block(chain(boundary), 6)
     report = pc.symmetry_closure(_ungauge(M))
     assert report.t_plus_ok is t_plus and report.ph_ok
 """,
@@ -282,9 +282,8 @@ def test_dgeev_values_on_dense_blocks_are_scipys(scipy_threads, threads, spec):
     M, route = _subsystem_correlation(spec, 30)
     assert route == "dense"
     for ell in (1, 2, 10, 30):
-        block = M[: 2 * ell, : 2 * ell]
-        assert_bits([_subsystem_eigvals(block, route, partial(_geev, _scipy_lapack()))],
-                    [_subsystem_eigvals(block, route, sla.eigvals)])
+        assert_bits([_subsystem_eigvals(M, route, ell, partial(_geev, _scipy_lapack()))],
+                    [_subsystem_eigvals(M, route, ell, sla.eigvals)])
 
 
 @THREADS
