@@ -268,7 +268,7 @@ def min_abs_vk(spec: ChainSpec) -> float:
     """Minimum of |v_k| over the Brillouin zone.
 
     |v_k|^2 = v^2 + w^2 - 2 v w cos k is monotone in cos k, so the minimum
-    sits at cos k = sign(vw): |v - w| for vw > 0, |v + w| for vw < 0.
+    sits at cos k = sign(vw): |v - w| for vw > 0, |v + w| for vw <= 0.
     Couplings with v*w <= 0 are outside the validated family and are
     flagged with a warning, not refused.
     """
@@ -279,8 +279,7 @@ def min_abs_vk(spec: ChainSpec) -> float:
             UnsupportedCouplings,
             stacklevel=2,
         )
-        return float(min(abs(spec.v + spec.w), abs(spec.v - spec.w),
-                         np.hypot(spec.v, spec.w)))
+        return float(abs(spec.v + spec.w))
     return abs(spec.v - spec.w)
 
 

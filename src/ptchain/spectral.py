@@ -21,6 +21,8 @@ builds it. Dense eigensolves run on G, in real arithmetic (dgeev rather
 than zgeev), and map back with E = i lambda and eigenvectors S v. The
 pairing E <-> -E^* is then the exact conjugate pairing of a real
 spectrum, and modes on the imaginary axis come out at Re E = 0 exactly.
+A matrix outside the family, whose gauge is complex, takes the same
+kernel in complex arithmetic.
 
 The dense route of the correlation block stays real end to end: the
 eigenvectors stay in LAPACK's packed form (a conjugate pair as real and
@@ -124,10 +126,10 @@ def biorthogonal_diagonalize(
 ) -> BiorthogonalSystem:
     """Diagonalize a dense complex matrix into a biorthonormal system.
 
-    The eigensolve runs on -i S^-1 H S in the sublattice gauge, real for
-    every chain of the family, in :func:`_real_gauge_system`; S is unitary,
-    so overlaps are unchanged. A matrix outside the family, whose gauge is
-    complex, takes ``zgeev`` of H itself, on scipy's LAPACK.
+    The eigensolve runs on A = -i S^-1 H S in the sublattice gauge, in
+    :func:`_real_gauge_system`, the one dense kernel: in real arithmetic for
+    every chain of the family, whose gauge is real, and in complex for a
+    matrix outside it. S is unitary, so overlaps are unchanged.
 
     Eigenvalues are ordered deterministically by (Re, Im, input index).
     Nearly degenerate eigenvalues are re-biorthogonalized block-wise via the
@@ -138,33 +140,7 @@ def biorthogonal_diagonalize(
     H = np.asarray(H, dtype=complex)
     if not np.all(np.isfinite(H)):
         raise ValueError("Hamiltonian has non-finite entries")
-    A = _sublattice_gauge(H)
-    if not np.iscomplexobj(A):
-        return _real_gauge_system(A, tol_biorth).unpacked()
-    E, vl, vr = _geev(_scipy_lapack(), np.array(H, order="F"), vectors=True)
-    order = np.lexsort((np.arange(len(E)), E.imag, E.real))
-    E, R, L = E[order], vr[:, order], vl[:, order]
-
-    kappa = 1.0
-    for lo, hi in _cluster_blocks(E, _CLUSTER_REL * max(np.max(np.abs(E)), 1.0)):
-        block, sv_min = _rebiorthogonalize(L[:, lo:hi], R[:, lo:hi])
-        kappa = min(kappa, _require_off_exceptional_point(sv_min))
-        L[:, lo:hi] = block
-    gram = _gemm(L.conj().T, R)
-    residual = float(np.max(np.abs(gram - np.eye(len(E)))))
-    _require_biorthogonal(residual, kappa, tol_biorth, H)
-    return BiorthogonalSystem(E, R, L, residual)
-
-
-def _rebiorthogonalize(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """L inv(M)^dag with M = L^dag R, so that L^dag R = I on a cluster (one
-    mode, or nearly degenerate ones), and kappa, the smallest singular value
-    of M; None in place of the block where kappa is below ``_KAPPA_EP``."""
-    M = L.conj().T @ R
-    sv_min = float(_svdvals(M)[-1])
-    if not sv_min >= _KAPPA_EP:
-        return None, sv_min
-    return L @ _inv(M).conj().T, sv_min
+    return _real_gauge_system(_sublattice_gauge(H), tol_biorth).unpacked()
 
 
 def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float,
@@ -172,9 +148,9 @@ def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float,
     """:class:`DefectiveMatrix` when the Gram residual exceeds ``tol_biorth``.
 
     The message gives kappa and the block error it predicts,
-    eps ||A||_1 / kappa^2 for the matrix A that was solved: the gauge
-    matrix on the real path, H on the complex path (README, "Numerical
-    tolerances"). The norm is taken only here, when the check fails.
+    eps ||A||_1 / kappa^2 for the matrix A that was solved, always the gauge
+    matrix, with ||A||_1 = ||H||_1 (README, "Numerical tolerances"). The
+    norm is taken only here, when the check fails.
     """
     if residual > tol_biorth:
         norm = float(np.max(np.sum(np.abs(A), axis=0)))
@@ -189,17 +165,18 @@ def _require_biorthogonal(residual: float, kappa: float, tol_biorth: float,
 
 @dataclass(frozen=True)
 class _PackedSystem:
-    """Biorthonormal eigensystem of a real gauge matrix A = -i S^-1 H S, in
-    LAPACK's packed real form.
+    """Biorthonormal eigensystem of a gauge matrix A = -i S^-1 H S, in
+    LAPACK's packed form.
 
-    Column j of ``vl`` and ``vr`` holds the real eigenvectors of a real
-    eigenvalue lam[j]. A conjugate pair lam[j] = conj(lam[j + 1]), Im > 0
-    first, keeps its vectors as real and imaginary parts in columns j and
-    j + 1: l = vl[:, j] + i vl[:, j + 1], r likewise, and the partner's
-    vectors are their conjugates. ``vl`` is normalized so that the complex
-    vectors satisfy L^dag R = I to within ``residual``. ``order`` sorts the
-    energies E = i lam by (Re, Im, index). ``kappa``, at most 1, is the
-    smallest distance of a mode from an exceptional point.
+    On a real A, column j of ``vl`` and ``vr`` holds the real eigenvectors
+    of a real eigenvalue lam[j]. A conjugate pair lam[j] = conj(lam[j + 1]),
+    Im > 0 first, keeps its vectors as real and imaginary parts in columns j
+    and j + 1: l = vl[:, j] + i vl[:, j + 1], r likewise, and the partner's
+    vectors are their conjugates. A complex A, outside the family, has
+    complex columns and no ``pairs``. ``vl`` is normalized so that the
+    complex vectors satisfy L^dag R = I to within ``residual``. ``order``
+    sorts the energies E = i lam by (Re, Im, index). ``kappa``, at most 1,
+    is the smallest distance of a mode from an exceptional point.
     """
 
     wr: np.ndarray  # lam = wr + i wi
@@ -230,7 +207,7 @@ class _PackedSystem:
 
     def gauged_block(self, weights: np.ndarray, rows: int) -> np.ndarray:
         """Leading rows x rows block of M = -2i S^-1 (C - 1/2) S, real, for
-        the occupancies ``weights`` of :attr:`energies`.
+        the occupancies ``weights`` of :attr:`energies` of a real A.
 
         C - 1/2 = sum_n (s_n - 1/2) conj(L_n) R_n^T and S^2 = sigma =
         diag(1, -1, 1, -1, ...). A real lam is a mode on the imaginary axis,
@@ -256,8 +233,9 @@ class _PackedSystem:
 
 
 def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _PackedSystem:
-    """Biorthonormal eigensystem of a real gauge matrix in LAPACK's packed
-    real form (:class:`_PackedSystem`), normalized in real arithmetic.
+    """Biorthonormal eigensystem of a gauge matrix in LAPACK's packed form
+    (:class:`_PackedSystem`), normalized in real arithmetic where A is real:
+    the one dense eigensolve of the package.
 
     One ``dgeev`` with both vector sets. The complex vectors are the packed
     ones times U = 1 on a real column and [[1, 1], [i, -i]] on a pair, and
@@ -276,25 +254,37 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     reached 1.16e-9 (v = 2, w = 1, u = 1, 40 periodic cells, default
     detuning), where every other entry stays at 6.4e-10.
 
+    A complex A, outside the family, takes ``zgeev`` and the same rule with
+    no pairs: D = 1 on every column, each column its own partner, and
+    conjugate transposes in place of the transposes (``conj()`` of a real
+    array is the array itself, so the real arithmetic is untouched).
+
     Every kappa is taken from LAPACK's vectors, and the first below
     ``_KAPPA_EP`` in (Re, Im) order raises. The residual covers every entry
-    of the complex Gram matrix, from one real product T = vl^T vr
+    of the complex Gram matrix, from one product T = vl^dag vr
     (:func:`_packed_gram_residual`).
     """
     n = len(A)
-    wr, wi, vl, vr = _geev(_scipy_lapack(), np.array(A, order="F"), vectors=True)
+    if np.iscomplexobj(A):
+        lam, vl, vr = _geev(_scipy_lapack(), np.array(A, order="F"), vectors=True)
+        wr, wi, pairs = lam.real, lam.imag, np.empty(0, dtype=np.intp)
+    else:
+        wr, wi, vl, vr = _geev(_scipy_lapack(), np.array(A, order="F"), vectors=True)
+        pairs = np.flatnonzero(wi > 0)
     # E = i lam = -wi + i wr, in (Re, Im, index) order
     order = np.lexsort((np.arange(n), wr, -wi))
-    pairs = np.flatnonzero(wi > 0)
-    partner = np.arange(n) + np.sign(wi).astype(int)  # the other column of a pair
-    half = np.where(wi == 0, 1.0, 0.5)  # D of the rule vl^T vr = D
+    partner = np.arange(n)  # the other column of a pair, else the column itself
+    partner[pairs], partner[pairs + 1] = pairs + 1, pairs
+    half = np.ones(n)  # D of the rule vl^dag vr = D
+    half[pairs] = half[pairs + 1] = 0.5
 
-    # per column c, vl[:, c] . vr[:, c]; per pair, the cross products a.y, b.x
-    dot = np.einsum("ij,ij->j", vl, vr)
+    # per column c, conj(vl[:, c]) . vr[:, c]; per pair, the cross products a.y, b.x
+    dot = np.einsum("ij,ij->j", vl.conj(), vr)
     xy = np.einsum("ij,ij->j", vl[:, pairs], vr[:, pairs + 1])
     yx = np.einsum("ij,ij->j", vl[:, pairs + 1], vr[:, pairs])
     kappas = np.abs(dot)  # per column; a pair's two columns share kappa = |d|
-    kappas[pairs] = kappas[pairs + 1] = np.hypot(dot[pairs] + dot[pairs + 1], xy - yx)
+    d = (dot[pairs] + dot[pairs + 1]).real, (xy - yx).real  # only a real A has pairs
+    kappas[pairs] = kappas[pairs + 1] = np.hypot(*d)
 
     tol = _CLUSTER_REL * max(float(np.max(np.hypot(wr, wi))), 1.0)
     single = np.ones(n, dtype=bool)
@@ -307,19 +297,19 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
                 q.union(*(s for s in column_sets if s & q))]
     for q in column_sets:  # kappa from LAPACK's vectors, then the rule on Q
         Q = np.array(sorted(q))
-        T = _gemm(vl[:, Q].T, vr[:, Q])
+        T = _gemm(vl[:, Q].conj().T, vr[:, Q])
         w = 1.0 / np.sqrt(half[Q])
         kappas[Q] = _svdvals(w[:, None] * T * w)[-1]
         single[Q] = False
         if kappas[Q[0]] >= _KAPPA_EP:
-            vl[:, Q] = _gemm(vl[:, Q], _inv(T).T * half[Q])
+            vl[:, Q] = _gemm(vl[:, Q], _inv(T).conj().T * half[Q])
     bad = np.flatnonzero(~(kappas[order] >= _KAPPA_EP))
     if len(bad):
         _require_off_exceptional_point(kappas[order[bad[0]]])
     kappa = min(1.0, float(np.min(kappas)))
 
-    real = np.flatnonzero(single & (wi == 0))
-    vl[:, real] /= dot[real]
+    alone = np.flatnonzero(single & (partner == np.arange(n)))
+    vl[:, alone] /= dot[alone].conj()
     own = single[pairs]
     p = pairs[own]
     # [a b] <- [a b] K with K^T [[a.x, a.y], [b.x, b.y]] = I / 2
@@ -328,14 +318,15 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     a, b = vl[:, p], vl[:, p + 1]
     vl[:, p], vl[:, p + 1] = (a * tyy - b * txy) / det2, (b * txx - a * tyx) / det2
 
-    residual = _packed_gram_residual(_gemm(vl.T, vr), pairs)
+    residual = _packed_gram_residual(_gemm(vl.conj().T, vr), pairs)
     _require_biorthogonal(residual, kappa, tol_biorth, A)
     return _PackedSystem(wr, wi, vl, vr, pairs, order, residual, kappa)
 
 
 def _packed_gram_residual(T: np.ndarray, pairs: np.ndarray) -> float:
     """max |L^dag R - I| over every entry of the complex Gram matrix, from
-    T = vl^T vr of the packed vectors (``pairs``: first column of each pair).
+    T = vl^dag vr of the packed vectors (``pairs``: first column of each
+    pair): max |T - I| where T is complex, which has no pairs.
 
     Each entry is a +- combination of four entries of T: for pair rows
     j, j + 1 (l = a + ib) and pair columns k, k + 1 (r = x + iy),
@@ -344,6 +335,8 @@ def _packed_gram_residual(T: np.ndarray, pairs: np.ndarray) -> float:
     conjugated with every pair's two columns swapped, so it has the same
     moduli and is skipped.
     """
+    if np.iscomplexobj(T):
+        return float(np.max(np.abs(T - np.eye(len(T)))))
     keep = np.ones(len(T), dtype=bool)
     keep[pairs + 1] = False
     rows = np.flatnonzero(keep)
@@ -378,9 +371,8 @@ def _require_off_exceptional_point(kappa: float) -> float:
 
 def _cluster_blocks(E: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """Consecutive index ranges of (Re, Im)-sorted eigenvalues closer than
-    tol; E complex, or its (Re, Im) rows as a real array."""
-    step = np.diff(E)
-    gaps = np.abs(step) if np.iscomplexobj(step) else np.hypot(*step)
+    tol, from their (Re, Im) rows, a real 2 x n array."""
+    gaps = np.hypot(*np.diff(E))
     cuts = (np.flatnonzero(gaps > tol) + 1).tolist()
     edges = [0, *cuts, E.shape[-1]]
     return list(zip(edges[:-1], edges[1:]))

@@ -173,8 +173,10 @@ def _zak_broken(spec: ChainSpec, tol: float) -> complex:
     I = {k : |v_k| < u} and the imaginary part on its complement."""
     u = spec.u_eff
     omega = winding_number(spec)
-    # |v_k|^2 = v^2 + w^2 - 2 v w cos k crosses u^2 at cos k* = c0
-    c0 = (spec.v**2 + spec.w**2 - u * u) / (2.0 * spec.v * spec.w)
+    # |v_k|^2 = v^2 + w^2 - 2 v w cos k crosses u^2 at cos k* = c0; at v w = 0
+    # it is constant and never crosses
+    vw2 = 2.0 * spec.v * spec.w
+    c0 = (spec.v**2 + spec.w**2 - u * u) / vw2 if vw2 else np.inf
     if abs(c0) >= 1.0:
         raise GridTooCoarse("no |v_k| = u crossing found in the broken class")
     kstar = float(np.arccos(c0))
@@ -185,17 +187,13 @@ def _zak_broken(spec: ChainSpec, tol: float) -> complex:
         inside = [(-np.pi, -kstar), (kstar, np.pi)]
         outside = [(-kstar, kstar)]
 
-    def f_in(k):
+    def f(k):
         absv = np.abs(np.asarray(vk(spec, k)))
-        return 0.5 * _phi_prime(spec, k) * u / np.sqrt(u * u - absv**2)
-
-    def f_out(k):
-        absv = np.abs(np.asarray(vk(spec, k)))
-        return 0.5 * _phi_prime(spec, k) * u / np.sqrt(absv**2 - u * u)
+        return 0.5 * _phi_prime(spec, k) * u / np.sqrt(np.abs(u * u - absv**2))
 
     def total(order: int) -> complex:
-        re = np.pi * omega + sum(_gauss_cheb_segment(f_in, a, b, order) for a, b in inside)
-        im = sum(_gauss_cheb_segment(f_out, a, b, order) for a, b in outside)
+        re = np.pi * omega + sum(_gauss_cheb_segment(f, a, b, order) for a, b in inside)
+        im = sum(_gauss_cheb_segment(f, a, b, order) for a, b in outside)
         return complex(re, im)
 
     coarse, fine = total(200), total(400)

@@ -439,6 +439,17 @@ class TestRun:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert "error:" in manifest["tasks"]["symmetry-check"]
 
+    @pytest.mark.parametrize("v, w", [(0.5, 0.0), (0.0, 0.5)])
+    @pytest.mark.filterwarnings("ignore::ptchain.errors.UnsupportedCouplings")
+    def test_zero_coupling_zak_exits_3(self, tmp_path, v, w):
+        # a PT-broken chain with v w = 0 has no |v_k| = u crossing
+        cfg = base_config(tmp_path, name="zak", n_k=512)
+        cfg["model"].update(v=v, w=w, u=1.0, cells=8)
+        assert run_config(tmp_path, cfg) == 3
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["tasks"] == {"zak": "error:GridTooCoarse"}
+        assert manifest["error"] == "no |v_k| = u crossing found in the broken class"
+
     def test_disorder_determinism_byte_identical(self, tmp_path):
         cfg = {
             "model": {"kind": "chain", "v": 1.0, "w": 2.0, "u": 1.0,

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import ptchain as pc
 import ptchain.cli as cli
+import ptchain.edge as edge
 import ptchain.entanglement as entanglement
 import ptchain.spectral as spectral
 from ptchain.entanglement import _correlation_block
@@ -115,6 +116,11 @@ def gauge_block(C):
     M = 2.0 * _sublattice_gauge(C - 0.5 * np.eye(len(C)))
     assert np.max(np.abs(M.imag)) <= TOL_BIORTH * max(float(np.max(np.abs(M))), 1.0)
     return M.real
+
+
+def re_im(E):
+    """The (Re, Im) rows of eigenvalues, as ``_cluster_blocks`` takes them."""
+    return np.stack([E.real, E.imag])
 
 
 def match_distance(a, b):
@@ -221,7 +227,7 @@ def test_degenerate_edge_blocks_rebiorthogonalized(alpha, v, ratio, cells, detun
     E = system.energies
     scale = max(float(np.max(np.abs(E))), 1.0)
     edge_blocks = [
-        (lo, hi) for lo, hi in _cluster_blocks(E, _CLUSTER_REL * scale)
+        (lo, hi) for lo, hi in _cluster_blocks(re_im(E), _CLUSTER_REL * scale)
         if abs(abs(E[lo].imag) - spec.u_eff) < 1e-6 and E[lo].real == 0.0
     ]
     # alpha edge modes at each of +-i u_eff, split by less than the cluster
@@ -560,7 +566,7 @@ def test_packed_cases_hold_clusters_and_real_modes():
     sizes, real = set(), 0
     for param in PACKED_CASES:
         E = pc.biorthogonal_diagonalize(pc.build_real_space(param.values[0])).energies
-        blocks = _cluster_blocks(E, _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
+        blocks = _cluster_blocks(re_im(E), _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
         sizes |= {hi - lo for lo, hi in blocks}
         real += int(np.count_nonzero(E.real == 0.0))
     assert max(sizes) >= 2 and real > 0
@@ -659,11 +665,10 @@ def test_packed_clusters_stay_real(monkeypatch, alpha, boundary):
     spec = pc.ChainSpec(alpha=alpha, v=1.0, w=2.0, u=1.0, cells=30, boundary=boundary,
                         detuning=1e-3)
     twin = replace(spec, disorder=pc.DisorderProfile(np.zeros(30)))
-    forbid(monkeypatch, spectral, "_rebiorthogonalize")
     packed = spectral._real_gauge_system(_gauge_matrix(twin))
     system = packed.unpacked()
     E = system.energies
-    blocks = _cluster_blocks(E, _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
+    blocks = _cluster_blocks(re_im(E), _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
     assert max(hi - lo for lo, hi in blocks) >= 2
     assert packed.residual < TOL_BIORTH
     gram = system.left_vectors.conj().T @ system.right_vectors
@@ -674,21 +679,85 @@ def test_packed_clusters_stay_real(monkeypatch, alpha, boundary):
     assert np.max(np.abs(dense - clean)) <= 1e-10 * np.max(np.abs(clean))
 
 
-def test_complex_gauge_takes_the_complex_solve(monkeypatch):
-    # a complex hopping lies outside the family: its gauge matrix is complex
-    def forbidden(*args, **kwargs):
-        raise AssertionError("packed real kernel on a complex gauge matrix")
+def record_kernel_calls(monkeypatch):
+    """:func:`record_calls` of the one dense kernel in each module that
+    binds it."""
+    return [record_calls(monkeypatch, module, "_real_gauge_system")
+            for module in (spectral, entanglement, edge)]
 
-    monkeypatch.setattr(spectral, "_real_gauge_system", forbidden)
+
+@pytest.mark.filterwarnings("error")
+def test_complex_gauge_takes_the_complex_solve(monkeypatch):
+    # a complex hopping lies outside the family: its gauge matrix is complex,
+    # and the one dense kernel solves it in complex arithmetic
+    calls = record_kernel_calls(monkeypatch)
     h = pc.build_real_space(pc.ChainSpec(v=1.0, w=2.0, u=0.5, cells=6))
     h[0, 1] *= np.exp(0.3j)
     h[1, 0] = np.conj(h[0, 1])
     system = pc.biorthogonal_diagonalize(h)
+    [(args, _)] = sum(calls, [])
+    assert np.iscomplexobj(args[0])
     assert system.biorth_residual < 1e-12
     np.testing.assert_allclose(h @ system.right_vectors,
                                system.right_vectors * system.energies, atol=1e-12)
     np.testing.assert_allclose(h.conj().T @ system.left_vectors,
                                system.left_vectors * system.energies.conj(), atol=1e-12)
+
+
+def kernel_tasks():
+    """Every caller of a dense biorthogonal solve, on a real and a complex
+    gauge matrix."""
+    clean = pc.ChainSpec(v=1.0, w=2.0, u=0.5, cells=6)
+    h = pc.build_real_space(clean)
+    h[0, 1] *= np.exp(0.3j)
+    h[1, 0] = np.conj(h[0, 1])
+    offsets = pc.rng.disorder_offsets(3, 0.6, 24)
+    disordered = pc.ChainSpec(v=1.0, w=2.0, u=1.0, cells=24, detuning=1e-10,
+                              disorder=pc.DisorderProfile(offsets))
+    return {
+        "real-gauge": lambda: pc.biorthogonal_diagonalize(pc.build_real_space(clean)),
+        "complex-gauge": lambda: pc.biorthogonal_diagonalize(h),
+        "disordered-energy": lambda: pc.ground_state_energy(disordered),
+        "interface-density": lambda: pc.interface_density(
+            pc.InterfaceSpec(v1=1.5, v2=0.5, w=1.0, u=0.5)),
+        "disordered-entropy": lambda: pc.entropy_profile(disordered, [4, 8], REG),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task", list(kernel_tasks()))
+def test_every_dense_solve_takes_the_one_kernel(monkeypatch, task):
+    calls = record_kernel_calls(monkeypatch)
+    kernel_tasks()[task]()
+    assert len(sum(calls, [])) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_gauge_clusters_are_biorthonormal():
+    # Q kron(I2, D) Q^dag: every eigenvalue of the random complex D twice,
+    # split only by rounding, so the kernel normalizes three twofold clusters
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h = Q @ np.kron(np.eye(2), D) @ Q.conj().T
+    assert np.iscomplexobj(_sublattice_gauge(h))
+    system = pc.biorthogonal_diagonalize(h)
+    E = system.energies
+    blocks = _cluster_blocks(re_im(E), _CLUSTER_REL * max(np.max(np.abs(E)), 1.0))
+    assert [hi - lo for lo, hi in blocks] == [2, 2, 2]
+    assert system.biorth_residual < TOL_BIORTH
+    gram = system.left_vectors.conj().T @ system.right_vectors
+    assert np.max(np.abs(gram - np.eye(6))) < TOL_BIORTH
+    np.testing.assert_allclose(h @ system.right_vectors,
+                               system.right_vectors * E, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_complex_gauge_exceptional_point_is_defective():
+    h = np.array([[1j, np.exp(0.3j)], [np.exp(-0.3j), -1j]])
+    assert np.iscomplexobj(_sublattice_gauge(h))
+    with pytest.raises(DefectiveMatrix, match="kappa = "):
+        pc.biorthogonal_diagonalize(h)
 
 
 # ---------------------------------------------------------------------------

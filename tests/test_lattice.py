@@ -90,6 +90,15 @@ class TestClassifyPT:
             out = pc.classify_pt(chain(v=1, w=-2, u=0.5))
         assert out is pc.PTClass.SYMMETRIC  # min |v_k| = |v + w| = 1 > 0.5
 
+    @pytest.mark.parametrize("v, w", [(0.5, 0.0), (0.0, 0.5), (1.0, -2.0), (-0.3, 0.7),
+                                      (0.1, -0.1), (1e-3, -7.0), (-2.5, 0.0), (3.3, -1.1)])
+    def test_nonpositive_vw_minimum_is_the_smallest_candidate(self, v, w):
+        # |v + w| is the smallest of |v + w|, |v - w| and hypot(v, w), bit
+        # for bit, whenever v w <= 0
+        with pytest.warns(UnsupportedCouplings):
+            found = pc.min_abs_vk(chain(v=v, w=w, u=0.1))
+        assert found.hex() == float(min(abs(v + w), abs(v - w), np.hypot(v, w))).hex()
+
     @given(v=st.floats(0.1, 3), w=st.floats(0.1, 3), u=st.floats(0, 2.9))
     @settings(max_examples=60)
     def test_vw_swap_invariance(self, v, w, u):

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ptchain as pc
-from ptchain.errors import GaplessWinding, OddDimension
-from ptchain.topology import _legendre_rule
+from ptchain.errors import GaplessWinding, GridTooCoarse, OddDimension, UnsupportedCouplings
+from ptchain.topology import _gauss_cheb_segment, _legendre_rule, _phi_prime
 
 
 def chain(alpha=1, v=1.0, w=1.0, u=0.0, cells=None, boundary="pbc", **kw):
@@ -32,6 +32,30 @@ def _wilson_loop_raw(spec, n_k):
     for j in range(n_k):
         total += 1j * np.log(np.vdot(Lv[j], R[(j + 1) % n_k]))
     return total
+
+
+def _zak_broken_two_integrands(spec):
+    """The broken-class Zak phase with one integrand per arc, inside and
+    outside {k : |v_k| < u}, at the quadrature order that is returned."""
+    u, vw2 = spec.u_eff, 2.0 * spec.v * spec.w
+    kstar = float(np.arccos((spec.v**2 + spec.w**2 - u * u) / vw2))
+    inside = [(-kstar, kstar)]
+    outside = [(-np.pi, -kstar), (kstar, np.pi)]
+    if spec.v * spec.w < 0:
+        inside, outside = outside, inside
+
+    def f_in(k):
+        absv = np.abs(np.asarray(pc.vk(spec, k)))
+        return 0.5 * _phi_prime(spec, k) * u / np.sqrt(u * u - absv**2)
+
+    def f_out(k):
+        absv = np.abs(np.asarray(pc.vk(spec, k)))
+        return 0.5 * _phi_prime(spec, k) * u / np.sqrt(absv**2 - u * u)
+
+    re = np.pi * pc.winding_number(spec) + sum(
+        _gauss_cheb_segment(f_in, a, b, 400) for a, b in inside)
+    im = sum(_gauss_cheb_segment(f_out, a, b, 400) for a, b in outside)
+    return complex(re, im)
 
 
 def wilson_loop_zak(spec, n_k=8192):
@@ -91,6 +115,26 @@ class TestZakPhase:
     def test_broken_class_non_quantized(self):
         q = pc.zak_phase(chain(v=1, w=1.2, u=1))
         assert abs(q.real - np.pi * 1) > 1e-3
+
+    @pytest.mark.parametrize("v,w,u", [(1.0, 2.0, 1.5), (1.0, 1.2, 0.7), (1.0, -2.0, 2.0),
+                                       (0.5, -1.5, 1.2), (2.0, 0.7, 1.9)])
+    @pytest.mark.filterwarnings("ignore::ptchain.errors.UnsupportedCouplings")
+    def test_broken_class_bits_of_two_integrands(self, v, w, u):
+        # one integrand 0.5 phi' u / sqrt(|u^2 - |v_k|^2|) on both arcs gives
+        # the bits of one integrand per arc, since fl(a - b) = -fl(b - a)
+        spec = chain(v=v, w=w, u=u, cells=8)
+        assert pc.classify_pt(spec) is pc.PTClass.BROKEN
+        assert pc.zak_phase(spec) == _zak_broken_two_integrands(spec)
+
+    @pytest.mark.parametrize("v,w", [(0.5, 0.0), (0.0, 0.5)])
+    def test_zero_coupling_broken_chain_has_no_crossing(self, v, w):
+        # at v w = 0, |v_k| is constant and never crosses u
+        with pytest.warns(UnsupportedCouplings):
+            spec = chain(v=v, w=w, u=1.0, cells=8)
+        for call in (pc.zak_phase, pc.characterize):
+            with pytest.warns(UnsupportedCouplings):
+                with pytest.raises(GridTooCoarse, match="no \\|v_k\\| = u crossing"):
+                    call(spec)
 
     @pytest.mark.parametrize("alpha,v,w,u", [(1, 2, 1, 0.5), (1, 1, 2, 0.5),
                                              (2, 1, 2, 0.8)])
