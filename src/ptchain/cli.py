@@ -47,9 +47,8 @@ from .cookbook import figure_cookbook, figure_names, scale_config
 from .entanglement import (
     Prescription,
     ToleranceSet,
-    _block_diagonal,
     _correlation_block,
-    _subsystem_correlation,
+    _correlation_diagonal,
     _ungauge,
     entropy_profile,
 )
@@ -493,8 +492,8 @@ def _run_density(spec, **tol):
         site, fields = profile.site, {"mode_E": state.E, "route": "dense"}
     else:
         # C_ii = 1/2 + (i/2) M_ii of the chain's correlation block
-        corr, route = _subsystem_correlation(spec, spec.cells, **tol)
-        site = 0.5 + 0.5j * _block_diagonal(corr, route, spec.cells)
+        diagonal, route = _correlation_diagonal(spec, **tol)
+        site = 0.5 + 0.5j * diagonal
         fields = {"route": route}
     return ("density", {"cell": range(1, spec.cells + 1), "n_A": site[0::2],
                         "n_B": site[1::2], "n_cell": site[0::2] + site[1::2]}), fields

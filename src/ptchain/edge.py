@@ -43,6 +43,7 @@ from .errors import (
     NoLocalizedMode,
     NoRootInDisk,
     PTChainError,
+    _caller_stacklevel,
 )
 from .lattice import InterfaceSpec, _gauge_matrix
 from .spectral import DensityProfile, _real_gauge_system
@@ -163,7 +164,7 @@ def interface_lattice_solve(
             f"right side is off its critical line (u = {spec.u}, "
             f"w - v2 = {spec.w - spec.v2}); solving anyway",
             UserWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     seed = interface_continuum(spec.w - spec.v1, spec.u)
     if spec.v1 * spec.w == 0 or spec.v2 * spec.w == 0:

@@ -262,12 +262,20 @@ def _leading_block(corr: np.ndarray, route: str, cells: int) -> np.ndarray:
     return corr[: 2 * cells, : 2 * cells]
 
 
-def _block_diagonal(corr: np.ndarray, route: str, cells: int) -> np.ndarray:
-    """Diagonal of :func:`_leading_block`, with no block formed on the
-    ``k_space`` route, where it is g[a, a, 0] in every cell."""
+def _correlation_diagonal(
+    spec: ChainSpec, tol_zero: float = TOL_ZERO
+) -> tuple[np.ndarray, str]:
+    """Diagonal of the whole chain's M and the route of
+    :func:`_subsystem_correlation`, with no 2L x 2L block formed on the
+    clean routes: g[a, a, 0] in every cell on ``k_space``, sums over the
+    singular triples on ``singular_mode`` (:func:`_singular_mode_diagonal`).
+    """
+    if spec.is_translation_invariant and spec.boundary is Boundary.OBC:
+        return _singular_mode_diagonal(spec, tol_zero), "singular_mode"
+    corr, route = _subsystem_correlation(spec, spec.cells, tol_zero)
     if route == "k_space":
-        return np.tile(np.diagonal(corr[..., 0]), cells)
-    return np.diagonal(corr)[: 2 * cells]
+        return np.tile(np.diagonal(corr[..., 0]), spec.cells), route
+    return np.diagonal(corr), route
 
 
 def _correlation_block(
@@ -322,10 +330,8 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
     does not depend on the caller's thread count.
     """
     u, shift = spec.u_eff, spec.alpha - 1
-    q, sv, pt = _bidiagonal_svd(*_open_bidiagonal(spec), vectors=True)
+    q, sv, pt, inv_e = _singular_triples(spec, tol_zero)
     n = len(sv)
-    e = _half_filled_energies(np.concatenate([sv, np.zeros(shift)]), u, tol_zero)[:n]
-    inv_e = np.divide(1.0, e, out=np.zeros_like(e), where=e > 0)
     # rows of the leading cells, in the layouts of np.linalg.svd's U rows
     # and Vt columns, which the products' rounding follows
     a, b = np.zeros((cells, n)), np.zeros((cells, n), order="F")
@@ -338,6 +344,31 @@ def _singular_mode_block(spec: ChainSpec, cells: int, tol_zero: float) -> np.nda
         M[1::2, 1::2] = (b * (u * inv_e)) @ b.T
     M[0::2, 1::2] = -M[1::2, 0::2].T
     return M
+
+
+def _singular_triples(spec: ChainSpec, tol_zero: float):
+    """(Q, s, P^T, 1/e) of a clean open chain: B = Q diag(s) P^T of its
+    bidiagonal block (:func:`spectral._bidiagonal_svd`) and 1/e per triple,
+    0 for a half-filled pair (:func:`_half_filled_energies`, over V's
+    alpha - 1 zero singular values too)."""
+    q, sv, pt = _bidiagonal_svd(*_open_bidiagonal(spec), vectors=True)
+    a = np.concatenate([sv, np.zeros(spec.alpha - 1)])
+    e = _half_filled_energies(a, spec.u_eff, tol_zero)[: len(sv)]
+    return q, sv, pt, np.divide(1.0, e, out=np.zeros_like(e), where=e > 0)
+
+
+def _singular_mode_diagonal(spec: ChainSpec, tol_zero: float) -> np.ndarray:
+    """Diagonal of the whole block of :func:`_singular_mode_block`, with no
+    block formed: sum_n a_in^2 (-u / e_n) on A and sum_n b_in^2 (u / e_n)
+    on B, where a is Q on the first n cells and b is P on the cells from
+    alpha - 1 on. ``einsum`` sums each row in one pass, with no n x n
+    temporary beside the SVD's vectors."""
+    u, shift = spec.u_eff, spec.alpha - 1
+    q, _, pt, inv_e = _singular_triples(spec, tol_zero)
+    diagonal = np.zeros(2 * spec.cells)
+    diagonal[0 : 2 * len(inv_e) : 2] = np.einsum("in,n,in->i", q, -u * inv_e, q)
+    diagonal[2 * shift + 1 :: 2] = np.einsum("ni,n,ni->i", pt, u * inv_e, pt)
+    return diagonal
 
 
 def _subsystem_correlation(

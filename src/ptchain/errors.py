@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import sys
+
 
 class PTChainError(Exception):
     """Base class for all errors raised by this package."""
@@ -93,3 +95,14 @@ class ConfigError(PTChainError):
 class UnsupportedCouplings(UserWarning):
     """v*w <= 0 lies outside the validated coupling family; results are
     flagged but not refused."""
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` for ``warnings.warn`` in the function that calls this
+    one, naming the first frame outside the package: the user's line, not
+    the line of a package function (or a dataclass ``__init__`` generated
+    in a package module) that led to the warning."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("ptchain."):
+        frame, level = frame.f_back, level + 1
+    return level

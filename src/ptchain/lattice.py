@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DisorderPresent, SpecTooSmall, UnsupportedCouplings
+from .errors import DisorderPresent, SpecTooSmall, UnsupportedCouplings, _caller_stacklevel
 
 #: Width of the band used to call a spec critical, |min_k |v_k|| - u_eff.
 TOL_CRIT = 1e-9
@@ -277,7 +277,7 @@ def min_abs_vk(spec: ChainSpec) -> float:
             f"v*w = {spec.v * spec.w} <= 0 lies outside the validated coupling "
             "family; the Brillouin-zone minimum is still exact",
             UnsupportedCouplings,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
         return float(abs(spec.v + spec.w))
     return abs(spec.v - spec.w)

@@ -242,16 +242,17 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     U U^dag = 1 and 2 there: L^dag R = I is the real rule vl^T vr = D, D = 1
     on a real column and 1/2 on each column of a pair. A mode's columns Q
     take vl_Q <- vl_Q T_Q^-T D, T_Q = vl_Q^T vr_Q, and its kappa is
-    sigma_min(D^-1/2 T_Q D^-1/2) of LAPACK's unit vectors, that of the
+    sigma_min(W T_Q W), W = D^-1/2, of LAPACK's unit vectors, that of the
     complex overlap. A cluster of nearly degenerate modes takes as Q its
     real columns and both columns of every pair it touches, shared with its
-    mirror E <-> -E^*. A single mode takes the closed forms: l <- l / (l.r)
-    and kappa = |l.r| on a real column; [a b] <- [a b] K with
-    K^T [[a.x, a.y], [b.x, b.y]] = I / 2 and kappa = |l^dag r| on a pair.
-    The pair's rule holds l^dag conj(r) = 0 too, which exact eigenvectors
-    meet already; enforcing it keeps the partner overlap, of size
-    eps |l| |r|, out of the residual: near an exceptional point it alone
-    reached 1.16e-9 (v = 2, w = 1, u = 1, 40 periodic cells, default
+    mirror E <-> -E^*, and one SVD of W T_Q W gives both
+    (:func:`_cluster_rule`). A single mode takes the closed forms:
+    l <- l / (l.r) and kappa = |l.r| on a real column; [a b] <- [a b] K
+    with K^T [[a.x, a.y], [b.x, b.y]] = I / 2 and kappa = |l^dag r| on a
+    pair. The pair's rule holds l^dag conj(r) = 0 too, which exact
+    eigenvectors meet already; enforcing it keeps the partner overlap, of
+    size eps |l| |r|, out of the residual: near an exceptional point it
+    alone reached 1.16e-9 (v = 2, w = 1, u = 1, 40 periodic cells, default
     detuning), where every other entry stays at 6.4e-10.
 
     A complex A, outside the family, takes ``zgeev`` and the same rule with
@@ -297,12 +298,8 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
                 q.union(*(s for s in column_sets if s & q))]
     for q in column_sets:  # kappa from LAPACK's vectors, then the rule on Q
         Q = np.array(sorted(q))
-        T = _gemm(vl[:, Q].conj().T, vr[:, Q])
-        w = 1.0 / np.sqrt(half[Q])
-        kappas[Q] = _svdvals(w[:, None] * T * w)[-1]
+        kappas[Q], vl[:, Q] = _cluster_rule(vl[:, Q], vr[:, Q], half[Q])
         single[Q] = False
-        if kappas[Q[0]] >= _KAPPA_EP:
-            vl[:, Q] = _gemm(vl[:, Q], _inv(T).conj().T * half[Q])
     bad = np.flatnonzero(~(kappas[order] >= _KAPPA_EP))
     if len(bad):
         _require_off_exceptional_point(kappas[order[bad[0]]])
@@ -321,6 +318,19 @@ def _real_gauge_system(A: np.ndarray, tol_biorth: float = TOL_BIORTH) -> _Packed
     residual = _packed_gram_residual(_gemm(vl.conj().T, vr), pairs)
     _require_biorthogonal(residual, kappa, tol_biorth, A)
     return _PackedSystem(wr, wi, vl, vr, pairs, order, residual, kappa)
+
+
+def _cluster_rule(vl: np.ndarray, vr: np.ndarray, half: np.ndarray):
+    """kappa and the normalized left vectors vl T^-H D of one cluster's
+    columns, T = vl^dag vr and D = diag(``half``), from one SVD
+    W T W = U S V^dag, W = D^-1/2 (:func:`_svd`): kappa = S_min and
+    T^-H D = W U S^-1 V^dag W^-1. Below ``_KAPPA_EP``, where the kernel
+    raises, vl is returned as it is."""
+    w = 1.0 / np.sqrt(half)
+    u, s, vh = _svd(w[:, None] * _gemm(vl.conj().T, vr) * w)
+    if not s[-1] >= _KAPPA_EP:
+        return s[-1], vl
+    return s[-1], _gemm(vl, _gemm(w[:, None] * u / s, vh / w))
 
 
 def _packed_gram_residual(T: np.ndarray, pairs: np.ndarray) -> float:
@@ -434,12 +444,6 @@ _SIGNATURES = {
     "dgesdd": "ciididdididiIi",
     # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, iwork, info
     "zgesdd": "ciizidzizizidIi",
-    # m, n, a, lda, ipiv, info
-    "dgetrf": "iidiIi",
-    "zgetrf": "iiziIi",
-    # n, a, lda, ipiv, work, lwork, info
-    "dgetri": "idiIdii",
-    "zgetri": "iziIzii",
     # n, d, e, work, info
     "dlasq1": "idddi",
     # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info
@@ -447,27 +451,16 @@ _SIGNATURES = {
 }
 
 
-class _Lapack(NamedTuple):
-    """ctypes functions of one LAPACK and BLAS library: the routines of
-    :data:`_SIGNATURES` under their LAPACK names, and the thread control of
-    its OpenBLAS pool, None where the library exports none."""
-
-    file: str
-    integer: type  # the ctypes type of the library's integers
-    dgeev: Callable
-    zgeev: Callable
-    dgemm: Callable
-    zgemm: Callable
-    dgesdd: Callable
-    zgesdd: Callable
-    dgetrf: Callable
-    zgetrf: Callable
-    dgetri: Callable
-    zgetri: Callable
-    dlasq1: Callable
-    dbdsdc: Callable
-    get_threads: Callable[[], int] | None
-    set_threads: Callable[[int], None] | None
+#: ctypes functions of one LAPACK and BLAS library: the routines of
+#: :data:`_SIGNATURES` under their LAPACK names, and the thread control of
+#: its OpenBLAS pool, None where the library exports none.
+_Lapack = NamedTuple("_Lapack", [
+    ("file", str),
+    ("integer", type),  # the ctypes type of the library's integers
+    *((name, Callable) for name in _SIGNATURES),
+    ("get_threads", Callable[[], int] | None),
+    ("set_threads", Callable[[int], None] | None),
+])
 
 
 def _bind_lapack(file: str, bits: int) -> _Lapack:
@@ -645,17 +638,20 @@ def _geev(lapack: _Lapack, a: np.ndarray, vectors: bool = False):
     return (w, wi, vl, vr) if vectors else w + 1j * wi
 
 
-def _svdvals(a: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of a real or complex matrix as scipy's
-    ``svdvals`` takes them: ``dgesdd`` or ``zgesdd`` without vectors at the
-    optimal workspace, on :func:`_scipy_lapack`, of a copy of ``a``."""
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, s, Vh) of a real or complex m x n matrix, a = U diag(s) Vh with
+    s descending and U, Vh square, as scipy's ``svd`` takes them:
+    ``dgesdd`` or ``zgesdd`` with every vector (jobz = 'A') at the optimal
+    workspace, on :func:`_scipy_lapack`, of a copy of ``a``."""
     lapack, dtype = _scipy_lapack(), _lapack_dtype(a)
     a = np.array(a, dtype, order="F")
     (m, n), integer = a.shape, lapack.integer
-    s, unused, one = np.empty(min(m, n)), np.empty(1, dtype), integer(1)
-    iwork, rwork = np.empty(8 * len(s), np.dtype(integer)), np.empty(max(7 * len(s), 1))
-    head = (b"N", integer(m), integer(n), a, integer(max(m, 1)), s, unused, one, unused,
-            one)
+    k = min(m, n)
+    s, u, vh = np.empty(k), np.empty((m, m), dtype, "F"), np.empty((n, n), dtype, "F")
+    iwork = np.empty(8 * k, np.dtype(integer))
+    rwork = np.empty(max(5 * k * k + 5 * k, 2 * max(m, n) * k + 2 * k * k + k, 1))
+    head = (b"A", integer(m), integer(n), a, integer(max(m, 1)), s, u, integer(max(m, 1)),
+            vh, integer(max(n, 1)))
 
     def call(work, lwork, info):
         if dtype == np.float64:
@@ -664,26 +660,7 @@ def _svdvals(a: np.ndarray) -> np.ndarray:
             lapack.zgesdd(*head, work, lwork, rwork, iwork, info, 1)
 
     _with_workspace(lapack, dtype, call, "SVD did not converge in gesdd")
-    return s
-
-
-def _inv(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square real or complex matrix as scipy's ``inv`` takes
-    that of a general one: ``getrf``, then ``getri`` at the optimal
-    workspace, on :func:`_scipy_lapack`, in a copy of ``a``. (scipy inverts
-    a diagonal matrix entry by entry, in other bits on a complex one.)"""
-    lapack, dtype = _scipy_lapack(), _lapack_dtype(a)
-    a = np.array(a, dtype, order="F")
-    prefix, integer = "d" if dtype == np.float64 else "z", lapack.integer
-    size, lda, info = integer(len(a)), integer(max(len(a), 1)), integer()
-    pivots = np.empty(len(a), np.dtype(integer))
-    getattr(lapack, f"{prefix}getrf")(size, size, a, lda, pivots, info)
-    if info.value:
-        raise np.linalg.LinAlgError(f"singular matrix (info = {info.value})")
-    getri = getattr(lapack, f"{prefix}getri")
-    _with_workspace(lapack, dtype, lambda work, lwork, info:
-                    getri(size, a, lda, pivots, work, lwork, info), "singular matrix")
-    return a
+    return u, s, vh
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

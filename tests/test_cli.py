@@ -316,7 +316,7 @@ class TestToleranceOverrides:
 
     def test_tol_zero_reaches_chain_density(self, tmp_path, monkeypatch):
         # a clean chain's densities are the diagonal of its correlation block
-        calls = spy(monkeypatch, "_subsystem_correlation")
+        calls = spy(monkeypatch, "_correlation_diagonal")
         cfg = base_config(tmp_path, name="density")
         cfg["model"].update(cells=12, boundary="obc")
         cfg["tolerances"] = {"tol_zero": 1e-7}
@@ -679,14 +679,21 @@ class TestCookbook:
 
     @pytest.mark.parametrize("boundary", ["pbc", "obc"])
     def test_chain_density_is_the_block_diagonal(self, boundary):
-        spec = pc.ChainSpec(alpha=2, v=1.0, w=2.0, u=1.0, cells=24,
-                            boundary=pc.Boundary(boundary), detuning=1e-10)
-        (_, columns), fields = cli._run_density(spec)
-        M, route = _correlation_block(spec, spec.cells)
-        site = 0.5 + 0.5j * np.diagonal(M)
-        assert fields["route"] == route
-        assert columns["n_A"].tobytes() == site[0::2].tobytes()
-        assert columns["n_B"].tobytes() == site[1::2].tobytes()
+        # the periodic densities are the block's g[a, a, 0], bit for bit;
+        # the open ones are sums over the singular triples, no product
+        for alpha in (2,) if boundary == "pbc" else (1, 2, 3):
+            spec = pc.ChainSpec(alpha=alpha, v=1.0, w=2.0, u=1.0, cells=24,
+                                boundary=pc.Boundary(boundary), detuning=1e-10)
+            (_, columns), fields = cli._run_density(spec)
+            M, route = _correlation_block(spec, spec.cells)
+            site = 0.5 + 0.5j * np.diagonal(M)
+            assert fields["route"] == route
+            for key, theirs in (("n_A", site[0::2]), ("n_B", site[1::2])):
+                ours = columns[key]
+                if boundary == "pbc":
+                    assert ours.tobytes() == theirs.tobytes()
+                else:
+                    np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-14)
 
     def test_periodic_density_forms_no_block(self):
         # its densities are g[a, a, 0] in every cell. Measured: a peak of
@@ -700,6 +707,20 @@ class TestCookbook:
             tracemalloc.stop()
         assert fields["route"] == "k_space"
         assert peak < 2 * 2**20
+
+    def test_open_density_forms_no_block(self):
+        # only the bidiagonal SVD's vectors and workspace, about 5 n^2
+        # float64 values; the 2L x 2L block took the peak to 9.5 n^2
+        cells = 1000
+        spec = pc.ChainSpec(v=2.0, w=1.0, u=1.0, cells=cells, boundary=pc.Boundary.OBC)
+        tracemalloc.start()
+        try:
+            _, fields = cli._run_density(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fields["route"] == "singular_mode"
+        assert peak < 6 * cells**2 * 8
 
     def test_scale_config_divides_extents(self):
         cfg = figure_cookbook("fig4a")

@@ -128,10 +128,13 @@ class TestInterfaceLatticeSolve:
         assert abs(lhs_r - (E**2 + spec.u**2)) < 1e-12
 
     def test_off_qcp_warns(self):
+        # at the caller's line, also when interface_density solves
         spec = pc.InterfaceSpec(v1=1.5, v2=0.52, w=1.0, u=0.5)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="off its critical line") as record:
             out = pc.interface_lattice_solve(spec)
+            pc.interface_density(spec)
         assert out.residual < 1e-10
+        assert [w.filename for w in record] == [__file__] * 2
 
     def test_profile_decays_on_both_sides(self):
         spec = pc.InterfaceSpec(v1=1.5, v2=0.5, w=1.0, u=0.5,

@@ -210,18 +210,24 @@ def test_imaginary_entropy_counts_edge_pairs(spec):
         assert np.all(np.round(halves) >= 2 * reg.n_edge_pairs)
 
 
-@PROPERTY
-@given(
+#: Open chains on their critical line u = w - v, whose alpha edge modes at
+#: each of +-i u_eff put degenerate clusters into the dense solve.
+EDGE_CHAINS = st.builds(
+    lambda alpha, v, ratio, cells, detuning: pc.ChainSpec(
+        alpha=alpha, v=v, w=ratio * v, u=ratio * v - v, cells=cells,
+        boundary=pc.Boundary.OBC, detuning=detuning),
     alpha=st.sampled_from([2, 3]),
     v=st.floats(0.2, 1.5),
     ratio=st.floats(2.0, 4.0),
     cells=st.integers(20, 40),
     detuning=st.sampled_from([0.0, 1e-10, 1e-6]),
 )
-def test_degenerate_edge_blocks_rebiorthogonalized(alpha, v, ratio, cells, detuning):
-    w = ratio * v
-    spec = pc.ChainSpec(alpha=alpha, v=v, w=w, u=w - v, cells=cells,
-                        boundary=pc.Boundary.OBC, detuning=detuning)
+
+
+@PROPERTY
+@given(EDGE_CHAINS)
+def test_degenerate_edge_blocks_rebiorthogonalized(spec):
+    alpha = spec.alpha
     system = pc.biorthogonal_diagonalize(pc.build_real_space(spec))
     assert system.biorth_residual < TOL_BIORTH
     E = system.energies

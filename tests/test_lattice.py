@@ -90,6 +90,15 @@ class TestClassifyPT:
             out = pc.classify_pt(chain(v=1, w=-2, u=0.5))
         assert out is pc.PTClass.SYMMETRIC  # min |v_k| = |v + w| = 1 > 0.5
 
+    def test_unsupported_couplings_name_the_callers_line(self):
+        # ChainSpec warns from its generated __init__ and its auto-detuning,
+        # classify_pt through min_abs_vk: each names this file
+        with pytest.warns(UnsupportedCouplings) as record:
+            spec = pc.ChainSpec(v=0.5, w=0.0, u=1.0, cells=8)
+            pc.min_abs_vk(spec)
+            pc.classify_pt(spec)
+        assert [w.filename for w in record] == [__file__] * 3
+
     @pytest.mark.parametrize("v, w", [(0.5, 0.0), (0.0, 0.5), (1.0, -2.0), (-0.3, 0.7),
                                       (0.1, -0.1), (1e-3, -7.0), (-2.5, 0.0), (3.3, -1.1)])
     def test_nonpositive_vw_minimum_is_the_smallest_candidate(self, v, w):

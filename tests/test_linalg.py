@@ -23,6 +23,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
 
 import ptchain as pc
 from ptchain import spectral
@@ -30,7 +31,7 @@ from ptchain.entanglement import _subsystem_correlation, _subsystem_eigvals
 from ptchain.lattice import _gauge_matrix
 from ptchain.rng import disorder_offsets
 from ptchain.spectral import _geev, _gemm, _scipy_lapack
-from test_gauge import PACKED_CASES
+from test_gauge import EDGE_CHAINS, PACKED_CASES
 
 SRC = pathlib.Path(pc.__file__).resolve().parent
 
@@ -287,35 +288,87 @@ def test_dgeev_values_on_dense_blocks_are_scipys(scipy_threads, threads, spec):
 
 
 @THREADS
-def test_cluster_inv_and_svdvals_are_scipys(monkeypatch, scipy_threads, threads):
+def test_cluster_svd_is_scipys(monkeypatch, scipy_threads, threads):
     # every cluster the packed cases hold, at the call the kernel makes
     scipy_threads(threads)
-    shapes = []
+    shapes, ours = [], spectral._svd
 
-    def checked(ours, theirs):
-        def call(a):
-            result = ours(a)
-            assert_bits([result], [theirs(a)])
-            shapes.append(a.shape)
-            return result
-        return call
+    def svd(a):
+        result = ours(a)
+        assert_bits(result, sla.svd(a, lapack_driver="gesdd"))
+        shapes.append(a.shape)
+        return result
 
-    monkeypatch.setattr(spectral, "_inv", checked(spectral._inv, sla.inv))
-    monkeypatch.setattr(spectral, "_svdvals", checked(spectral._svdvals, sla.svdvals))
+    monkeypatch.setattr(spectral, "_svd", svd)
     for param in PACKED_CASES:
         spectral._real_gauge_system(_gauge_matrix(param.values[0]))
     assert len(shapes) >= 2 and min(n for n, _ in shapes) >= 2
 
 
 @THREADS
-def test_zgeev_and_complex_svdvals_are_scipys(scipy_threads, threads):
+def test_zgeev_and_complex_svd_are_scipys(scipy_threads, threads):
     # a matrix outside the family, whose gauge is complex
     scipy_threads(threads)
     rng = np.random.default_rng(5)
     H = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     assert_bits(_geev(_scipy_lapack(), H, vectors=True), sla.eig(H, left=True, right=True))
-    for M in (H, H[:, :25], H[:25]):
-        assert_bits([spectral._svdvals(M)], [sla.svdvals(M)])
+    for M in (H, H[:, :25], H[:25], H.real[:, :25]):
+        assert_bits(spectral._svd(M), sla.svd(M, lapack_driver="gesdd"))
+
+
+def lu_rule(vl, vr, half):
+    """The cluster rule before the one SVD: vl T^-H D, T = vl^dag vr, with
+    T inverted by LU (scipy's ``inv``, ``getrf`` and ``getri``)."""
+    T = _gemm(vl.conj().T, vr)
+    return _gemm(vl, sla.inv(T).conj().T * half)
+
+
+def assert_cluster_rule_is_lu_rule(monkeypatch, A):
+    """Each cluster's left vectors from the kernel lie within 1e-13,
+    relative, of the LU rule's on the same LAPACK vectors, and the Gram
+    residual with the LU rule's vectors in their place within 1e-15."""
+    calls, ours = [], spectral._cluster_rule
+
+    def rule(vl, vr, half):
+        kappa, left = ours(vl, vr, half)
+        calls.append((vr, left, lu_rule(vl, vr, half)))
+        return kappa, left
+
+    monkeypatch.setattr(spectral, "_cluster_rule", rule)
+    system = spectral._real_gauge_system(A)
+    monkeypatch.undo()
+    column = {c.tobytes(): j for j, c in enumerate(system.vr.T)}
+    vl = system.vl.copy(order="F")
+    for vr, left, reference in calls:
+        np.testing.assert_allclose(left, reference, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(reference)))
+        vl[:, [column[c.tobytes()] for c in vr.T]] = reference
+    residual = spectral._packed_gram_residual(_gemm(vl.conj().T, system.vr), system.pairs)
+    assert abs(system.residual - residual) <= 1e-15
+    return len(calls)
+
+
+def test_cluster_rule_matches_lu_rule_on_packed_cases(monkeypatch):
+    clusters = sum(assert_cluster_rule_is_lu_rule(monkeypatch, _gauge_matrix(p.values[0]))
+                   for p in PACKED_CASES)
+    assert clusters >= 2
+
+
+@settings(max_examples=40)
+@given(EDGE_CHAINS)
+def test_cluster_rule_matches_lu_rule_on_edge_chains(spec):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert assert_cluster_rule_is_lu_rule(monkeypatch, _gauge_matrix(spec)) == 2
+
+
+def test_bound_routines_are_the_called_ones():
+    # the set of lapack.<name> references in the package is the table of
+    # bound routines: none bound and never called, none called by a
+    # computed name
+    fields = set(spectral._Lapack._fields) - set(spectral._SIGNATURES)
+    names = {name for path in SRC.glob("*.py")
+             for name in re.findall(r"\blapack\.(\w+)", path.read_text())}
+    assert names - fields == set(spectral._SIGNATURES)
 
 
 @THREADS
