@@ -35,7 +35,6 @@ import math
 import operator
 import os
 import sys
-import tempfile
 import time
 from functools import partial
 from typing import Callable, NamedTuple
@@ -348,8 +347,18 @@ def validate_config(config) -> dict:
 
 
 def _atomic_write(path: str, text: str):
+    """``text`` to ``path`` through a fresh file in its directory and one
+    rename. The fresh file is created with mode 0o666 less the umask, as
+    ``open`` creates one (``tempfile.mkstemp`` makes 0o600), and the rename
+    keeps that mode."""
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ptchain-", suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f".ptchain-{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # another name, as mkstemp would take
+            continue
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

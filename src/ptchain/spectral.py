@@ -587,17 +587,33 @@ def _lapack_dtype(*arrays) -> type:
     return np.complex128 if any(np.iscomplexobj(x) for x in arrays) else np.float64
 
 
-def _with_workspace(lapack: _Lapack, dtype, call: Callable, failure: str) -> None:
-    """``call(work, lwork, info)`` twice: a workspace query, then with the
-    optimal workspace it returned, as scipy's wrappers and ``numpy.linalg``
-    take it. A nonzero info raises ``numpy.linalg.LinAlgError``."""
-    info, work = lapack.integer(), np.empty(1, dtype)
-    for query in (True, False):
-        if not query:
-            work = np.empty(max(int(work[0].real), 1), dtype)
-        call(work, lapack.integer(-1 if query else len(work)), info)
+#: Optimal workspace lengths that workspace queries returned, by the key
+#: their caller gave :func:`_with_workspace`: (library file, dtype, n, job)
+#: for :func:`_geev`. LAPACK's answer depends on nothing else, so each
+#: later call of the key makes one call in place of two. Two threads that
+#: query one key at once store the same length.
+_WORKSPACES: dict[tuple, int] = {}
+
+
+def _with_workspace(lapack: _Lapack, dtype, call: Callable, failure: str,
+                    key: tuple | None = None) -> None:
+    """``call(work, lwork, info)`` with the optimal workspace, as scipy's
+    wrappers and ``numpy.linalg`` take it: a workspace query, then the
+    call. With ``key``, the query is made once: its answer is kept in
+    :data:`_WORKSPACES`. A nonzero info raises ``numpy.linalg.LinAlgError``."""
+    info = lapack.integer()
+    lwork = _WORKSPACES.get(key)
+    if lwork is None:
+        work = np.empty(1, dtype)
+        call(work, lapack.integer(-1), info)
         if info.value:
             raise np.linalg.LinAlgError(f"{failure} (info = {info.value})")
+        lwork = max(int(work[0].real), 1)
+        if key is not None:
+            _WORKSPACES[key] = lwork
+    call(np.empty(lwork, dtype), lapack.integer(lwork), info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"{failure} (info = {info.value})")
 
 
 def _geev(lapack: _Lapack, a: np.ndarray, vectors: bool = False):
@@ -607,10 +623,12 @@ def _geev(lapack: _Lapack, a: np.ndarray, vectors: bool = False):
     its vectors packed, and (w, vl, vr) of a complex one.
 
     The call is the one ``np.linalg.eigvals`` and scipy's ``eig`` and
-    ``eigvals`` make, with the optimal workspace from a query, so at an
-    equal BLAS thread count the results are their bits. It releases the
-    GIL. A writable Fortran-ordered float64 or complex128 ``a`` is
-    overwritten; any other is copied first.
+    ``eigvals`` make, with the optimal workspace, so at an equal BLAS
+    thread count the results are their bits. The workspace is queried once
+    per library, dtype, size and job (:data:`_WORKSPACES`): every later
+    solve of that size is one ``dgeev`` call. It releases the GIL. A
+    writable Fortran-ordered float64 or complex128 ``a`` is overwritten;
+    any other is copied first.
     """
     a = np.require(a, _lapack_dtype(a), ["F", "W"])
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -632,7 +650,8 @@ def _geev(lapack: _Lapack, a: np.ndarray, vectors: bool = False):
                          rwork, info, 1, 1)
 
     _with_workspace(lapack, a.dtype, call,
-                    f"eigenvalues did not converge in {'dz'[not real]}geev")
+                    f"eigenvalues did not converge in {'dz'[not real]}geev",
+                    (lapack.file, a.dtype.type, n, job))
     if not real:
         return (w, vl, vr) if vectors else w
     return (w, wi, vl, vr) if vectors else w + 1j * wi

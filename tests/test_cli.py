@@ -529,6 +529,32 @@ class TestRun:
         assert "run manifest not written: read-only directory" in capsys.readouterr().err
         assert not (tmp_path / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_outputs_honour_the_umask(self, tmp_path, umask, mode):
+        # each output is created as open() creates a file, 0o666 less the
+        # umask, and the atomic rename keeps that mode
+        cfg = base_config(tmp_path, name="entropy-scan", ells=[2, 4])
+        previous = os.umask(umask)
+        try:
+            assert run_config(tmp_path, cfg) == 0
+        finally:
+            os.umask(previous)
+        names = ["entropy_scan_entropy.csv", "entropy_scan_summary.json",
+                 "run_manifest.json"]
+        assert {name: (tmp_path / name).stat().st_mode & 0o777 for name in names} == \
+            dict.fromkeys(names, mode)
+        assert not list(tmp_path.glob(".ptchain-*"))
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError("read-only target")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            cli._atomic_write(str(tmp_path / "out.csv"), "a,b\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_foreign_failure_writes_manifest_and_raises(self, tmp_path,
                                                         monkeypatch):
         # an exception the package does not own keeps its traceback, and the

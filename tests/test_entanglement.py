@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import struct
 import sys
 import threading
 import tracemalloc
@@ -403,6 +404,67 @@ class TestEntropyClosedForms:
         vals = [pc.entropy(sp, p).value for p in (BC, ABS, PRIN, REG)]
         for v in vals[1:]:
             assert_allclose(v, vals[0], atol=1e-12)
+
+
+def bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestRecords:
+    """ModeGroup and LedgerEntry, the per-group records, and the ledger
+    invariant that the real-in-range fast path of entropy keeps."""
+
+    def test_fields_keep_their_names_and_order(self):
+        assert entanglement.ModeGroup._fields == ("label", "indices")
+        assert entanglement.LedgerEntry._fields == (
+            "label", "contribution", "branch_shifts", "indices")
+
+    def test_records_are_immutable(self):
+        label = pc.ModeLabel.EDGE_PAIR
+        for record in (entanglement.ModeGroup(label, (0, 1)),
+                       entanglement.LedgerEntry(label, 1 - 2j, 1, (0, 1))):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                record.extra = 0
+
+    @given(adversarial_spectra(), st.sampled_from((REG, BC)))
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_value_is_the_ledger_sum_in_ledger_order(self, nus, prescription):
+        sp = pc.classify_spectrum(nus)
+        try:
+            out = pc.entropy(sp, prescription)
+        except (UnpairedMode, ResidualNeedsRegularized):
+            assert prescription is BC
+            return
+        total = 0j
+        for entry in out.ledger:
+            total += entry.contribution
+        assert bits(out.value) == bits(total)
+        assert [(e.label, e.indices) for e in out.ledger] == list(sp.groups)
+        # a real-in-range entry, taken inline, is the general path's sum
+        for entry in out.ledger:
+            if entry.label is pc.ModeLabel.REAL_IN_RANGE:
+                [i] = entry.indices
+                general = 0j + entanglement._real_share(complex(nus[i]))
+                assert (bits(entry.contribution), entry.branch_shifts) == (bits(general), 0)
+
+
+@pytest.mark.parametrize("boundary", [
+    "pbc",
+    pytest.param("obc", marks=pytest.mark.xfail(
+        strict=True, reason="singular_mode blocks are products formed at the "
+        "largest size, whose rounding follows the product's shape")),
+], ids=["k_space", "singular_mode"])
+def test_size_value_independent_of_the_other_sizes(boundary):
+    # a size requested alone against the same size among sizes 1-25
+    spec = chain(v=1, w=2, u=1, cells=100, boundary=boundary)
+    profile = pc.entropy_profile(spec, range(1, 26), REG)
+    assert profile.route == {"pbc": "k_space", "obc": "singular_mode"}[boundary]
+    differ = [ell for ell, value in zip(profile.ells, profile.values)
+              if bits(pc.entropy_profile(spec, [ell], REG).values[0]) != bits(value)]
+    assert differ == []
 
 
 class TestEntanglementEnergies:

@@ -18,6 +18,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -314,6 +315,85 @@ def test_zgeev_and_complex_svd_are_scipys(scipy_threads, threads):
     assert_bits(_geev(_scipy_lapack(), H, vectors=True), sla.eig(H, left=True, right=True))
     for M in (H, H[:, :25], H[:25], H.real[:, :25]):
         assert_bits(spectral._svd(M), sla.svd(M, lapack_driver="gesdd"))
+
+
+def counting(lapack):
+    """``lapack`` with its ``dgeev`` and ``zgeev`` recording the lwork of
+    each call, -1 for a workspace query, in the list returned beside it."""
+    lworks = []
+
+    def wrap(routine, at):
+        def call(*args):
+            lworks.append(args[at].value)
+            routine(*args)
+        return call
+
+    return lapack._replace(dgeev=wrap(lapack.dgeev, 12), zgeev=wrap(lapack.zgeev, 11)), lworks
+
+
+LIBRARIES = [pytest.param(spectral._numpy_lapack, id="numpy"),
+             pytest.param(_scipy_lapack, id="scipy")]
+
+
+def bound(library):
+    lapack = library()
+    if lapack is None:
+        pytest.skip("numpy does not export its dgeev")
+    return lapack
+
+
+def as_list(result):
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+@pytest.mark.parametrize("library", LIBRARIES)
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_geev_workspace_kept_per_size(monkeypatch, library, dtype, vectors):
+    # the first solve of a size queries its workspace, each later one makes
+    # a single call with it, and both give the same bits; 75 and 76 sit on
+    # either side of LAPACK's small-matrix switch (nmin = 75 in dhseqr)
+    lapack, lworks = counting(bound(library))
+    monkeypatch.setattr(spectral, "_WORKSPACES", {})
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 75, 76, 200):
+        a = rng.normal(size=(n, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(n, n))
+        del lworks[:]
+        with spectral._one_blas_thread(lapack):
+            first = _geev(lapack, np.array(a, order="F"), vectors)
+            assert len(lworks) == 2 and lworks[0] == -1 and lworks[1] >= 1
+            second = _geev(lapack, np.array(a, order="F"), vectors)
+        assert lworks[2:] == [lworks[1]]
+        assert_bits(as_list(second), as_list(first))
+        key = (lapack.file, np.dtype(dtype).type, n, b"V" if vectors else b"N")
+        assert spectral._WORKSPACES[key] == lworks[1]
+
+
+@pytest.mark.parametrize("library", LIBRARIES)
+def test_geev_first_calls_on_two_threads_agree(monkeypatch, library):
+    # two threads query the same size at once, each on one BLAS thread
+    lapack = bound(library)
+    monkeypatch.setattr(spectral, "_WORKSPACES", {})
+    a = np.random.default_rng(17).normal(size=(76, 76))
+    barrier = threading.Barrier(2, timeout=60)
+    results = [None, None]
+
+    def solve(k):
+        barrier.wait()
+        results[k] = _geev(lapack, np.array(a, order="F"), vectors=True)
+
+    with spectral._one_blas_thread(lapack):
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert_bits(results[1], results[0])
+        assert list(spectral._WORKSPACES) == [(lapack.file, np.float64, 76, b"V")]
+        assert_bits(_geev(lapack, np.array(a, order="F"), vectors=True), results[0])
 
 
 def lu_rule(vl, vr, half):
