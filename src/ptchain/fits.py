@@ -17,12 +17,22 @@ Trim policies remove UV-contaminated small-l points. The open-chain rule
 trims until the fit RMSE reaches its threshold; on data whose RMSE floor
 sits above the threshold, trimming stops at the marginal-improvement
 elbow instead of eating the whole data set.
+
+The shift search is the cost of an open-chain fit. Each SSE of a scan
+takes one sin and one log per grid point and size (float64 ``np.sin`` and
+``np.log`` run element by element), so a 512-point scan of 50 sizes is
+about 25,600 of each; the rest is a few whole-array passes. When every
+shift of a grid is feasible, as on every scan of the presets, the scan
+takes a fast path with no feasible-row copy. A 33-point rescan is mostly
+fixed per-call cost, which the search keeps small: its grid comes from a
+cached ramp in ``np.linspace``'s arithmetic, and its unimodality test is
+one Python pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -203,47 +213,104 @@ def _shift_grid_sse(ells: np.ndarray, y: np.ndarray, L: float,
     The closed form of :func:`_linear_fit` on :func:`_shifted_cc_design`,
     for all shifts in one pass: the least-squares slope of the centred data,
     then the residual sum; infeasible shifts get inf.
+
+    Cost: one sin and one log per grid point and size, the bulk of a scan
+    (float64 ``np.sin`` and ``np.log`` run element by element), and a few
+    whole-array passes. The sine argument is monotone in l, so the two end
+    sizes decide a shift's feasibility, one scalar each per shift. When
+    every shift is feasible, as on every scan of the presets, the rows are
+    formed from the whole grid with no feasible-row copy.
     """
-    d = 2.0 * grid[:, None]
-    # the sine argument is monotone in l: the end sizes decide feasibility
-    ends = (np.array([ells.min(), ells.max()]) + d) / (L + d)
-    feasible = np.all((ends > 0.0) & (ends < 1.0), axis=1)
-    x = ells + d[feasible]
-    x /= L + d[feasible]
+    d = 2.0 * grid
+    span = L + d
+    first = (ells.min() + d) / span
+    last = (ells.max() + d) / span
+    feasible = (first > 0.0) & (first < 1.0) & (last > 0.0) & (last < 1.0)
+    everywhere = feasible.all()
+    if not everywhere:
+        d, span = d[feasible], span[feasible]
+    x = ells + d[:, None]
+    x /= span[:, None]
     x *= np.pi
     np.log(np.sin(x, out=x), out=x)
-    x -= x.mean(axis=1, keepdims=True)
-    yc = y - y.mean()
+    # x.mean(axis=1) and y.mean(), without their Python wrappers
+    mean = np.add.reduce(x, axis=1, keepdims=True)
+    mean /= x.shape[1]
+    x -= mean
+    yc = y - np.add.reduce(y) / len(y)
     slope = (x @ yc) / np.einsum("ij,ij->i", x, x)
     x *= slope[:, None]
     np.subtract(yc, x, out=x)
+    rows = np.einsum("ij,ij->i", x, x)
+    if everywhere:
+        return rows
     sse = np.full(len(grid), np.inf)
-    sse[feasible] = np.einsum("ij,ij->i", x, x)
+    sse[feasible] = rows
     return sse
+
+
+@cache
+def _ramp(num: int) -> np.ndarray:
+    """0, 1, ..., num - 1 in float64, the ramp that ``np.linspace`` scales;
+    read-only, since every call shares it."""
+    ramp = np.arange(num, dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)`` of two floats, num >= 2, in its
+    arithmetic on a cached ramp: ramp * step + start with step =
+    (stop - start) / (num - 1), or ramp / (num - 1) * (stop - start) where
+    that step is 0, and the last point set to stop."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        grid = _ramp(num) / div
+        grid *= delta
+    else:
+        grid = _ramp(num) * step
+    grid += start
+    grid[-1] = stop
+    return grid
+
+
+def _unimodal(sses: np.ndarray, b: int) -> bool:
+    """Whether ``np.diff(sses)`` is <= 0 up to the minimum at b and >= 0
+    after it, in one Python pass over the differences."""
+    s = sses.tolist()
+    for i in range(len(s) - 1):
+        step = s[i + 1] - s[i]
+        if not (step <= 0 if i < b else step >= 0):
+            return False
+    return True
 
 
 def _best_shift(ells: np.ndarray, y: np.ndarray, L: float,
                 bounds: tuple[float, float]) -> float:
     """Least-SSE extrapolation shift on a scan and rescans of the bounds."""
-    lo = max(bounds[0], -float(ells.min()) / 2.0 + 1e-6)
-    if lo >= bounds[1]:
+    lo = max(float(bounds[0]), -float(ells.min()) / 2.0 + 1e-6)
+    hi = float(bounds[1])
+    if lo >= hi:
         raise NoConvergence("no feasible extrapolation shift in bounds")
-    grid = np.linspace(lo, bounds[1], 512)
+    grid = _linspace(lo, hi, 512)
     sses = _shift_grid_sse(ells, y, L, grid)
-    if not np.any(np.isfinite(sses)):
+    if not np.isfinite(sses).any():
         raise NoConvergence("shifted fit infeasible on the whole search range")
     # at most eight 16-fold narrowings, which end under 1e-12 of the bounds.
     # The SSE has one minimum in a bracket until it reaches its rounding
     # floor, where it rises and falls at random and a rescan only picks
     # another point of that flat band: the first rescan whose SSE is not
     # unimodal ends the search, at the best point of the rescan before.
-    b = int(np.argmin(sses))
+    b = int(sses.argmin())
     shift = grid[b]
     for _ in range(8):
-        grid = np.linspace(grid[max(b - 1, 0)], grid[min(b + 1, len(grid) - 1)], 33)
+        left, right = grid[max(b - 1, 0)], grid[min(b + 1, len(grid) - 1)]
+        grid = _linspace(float(left), float(right), 33)
         sses = _shift_grid_sse(ells, y, L, grid)
-        b = int(np.argmin(sses))
-        if not (np.all(np.diff(sses[: b + 1]) <= 0) and np.all(np.diff(sses[b:]) >= 0)):
+        b = int(sses.argmin())
+        if not _unimodal(sses, b):
             break
         shift = grid[b]
     return float(shift)

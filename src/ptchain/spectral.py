@@ -398,20 +398,22 @@ def half_filling_weights(energies: np.ndarray, tol_zero: float = TOL_ZERO) -> np
     ambiguous.
     """
     E = np.asarray(energies)
+    re = E.real
     s = np.zeros(len(E))
-    s[E.real < -tol_zero] = 1.0
-    on_axis = np.abs(E.real) <= tol_zero
+    s[re < -tol_zero] = 1.0
+    on_axis = np.abs(re) <= tol_zero
     imaginary = on_axis & (np.abs(E.imag) > tol_zero)
     s[imaginary] = 0.5
-    if np.any(on_axis & ~imaginary):
-        bad = E[on_axis & ~imaginary]
+    zero = on_axis & ~imaginary
+    if zero.any():
         raise AmbiguousFilling(
-            f"real zero modes {bad} make half filling ambiguous; "
+            f"real zero modes {E[zero]} make half filling ambiguous; "
             "detune the spec away from the exact critical point"
         )
-    if abs(np.sum(s) - len(E) / 2) > 1e-9:
+    total = s.sum()
+    if abs(total - len(E) / 2) > 1e-9:
         raise AmbiguousFilling(
-            f"half filling not reached: sum of weights {np.sum(s)} != {len(E) / 2}"
+            f"half filling not reached: sum of weights {total} != {len(E) / 2}"
         )
     return s
 
@@ -463,6 +465,37 @@ _Lapack = NamedTuple("_Lapack", [
 ])
 
 
+def _array_pointer(dtype: np.dtype) -> type:
+    """ctypes argument type of a Fortran-contiguous ndarray of ``dtype``,
+    passed as the address of its data.
+
+    It refuses what ``np.ctypeslib.ndpointer(dtype, flags="F_CONTIGUOUS")``
+    refuses, a non-array, another dtype or an array not Fortran-contiguous,
+    with the same TypeError before the routine is called, and passes the
+    address as a ``c_void_p`` where ``ndpointer`` hands ctypes the array's
+    ``ctypes`` object and ctypes casts its ``_as_parameter_``: that costs
+    about a microsecond more per argument, and a small solve passes six
+    arrays.
+    """
+    import ctypes
+
+    address = ctypes.c_void_p
+
+    class ArrayPointer:
+        @staticmethod
+        def from_param(obj):
+            if not isinstance(obj, np.ndarray):
+                raise TypeError("argument must be an ndarray")
+            if obj.dtype != dtype:
+                raise TypeError(f"array must have data type {dtype}")
+            if not obj.flags.f_contiguous:
+                raise TypeError("array must have flags ['F_CONTIGUOUS']")
+            return address(obj.ctypes.data)
+
+    ArrayPointer.__name__ = ArrayPointer.__qualname__ = f"ArrayPointer[{dtype}]"
+    return ArrayPointer
+
+
 def _bind_lapack(file: str, bits: int) -> _Lapack:
     """The routines of :data:`_SIGNATURES` and the OpenBLAS thread control
     that the library ``file`` or its dependencies export, with ``bits``-wide
@@ -486,7 +519,7 @@ def _bind_lapack(file: str, bits: int) -> _Lapack:
 
     types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer)}
     for code, dtype in (("d", np.float64), ("z", np.complex128), ("I", integer)):
-        types[code] = np.ctypeslib.ndpointer(np.dtype(dtype), flags="F_CONTIGUOUS")
+        types[code] = _array_pointer(np.dtype(dtype))
     routines = {}
     for name, codes in _SIGNATURES.items():
         routine = symbol(f"{name}_{suffix}")
@@ -630,10 +663,13 @@ def _geev(lapack: _Lapack, a: np.ndarray, vectors: bool = False):
     writable Fortran-ordered float64 or complex128 ``a`` is overwritten;
     any other is copied first.
     """
-    a = np.require(a, _lapack_dtype(a), ["F", "W"])
+    # np.require(a, dtype, ["F", "W"]), without its Python preamble
+    a = np.array(a, _lapack_dtype(a), order="F", copy=None, subok=True)
+    if not a.flags.writeable:
+        a = a.copy("F")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise np.linalg.LinAlgError(f"a square matrix is required, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     n, integer, job = len(a), lapack.integer, b"V" if vectors else b"N"
     real = a.dtype == np.float64
@@ -735,7 +771,7 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, vectors: bool = False):
         raise ValueError("a diagonal of n and a superdiagonal of n - 1 entries are "
                          f"required, got {d.size} and {e.size - 1}")
     n = len(d)
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     lapack = _numpy_lapack()
     with _one_blas_thread(lapack):
@@ -798,7 +834,7 @@ def _half_filled_energies(a: np.ndarray, u: float, tol_zero: float) -> np.ndarra
     """
     e = _levels(a, u)
     if u > 0:
-        _require_off_exceptional_point(float(np.min(np.abs(e) / np.maximum(a, u))))
+        _require_off_exceptional_point(float((np.abs(e) / np.maximum(a, u)).min()))
     weights = half_filling_weights(np.concatenate([-e, e]), tol_zero)
     filled = weights[: len(a)] != weights[len(a):]
     return np.where(filled, e.real, 0.0)
@@ -818,7 +854,7 @@ def ground_state_energy(spec: ChainSpec, tol_zero: float = TOL_ZERO) -> complex:
         E = _real_gauge_system(_gauge_matrix(spec)).energies
         return complex(np.sum(half_filling_weights(E, tol_zero) * E))
     a = _mode_amplitudes(spec)
-    return complex(-np.sum(_half_filled_energies(a, spec.u_eff, tol_zero)))
+    return complex(-_half_filled_energies(a, spec.u_eff, tol_zero).sum())
 
 
 def density_profile(sys: BiorthogonalSystem, occ: OccupationSet) -> DensityProfile:

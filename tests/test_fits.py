@@ -2,6 +2,7 @@ import contextlib
 import ctypes
 import multiprocessing
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,13 +10,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import ptchain as pc
-from ptchain import spectral
+import reference_fits
+from ptchain import fits, spectral
 from ptchain.errors import InsufficientPoints, NoConvergence
-from ptchain.fits import (FixedCount, UntilRMSE, UntilSSE, _linear_fit,
-                          _shift_grid_sse, _shifted_cc_design)
+from ptchain.fits import (FixedCount, UntilRMSE, UntilSSE, _best_shift, _linear_fit,
+                          _linspace, _shift_grid_sse, _shifted_cc_design)
 from ptchain.rng import SplitMix64, disorder_offsets
 
 
@@ -200,6 +202,112 @@ class TestCCFitOBC:
         assert_allclose(fast[finite], loop[finite], rtol=1e-10,
                         atol=1e3 * np.finfo(float).eps * scale)
         assert np.argmin(fast) == np.argmin(loop)
+
+
+@st.composite
+def shift_searches(draw):
+    """(ells, y, L, bounds) of one shift search: the planted shifted form,
+    clean or noisy, searched over bounds around the planted shift. Some
+    draws put a size at ell = L, whose sine argument is 1 at every shift,
+    so that every shift is infeasible, and some put the bounds below -L/2,
+    where L + 2 dl < 0."""
+    kind = draw(st.sampled_from(("feasible",) * 6 + ("ell = L", "below -L/2")))
+    L = draw(st.integers(8, 400))
+    ells = draw(st.sets(st.integers(1, L - 1), min_size=5, max_size=60))
+    if kind == "ell = L":
+        ells.add(L)
+    ells = np.array(sorted(ells), dtype=float)
+    dl = draw(st.floats(-float(ells.min()) / 2 + 1e-3, L / 2.0))
+    c6, s0 = draw(st.floats(-1.0, -0.05)), draw(st.floats(-2.0, 2.0))
+    noise = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-5, 1e-2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the size ell = L is never fitted: its data point is planted at
+    # ell = L - 1/2, where the sine stays positive
+    x = np.minimum(ells, L - 0.5)
+    y = (c6 * np.log(np.sin(np.pi * (x + 2 * dl) / (L + 2 * dl))) + s0
+         + noise * rng.standard_normal(len(ells)))
+    if kind == "below -L/2":
+        lo = draw(st.floats(-1.2 * L, -L / 2.0 - 1.0))
+        bounds = (lo, draw(st.floats(lo, -L / 2.0)))
+    else:
+        # the lower bound on either side of the lowest feasible shift
+        edge = -float(ells.min()) / 2
+        lo = edge + draw(st.floats(-L / 4.0, L / 4.0))
+        bounds = (lo, max(lo, edge) + draw(st.floats(0.5, L / 2.0)))
+    return ells, y, float(L), bounds
+
+
+class TestShiftSearchMatchesReference:
+    """The shift search against the copy of it in tests/reference_fits.py,
+    bit for bit: the SSE of every shift, inf where it is infeasible, the
+    shift found, and the refusal where there is none."""
+
+    @given(shift_searches(), st.sampled_from((1, 2, 33, 512)))
+    @settings(max_examples=300)
+    def test_same_sse(self, search, num):
+        ells, y, L, (lo, hi) = search
+        grid = np.linspace(lo, hi, num)
+        assert_array_equal(_shift_grid_sse(ells, y, L, grid),
+                           reference_fits._shift_grid_sse(ells, y, L, grid))
+
+    @given(shift_searches())
+    @settings(max_examples=400)
+    def test_same_shift_or_refusal(self, search):
+        ells, y, L, bounds = search
+        try:
+            want = reference_fits._best_shift(ells, y, L, bounds)
+        except NoConvergence as exc:
+            with pytest.raises(NoConvergence, match=f"^{re.escape(str(exc))}$"):
+                _best_shift(ells, y, L, bounds)
+        else:
+            assert _best_shift(ells, y, L, bounds) == want
+
+    @pytest.mark.parametrize("ells, bounds, message", [
+        (np.arange(5.0, 41.0), (-100.0, -45.0), "no feasible extrapolation shift"),
+        (np.arange(5.0, 41.0) + 40.0, (-20.0, 20.0), "infeasible on the whole search"),
+    ], ids=["bounds-below-minus-half-L", "ell-equals-L"])
+    def test_refusals(self, ells, bounds, message):
+        # L = 80: bounds below -L/2 leave no shift; a size at ell = L makes
+        # every shift infeasible
+        y = np.linspace(0.0, 1.0, len(ells))
+        for search in (_best_shift, reference_fits._best_shift):
+            with pytest.raises(NoConvergence, match=message):
+                search(ells, y, 80.0, bounds)
+
+    @pytest.mark.parametrize("start, stop", [(-0.5, 50.0), (3.0, 3.0), (0.0, 5e-324),
+                                             (1.0, 1.0 + 2**-52), (7.5, -2.25)])
+    @pytest.mark.parametrize("num", [2, 33, 512])
+    def test_grid_is_linspace(self, start, stop, num):
+        # a zero step, a subnormal one and a one-ulp bracket included
+        assert_array_equal(_linspace(start, stop, num), np.linspace(start, stop, num))
+
+    def test_one_scan_and_at_most_eight_rescans(self, monkeypatch):
+        # the presets' search: each _best_shift scans 512 shifts once, then
+        # rescans 33 at a time, at most eight times
+        L = 200
+        ells = np.arange(1.0, 51.0)
+        y = TestCCFitOBC.model(ells, L, -1 / 3, -0.8, 0.5) + 1e-4 * np.cos(ells)
+        y[:3] += [0.3, 0.1, 0.05]  # trimmed one at a time: one search per trim
+        grids, searches, scan, search = [], [], fits._shift_grid_sse, fits._best_shift
+
+        def spy_scan(ells, y, L, grid):
+            grids[-1].append(len(grid))
+            return scan(ells, y, L, grid)
+
+        def spy_search(*args):
+            grids.append([])
+            searches.append(search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(fits, "_shift_grid_sse", spy_scan)
+        monkeypatch.setattr(fits, "_best_shift", spy_search)
+        pc.cc_fit_obc(ells, y, L)
+        assert len(grids) >= 2
+        for lengths, shift, k in zip(grids, searches, range(len(grids))):
+            assert lengths[0] == 512 and 1 <= len(lengths) <= 9
+            assert set(lengths[1:]) <= {33}
+            assert shift == reference_fits._best_shift(ells[k:], y[k:], float(L),
+                                                       (-L / 4, L / 4))
 
 
 class TestCasimirFit:

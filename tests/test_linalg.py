@@ -13,6 +13,8 @@ bundle their own, and the bindings make scipy's wrappers' calls, bit for
 bit, which the tests below check with ``scipy.linalg`` imported here only.
 """
 
+import ctypes
+import functools
 import os
 import pathlib
 import re
@@ -484,3 +486,117 @@ def test_library_without_the_names_refused(monkeypatch, bits, other):
     monkeypatch.setattr(spectral, "_scipy_lapack", lambda: spectral._bind_lapack(file, bits))
     with pytest.raises(ImportError, match="dgeev"):
         pc.ground_state_energy(realization(1, pc.Boundary.PBC, 1))
+
+
+# ---------------------------------------------------------------------------
+# Arrays passed by address, against numpy's ndpointer
+# ---------------------------------------------------------------------------
+
+def ndpointer(dtype):
+    return np.ctypeslib.ndpointer(np.dtype(dtype), flags="F_CONTIGUOUS")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int32, np.int64])
+def test_array_pointer_refuses_what_ndpointer_refuses(dtype):
+    ours, theirs = spectral._array_pointer(np.dtype(dtype)), ndpointer(dtype)
+    square = np.arange(12).reshape(3, 4)
+    candidates = [
+        square.astype(dtype, order="F"),  # passed
+        square.astype(dtype)[0],  # one row: 1-D, so Fortran-contiguous too
+        np.zeros((0, 3), dtype, order="F"),
+        np.asfortranarray(square.astype(dtype))[:, 1:3],  # whole columns
+        square.astype(dtype),  # C-ordered
+        square.astype(dtype, order="F")[::2],  # strided
+        square.astype(np.float32, order="F"),
+        square.astype(np.int16, order="F"),
+        square.astype(dtype, order="F").tolist(),
+        None,
+        3.0,
+    ]
+    for obj in candidates:
+        try:
+            theirs.from_param(obj)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+                ours.from_param(obj)
+        else:
+            assert ours.from_param(obj).value == obj.ctypes.data
+
+
+@pytest.mark.parametrize("library", LIBRARIES)
+@pytest.mark.parametrize("bad", ["C-ordered", "float32", "list"])
+def test_refused_array_stops_the_call_before_lapack(library, bad):
+    # ctypes converts every argument before the call: a refused one raises
+    # ArgumentError and LAPACK writes nothing, not even info
+    lapack, n = bound(library), 4
+    a = np.asfortranarray(np.random.default_rng(3).normal(size=(n, n)))
+    a = {"C-ordered": np.ascontiguousarray(a), "float32": a.astype(np.float32, order="F"),
+         "list": a.tolist()}[bad]
+    w, wi, work = np.full(n, 7.0), np.full(n, 7.0), np.empty(8 * n)
+    vl = vr = np.empty((1, 1), order="F")
+    info, integer = lapack.integer(-99), lapack.integer
+    with pytest.raises(ctypes.ArgumentError, match="argument 4: TypeError"):
+        lapack.dgeev(b"N", b"N", integer(n), a, integer(n), w, wi, vl, integer(1), vr,
+                     integer(1), work, integer(8 * n), info, 1, 1)
+    assert info.value == -99 and np.all(w == 7.0) and np.all(wi == 7.0)
+
+
+def ndpointer_binding(library):
+    """The library bound with every array argument an ``ndpointer``, as the
+    package bound it before ``spectral._array_pointer``, on a handle of its
+    own."""
+    lapack = bound(library)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(spectral, "_array_pointer", ndpointer)
+        return spectral._bind_lapack(lapack.file, 8 * ctypes.sizeof(lapack.integer))
+
+
+def bound_calls():
+    """Every bound routine on the cases above: dgeev with and without
+    vectors on both libraries, zgeev, dgesdd and zgesdd, dgemm and zgemm
+    in either memory order, dlasq1 and dbdsdc on open chains' blocks."""
+    rng = np.random.default_rng(19)
+    H = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    a, b = rng.normal(size=(90, 70)), rng.normal(size=(70, 80))
+    calls = [lambda: _geev(spectral._scipy_lapack(), H, vectors=True),
+             lambda: spectral._svd(H), lambda: spectral._svd(H.real[:, :25]),
+             lambda: _gemm(a, b), lambda: _gemm(np.asfortranarray(a) + 1j, b[:, ::2]),
+             lambda: _gemm(a[::3].T, b[:30])]
+    for param in REALIZATIONS + PACKED_CASES:
+        A = _gauge_matrix(param.values[0])
+        calls += [lambda A=A: _geev(spectral._scipy_lapack(), A, vectors=True),
+                  lambda A=A: spectral._svd(A[:20, :30])]
+        if spectral._numpy_lapack() is not None:
+            calls.append(lambda A=A: _geev(spectral._numpy_lapack(), A))
+    if spectral._numpy_lapack() is not None:
+        for alpha in (1, 2, 3):
+            spec = pc.ChainSpec(alpha=alpha, v=1.0, w=2.0, u=0.5, cells=60,
+                                boundary=pc.Boundary.OBC)
+            d, e = pc.lattice._open_bidiagonal(spec)
+            calls += [lambda d=d, e=e: spectral._bidiagonal_svd(d, e),
+                      lambda d=d, e=e: spectral._bidiagonal_svd(d, e, vectors=True)]
+    return calls
+
+
+@THREADS
+def test_array_pointers_keep_the_ndpointer_bits(monkeypatch, scipy_threads, threads):
+    scipy_threads(threads)
+    numpy = spectral._numpy_lapack()
+    previous = numpy.get_threads() if numpy is not None and numpy.get_threads else None
+    try:
+        if previous is not None:
+            numpy.set_threads(threads)
+        ours = [as_list(call()) for call in bound_calls()]
+        monkeypatch.setattr(spectral, "_scipy_lapack",
+                            functools.cache(lambda: ndpointer_binding(_scipy_lapack)))
+        if numpy is not None:
+            monkeypatch.setattr(spectral, "_numpy_lapack",
+                                functools.cache(lambda: ndpointer_binding(lambda: numpy)))
+        assert spectral._scipy_lapack().dgeev.argtypes[3].__name__.startswith("ndpointer")
+        theirs = [as_list(call()) for call in bound_calls()]
+    finally:
+        if previous is not None:
+            numpy.set_threads(previous)
+    assert len(ours) == len(theirs) >= 40
+    for x, y in zip(ours, theirs):
+        assert_bits(x, y)
