@@ -478,14 +478,12 @@ def classify_spectrum(
     quartets: list[tuple[float, float, float, float, float, float]] = []
     free = [True] * n
     group: list[int] = []  # the visited mode, then the partners it holds
-    pair = tol.tol_pair
-    reach = 2.0 * pair
 
     def take(label: ModeLabel, idx: tuple[int, ...]):
         for i in idx:
             free[i] = False
             labels[i] = label
-        groups.append(_record(ModeGroup, (label, idx)))
+        groups.append(ModeGroup(label, idx))
 
     def partner(target: complex, required: bool = True) -> int | None:
         """Append the partner of target to group and return it, or None when
@@ -495,27 +493,25 @@ def classify_spectrum(
         ends drops no candidate; the NaN keys sorted last can only widen it.
         """
         real = is_real[group[0]]
-        lo = bisect_left(keys, target.real - reach)
-        hi = bisect_right(keys, target.real + reach, lo)
+        lo = bisect_left(keys, target.real - 2.0 * tol.tol_pair)
+        hi = bisect_right(keys, target.real + 2.0 * tol.tol_pair, lo)
         near = [
             (d, j)
             for j in by_re[lo:hi]
             if free[j] and is_real[j] == real and j not in group
-            and (d := abs(vals[j] - target)) < pair
+            and (d := abs(vals[j] - target)) < tol.tol_pair
         ]
         if not near:
             if required:
                 raise _NoMatch
             return None
-        # a lone candidate lies within tol_pair of itself: it is finite
-        best = near[0][1] if len(near) == 1 else min(near)[1]
-        if len(near) > 1 and any(abs(vals[j] - vals[best]) > pair for _, j in near):
+        best = min(near)[1]
+        if any(abs(vals[j] - vals[best]) > tol.tol_pair for _, j in near):
             raise _NoMatch
         group.append(best)
         return best
 
     in_range, lo, hi = ModeLabel.REAL_IN_RANGE, -tol.tol_real, 1.0 + tol.tol_real
-    add = groups.append
     for i in by_re:
         if not free[i] or not is_real[i]:
             continue
@@ -524,7 +520,7 @@ def classify_spectrum(
             # take() inline: most modes of a spectrum are these singletons
             free[i] = False
             labels[i] = in_range
-            add(_record(ModeGroup, (in_range, (i,))))
+            groups.append(_record(ModeGroup, (in_range, (i,))))
             continue
         group = [i]
         try:
@@ -609,32 +605,33 @@ def _abs_term(nu: complex) -> complex:
     return t
 
 
+def _edge_pair_branch(I: float) -> complex:
+    # (4 arctan(2I) - 2 pi) I written as -4 I arctan(1/(2I)) to avoid the
+    # pi/2 cancellation at large I.
+    real = -2.0 * math.log(math.hypot(0.5, I)) - 4.0 * I * math.atan(1.0 / (2.0 * I))
+    return complex(real, -math.pi)
+
+
+def _quartet_branch(p: tuple[float, float, float, float, float, float]) -> complex:
+    R, I, r, rho, phi, varphi = p
+    return complex(
+        -4.0 * R * math.log(r)
+        - 4.0 * (1.0 - R) * math.log(rho)
+        + 4.0 * I * (phi + varphi - math.pi),
+        0.0,
+    )
+
+
 def _real_share(nu: complex) -> float:
     return _abs_term(nu.real)
 
 
 def _edge_share(nu: complex) -> complex:
-    """Half the branch value of the edge pair 1/2 +- i I of nu,
-    -2 ln r + (4 phi - 2 pi) I - i pi; (4 arctan(2I) - 2 pi) I is written
-    as -4 I arctan(1/(2I)) to avoid the pi/2 cancellation at large I."""
-    I = abs(nu.imag)
-    real = -2.0 * math.log(math.hypot(0.5, I)) - 4.0 * I * math.atan(1.0 / (2.0 * I))
-    return complex(real, -math.pi) / 2.0
+    return _edge_pair_branch(abs(nu.imag)) / 2.0
 
 
 def _quartet_share(nu: complex) -> complex:
-    """A quarter of the branch value of the quartet of nu,
-    -4 R ln r - 4 (1-R) ln rho + 4 I (phi + varphi - pi) of its Im > 0
-    member rep = R + i I, in the terms of :func:`_quartet_params`:
-    r = |rep|, rho = |1 - rep|, phi = arg rep, varphi = arg(1 - rep*)."""
-    rep = nu if nu.imag > 0 else nu.conjugate()
-    R, I = rep.real, rep.imag
-    return complex(
-        -4.0 * R * math.log(abs(rep))
-        - 4.0 * (1.0 - R) * math.log(abs(1.0 - rep))
-        + 4.0 * I * (cmath.phase(rep) + cmath.phase(1.0 - rep.conjugate()) - math.pi),
-        0.0,
-    ) / 4.0
+    return _quartet_branch(_quartet_params(nu if nu.imag > 0 else nu.conjugate())) / 4.0
 
 
 def _branch_share(group: ModeGroup, nu: complex, tol: ToleranceSet):
@@ -686,18 +683,20 @@ def entropy(
         term = _abs_term
     else:
         term = None
-    # tested first, the label that most groups carry; under PRINCIPAL and
-    # ABSOLUTE_VALUE no label is None, and every group takes the term
-    in_range = ModeLabel.REAL_IN_RANGE if term is None else None
-    log, tol = math.log, spectrum.tolerances
+    in_range, log = ModeLabel.REAL_IN_RANGE, math.log
+    tol = spectrum.tolerances
     nus = spectrum.eigenvalues.tolist()
     entries: list[LedgerEntry] = []
-    add = entries.append
     total = 0.0 + 0.0j
     for group in spectrum.groups:
         label, indices = group
         val = 0.0 + 0.0j
-        if label is in_range:
+        if term is not None:
+            shifts = 0
+            for i in indices:
+                val += term(nus[i])
+        elif label is in_range:
+            shifts = 0
             for i in indices:
                 x = nus[i].real
                 t = 0.0
@@ -706,18 +705,11 @@ def entropy(
                 if x != 1:
                     t -= (1.0 - x) * log(abs(1.0 - x))
                 val += t
-            add(_record(LedgerEntry, (label, val, 0, indices)))
-            total += val
-            continue
-        if term is not None:
-            shifts = 0
-            for i in indices:
-                val += term(nus[i])
         else:
             share, shifts = _branch_share(group, nus[indices[0]], tol)
             for i in indices:
                 val += share(nus[i])
-        add(_record(LedgerEntry, (label, val, shifts, indices)))
+        entries.append(_record(LedgerEntry, (label, val, shifts, indices)))
         total += val
     return ComplexEntropy(total, tuple(entries), prescription)
 
@@ -779,9 +771,7 @@ def _halved_eigvals(t: np.ndarray, h: np.ndarray, eigvals) -> np.ndarray | None:
     Fortran-ordered: the layout LAPACK takes.
     """
     p, q = t - h, t + h
-    # np.linalg.norm(x, 1) of each, without its Python preamble
-    floor = (_MU_FLOOR * np.abs(p).sum(axis=0).max(initial=0)
-             * np.abs(q).sum(axis=0).max(initial=0))
+    floor = _MU_FLOOR * np.linalg.norm(p, 1) * np.linalg.norm(q, 1)
     pq = np.matmul(p, q, order="F")
     del p, q
     mu = eigvals(pq).astype(complex, copy=False)

@@ -21,12 +21,13 @@ elbow instead of eating the whole data set.
 The shift search is the cost of an open-chain fit. Each SSE of a scan
 takes one sin and one log per grid point and size (float64 ``np.sin`` and
 ``np.log`` run element by element), so a 512-point scan of 50 sizes is
-about 25,600 of each; the rest is a few whole-array passes. When every
-shift of a grid is feasible, as on every scan of the presets, the scan
-takes a fast path with no feasible-row copy. A 33-point rescan is mostly
-fixed per-call cost, which the search keeps small: its grid comes from a
-cached ramp in ``np.linspace``'s arithmetic, and its unimodality test is
-one Python pass.
+about 25,600 of each; the rest is a few whole-array passes. A 33-point
+rescan is mostly fixed per-call cost, which the search keeps small: its
+grid comes from a cached ramp in ``np.linspace``'s arithmetic, its means
+skip their Python wrappers, and its unimodality test is one Python pass
+over the differences. The search runs in float64 whatever the type of its
+bounds: float32 bounds give a float64 grid, where ``np.linspace`` would
+have made a float32 one.
 """
 
 from __future__ import annotations
@@ -217,18 +218,15 @@ def _shift_grid_sse(ells: np.ndarray, y: np.ndarray, L: float,
     Cost: one sin and one log per grid point and size, the bulk of a scan
     (float64 ``np.sin`` and ``np.log`` run element by element), and a few
     whole-array passes. The sine argument is monotone in l, so the two end
-    sizes decide a shift's feasibility, one scalar each per shift. When
-    every shift is feasible, as on every scan of the presets, the rows are
-    formed from the whole grid with no feasible-row copy.
+    sizes decide a shift's feasibility, one scalar each per shift, and only
+    the feasible shifts' rows are formed.
     """
     d = 2.0 * grid
     span = L + d
     first = (ells.min() + d) / span
     last = (ells.max() + d) / span
     feasible = (first > 0.0) & (first < 1.0) & (last > 0.0) & (last < 1.0)
-    everywhere = feasible.all()
-    if not everywhere:
-        d, span = d[feasible], span[feasible]
+    d, span = d[feasible], span[feasible]
     x = ells + d[:, None]
     x /= span[:, None]
     x *= np.pi
@@ -241,11 +239,8 @@ def _shift_grid_sse(ells: np.ndarray, y: np.ndarray, L: float,
     slope = (x @ yc) / np.einsum("ij,ij->i", x, x)
     x *= slope[:, None]
     np.subtract(yc, x, out=x)
-    rows = np.einsum("ij,ij->i", x, x)
-    if everywhere:
-        return rows
     sse = np.full(len(grid), np.inf)
-    sse[feasible] = rows
+    sse[feasible] = np.einsum("ij,ij->i", x, x)
     return sse
 
 
@@ -289,7 +284,8 @@ def _unimodal(sses: np.ndarray, b: int) -> bool:
 
 def _best_shift(ells: np.ndarray, y: np.ndarray, L: float,
                 bounds: tuple[float, float]) -> float:
-    """Least-SSE extrapolation shift on a scan and rescans of the bounds."""
+    """Least-SSE extrapolation shift on a scan and rescans of the bounds,
+    taken as float64."""
     lo = max(float(bounds[0]), -float(ells.min()) / 2.0 + 1e-6)
     hi = float(bounds[1])
     if lo >= hi:

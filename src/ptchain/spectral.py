@@ -663,8 +663,7 @@ def _geev(lapack: _Lapack, a: np.ndarray, vectors: bool = False):
     writable Fortran-ordered float64 or complex128 ``a`` is overwritten;
     any other is copied first.
     """
-    # np.require(a, dtype, ["F", "W"]), without its Python preamble
-    a = np.array(a, _lapack_dtype(a), order="F", copy=None, subok=True)
+    a = np.asanyarray(a, _lapack_dtype(a), order="F")
     if not a.flags.writeable:
         a = a.copy("F")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

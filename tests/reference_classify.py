@@ -4,16 +4,9 @@ A verbatim copy of the numpy matcher that ``ptchain.entanglement`` used
 before its bisect-window lookup: every lookup scans all free modes with
 ``np.isin`` exclusion. ``test_entanglement`` requires identical labels,
 groups, edge-pair imaginary parts and quartet parameters from both.
-
-Also the branch values of an edge pair and a quartet as ``entropy`` took
-them before each was folded into its per-mode share, verbatim:
-``test_entanglement`` requires the shares to be these halved and
-quartered, bit for bit.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -170,21 +163,4 @@ def classify_spectrum(
         edge_pair_imags=tuple(edge_imags),
         quartet_params=tuple(quartets),
         tolerances=tolerances,
-    )
-
-
-def edge_pair_branch(I: float) -> complex:
-    # (4 arctan(2I) - 2 pi) I written as -4 I arctan(1/(2I)) to avoid the
-    # pi/2 cancellation at large I.
-    real = -2.0 * math.log(math.hypot(0.5, I)) - 4.0 * I * math.atan(1.0 / (2.0 * I))
-    return complex(real, -math.pi)
-
-
-def quartet_branch(p: tuple[float, float, float, float, float, float]) -> complex:
-    R, I, r, rho, phi, varphi = p
-    return complex(
-        -4.0 * R * math.log(r)
-        - 4.0 * (1.0 - R) * math.log(rho)
-        + 4.0 * I * (phi + varphi - math.pi),
-        0.0,
     )

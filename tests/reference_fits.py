@@ -1,10 +1,10 @@
 """Reference shift search for the open-chain fit.
 
 A verbatim copy of ``_shift_grid_sse`` and ``_best_shift`` as
-``ptchain.fits`` had them before their scans took feasibility per shift
-from scalars, skipped the feasible-row copy and built the rescan grids
-from a cached ramp. ``test_fits`` requires the same SSE arrays, the same
-shifts and the same refusals from both, bit for bit.
+``ptchain.fits`` had them before the scans took feasibility per shift
+from scalars and the rescans tested unimodality in one Python pass.
+``test_fits`` requires the same SSE arrays, the same shifts and the same
+refusals from both, bit for bit.
 """
 
 from __future__ import annotations

@@ -29,8 +29,6 @@ from ptchain.errors import (
 )
 from reference_builders import toeplitz_correlation as reference_toeplitz
 from reference_classify import classify_spectrum as reference_classify
-from reference_classify import edge_pair_branch as reference_edge_pair_branch
-from reference_classify import quartet_branch as reference_quartet_branch
 
 BC = pc.Prescription.BRANCH_CUT
 ABS = pc.Prescription.ABSOLUTE_VALUE
@@ -253,26 +251,6 @@ class TestClassifyMatchesReference:
         assert got.groups == want.groups
         assert got.edge_pair_imags == want.edge_pair_imags
         assert got.quartet_params == want.quartet_params
-
-    @given(st.complex_numbers(max_magnitude=1e6, allow_infinity=False, allow_nan=False)
-           | st.sampled_from((0.5 + 1e-300j, 0.5 - 2000j, 1.5 + 0j, 0j, 1 + 0j, 0.3 - 0j)))
-    @settings(max_examples=400)
-    def test_shares_are_the_branch_values_they_fold(self, nu):
-        # each share against the branch value it divides, as entropy took it
-        # before the two were folded into one function, bit for bit
-        rep = nu if nu.imag > 0 else nu.conjugate()
-        for share, branch in (
-            (entanglement._edge_share, lambda: reference_edge_pair_branch(abs(nu.imag)) / 2.0),
-            (entanglement._quartet_share,
-             lambda: reference_quartet_branch(entanglement._quartet_params(rep)) / 4.0),
-        ):
-            try:
-                expected = branch()
-            except (ArithmeticError, ValueError) as exc:  # math domain and range errors
-                with pytest.raises(type(exc)):
-                    share(nu)
-            else:
-                assert bits(share(nu)) == bits(expected)
 
 
 class TestEntropyClosedForms:

@@ -281,6 +281,14 @@ class TestShiftSearchMatchesReference:
         # a zero step, a subnormal one and a one-ulp bracket included
         assert_array_equal(_linspace(start, stop, num), np.linspace(start, stop, num))
 
+    def test_float32_bounds_search_in_float64(self):
+        # the bounds are taken as float64: float32 ones give the search of
+        # their float64 values
+        L, ells = 200.0, np.arange(1.0, 51.0)
+        y = TestCCFitOBC.model(ells, L, -1 / 3, -0.8, 0.5)
+        bounds = (np.float32(-L / 4), np.float32(L / 4))
+        assert _best_shift(ells, y, L, bounds) == _best_shift(ells, y, L, tuple(map(float, bounds)))
+
     def test_one_scan_and_at_most_eight_rescans(self, monkeypatch):
         # the presets' search: each _best_shift scans 512 shifts once, then
         # rescans 33 at a time, at most eight times
